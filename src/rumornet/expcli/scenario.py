@@ -223,10 +223,14 @@ def parse_scenario(path) -> Scenario:
     if kind not in NETWORK_KINDS:
         fail(("network", "kind"), f"network kind must be one of {NETWORK_KINDS}, got '{kind}'")
     n_nodes = get("network", "n", required=True)
+    if n_nodes < 2:
+        fail(("network", "n"), f"n must be >= 2, got {n_nodes}")
     gamma = get("network", "gamma", 2.4)
     if kind == "configuration" and not 2.0 < gamma <= 3.0:
         fail(("network", "gamma"), f"gamma must lie in (2, 3], got {gamma}")
     k_min = get("network", "k_min", 2)
+    if kind == "configuration" and k_min < 1:
+        fail(("network", "k_min"), f"k_min must be >= 1, got {k_min}")
     m = get("network", "m", 3)
     m0 = get("network", "m0", 5)
     if kind == "ba" and not n_nodes > m0 >= m >= 1:
@@ -300,20 +304,16 @@ def _derive_seed(master: int, tag: int) -> int:
 
 def _build_assets(scenario: Scenario) -> tuple[DegreeDistribution, Network | None]:
     """The degree distribution for analytics, plus a concrete graph when needed."""
-    needs_network = scenario.engine in ("montecarlo", "both") or scenario.net_kind == "ba"
-    network = None
-    if needs_network:
-        rng = np.random.default_rng(_derive_seed(scenario.seed, 0))
-        if scenario.net_kind == "ba":
-            network = build_ba_network(scenario.n_nodes, scenario.m0, scenario.m, rng)
-        else:
-            target = sample_powerlaw_distribution(scenario.gamma, scenario.k_min, scenario.n_nodes)
-            network = build_configuration_network(target, scenario.n_nodes, rng)
+    # numpy.random is imported on first use; a mean-field-only run never loads it
     if scenario.net_kind == "ba":
-        dist = network.empirical_distribution()
-    else:
-        dist = sample_powerlaw_distribution(scenario.gamma, scenario.k_min, scenario.n_nodes)
-    return dist, network
+        rng = np.random.default_rng(_derive_seed(scenario.seed, 0))
+        network = build_ba_network(scenario.n_nodes, scenario.m0, scenario.m, rng)
+        return network.empirical_distribution(), network
+    dist = sample_powerlaw_distribution(scenario.gamma, scenario.k_min, scenario.n_nodes)
+    if scenario.engine not in ("montecarlo", "both"):
+        return dist, None
+    rng = np.random.default_rng(_derive_seed(scenario.seed, 0))
+    return dist, build_configuration_network(dist, scenario.n_nodes, rng)
 
 
 def _point_result(scenario: Scenario, dist, network, index: int, point: dict) -> dict:

@@ -165,7 +165,12 @@ def node_strength(dist: DegreeDistribution, k: int, p: TieStrengthParams) -> flo
 
 
 class Network:
-    """Undirected simple graph stored as per-node neighbor arrays.
+    """Undirected simple graph in compressed sparse row (CSR) form.
+
+    The neighbors of node u are ``indices[indptr[u]:indptr[u + 1]]``, sorted
+    ascending; every undirected edge fills two adjacency slots, one in each
+    endpoint's row, so ``indptr[-1] == 2 * edge_count``.  ``degrees`` is
+    ``np.diff(indptr)``.  All three arrays are read-only.
 
     ``erased_edges`` counts stub pairs the configuration model had to discard
     after its rejection rounds; it is 0 for every other builder.
@@ -174,55 +179,73 @@ class Network:
     def __init__(self, n: int, edges, erased_edges: int = 0):
         if n < 1:
             raise ValueError("a network needs at least one node")
-        seen: set[int] = set()
-        adj: list[list[int]] = [[] for _ in range(n)]
-        count = 0
-        for u, v in edges:
-            u = int(u)
-            v = int(v)
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            key = u * n + v if u < v else v * n + u
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-            count += 1
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        u, v = pairs.reshape(-1, 2).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = lo * n + hi  # meaningless for the invalid edges, which are caught first below
+        unique_keys, first = np.unique(keys, return_index=True)
+        repeated = np.ones(keys.size, dtype=bool)
+        repeated[first] = False
+        invalid = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
+        dup = np.flatnonzero(repeated)
+        if invalid.size or dup.size:
+            # report the first offending edge in input order, as a sequential scan would
+            i = min(invalid[:1].tolist() + dup[:1].tolist())
+            a, b = int(u[i]), int(v[i])
+            if a == b:
+                raise ValueError(f"self-loop at node {a}")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+            raise ValueError(f"duplicate edge ({a},{b})")
+        # one directed key row * n + col per slot; sorting them lays out the CSR rows
+        slots = np.sort(np.concatenate((unique_keys, (unique_keys % n) * n + unique_keys // n)))
+        rows, indices = np.divmod(slots, n)
+        degrees = np.bincount(rows, minlength=n)
+        indptr = np.concatenate(([0], np.cumsum(degrees)))
+        for array in (indptr, indices, degrees):
+            array.setflags(write=False)
         self.n = n
-        self.adjacency = tuple(np.array(sorted(nbrs), dtype=np.int64) for nbrs in adj)
-        self.degrees = np.array([len(a) for a in self.adjacency], dtype=np.int64)
-        self.degrees.setflags(write=False)
-        self.edge_count = count
+        self.indptr = indptr
+        self.indices = indices
+        self.degrees = degrees
+        self.edge_count = int(unique_keys.size)
         self.erased_edges = int(erased_edges)
 
     def __repr__(self) -> str:
         return f"Network(n={self.n}, edges={self.edge_count})"
 
+    def slot_rows(self) -> np.ndarray:
+        """The node whose row holds each adjacency slot, i.e. the CSR row index."""
+        return np.repeat(np.arange(self.n), self.degrees)
+
     def edges(self):
         """Yield each undirected edge once as (u, v) with u < v, sorted."""
-        for u in range(self.n):
-            for v in self.adjacency[u]:
-                if u < v:
-                    yield u, int(v)
+        rows = self.slot_rows()
+        upper = rows < self.indices
+        yield from zip(rows[upper].tolist(), self.indices[upper].tolist())
 
     def validate(self) -> None:
-        """Re-check symmetry, simplicity, and degree bookkeeping."""
-        for u in range(self.n):
-            nbrs = self.adjacency[u]
-            if len(nbrs) != self.degrees[u]:
-                raise AssertionError(f"degree mismatch at node {u}")
-            if len(np.unique(nbrs)) != len(nbrs):
-                raise AssertionError(f"multi-edge at node {u}")
-            if np.any(nbrs == u):
-                raise AssertionError(f"self-loop at node {u}")
-            for v in nbrs:
-                if u not in self.adjacency[v]:
-                    raise AssertionError(f"asymmetric edge ({u},{v})")
-        if int(self.degrees.sum()) != 2 * self.edge_count:
-            raise AssertionError("degree sum does not equal twice the edge count")
+        """Re-check the CSR layout: bookkeeping, simple sorted rows, and symmetry."""
+        n, indptr, indices = self.n, self.indptr, self.indices
+        if indptr.size != n + 1 or indptr[0] != 0 or np.any(np.diff(indptr) != self.degrees):
+            raise AssertionError("indptr does not match the degrees")
+        if indptr[-1] != indices.size or indices.size != 2 * self.edge_count:
+            raise AssertionError("slot count does not equal twice the edge count")
+        rows = self.slot_rows()
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise AssertionError("neighbor id out of range")
+        loops = np.flatnonzero(indices == rows)
+        if loops.size:
+            raise AssertionError(f"self-loop at node {rows[loops[0]]}")
+        repeats = np.flatnonzero((np.diff(indices) <= 0) & (rows[1:] == rows[:-1]))
+        if repeats.size:
+            raise AssertionError(f"multi-edge or unsorted row at node {rows[repeats[0]]}")
+        # sorted rows make the forward keys ascending; a symmetric graph reverses onto them
+        forward = rows * n + indices
+        mismatch = np.flatnonzero(forward != np.sort(indices * n + rows))
+        if mismatch.size:
+            j = mismatch[0]
+            raise AssertionError(f"asymmetric edge ({rows[j]},{indices[j]})")
 
     def empirical_distribution(self) -> DegreeDistribution:
         """Degree distribution of the graph, restricted to nodes of degree >= 1."""
@@ -293,31 +316,29 @@ def build_configuration_network(
         degrees[-1] = rng.choice(dist.support, p=dist.probs)
         attempts += 1
     stubs = np.repeat(np.arange(n_nodes, dtype=np.int64), degrees)
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
+    # sorted keys u * n + v (u < v) of the accepted edges; the sentinel above
+    # every key keeps each searchsorted position in range
+    seen = np.array([np.iinfo(np.int64).max])
     leftover = stubs
     for _ in range(max_rounds):
         if leftover.size < 2:
             break
         rng.shuffle(leftover)
-        rejected: list[int] = []
-        it = iter(range(0, leftover.size - 1, 2))
-        for i in it:
-            u = int(leftover[i])
-            v = int(leftover[i + 1])
-            if u == v:
-                rejected += (u, v)
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                rejected += (u, v)
-                continue
-            seen.add(key)
-            edges.append(key)
-        leftover = np.array(rejected, dtype=np.int64)
+        pairs = leftover.reshape(-1, 2)
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        keys = lo * n_nodes + hi
+        fresh = np.flatnonzero((lo != hi) & (seen[np.searchsorted(seen, keys)] != keys))
+        # of a pair drawn twice in one round only the first copy is kept
+        new_keys, first = np.unique(keys[fresh], return_index=True)
+        accepted = np.zeros(keys.size, dtype=bool)
+        accepted[fresh[first]] = True
+        if new_keys.size:
+            seen = np.insert(seen, np.searchsorted(seen, new_keys), new_keys)
+        leftover = pairs[~accepted].ravel()
         if leftover.size == 0:
             break
     erased = int(leftover.size) // 2
+    edges = np.column_stack(np.divmod(seen[:-1], n_nodes))
     return Network(n_nodes, edges, erased_edges=erased)
 
 

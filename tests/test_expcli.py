@@ -107,6 +107,21 @@ class TestParsing:
         ):
             parse_scenario(path)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_nodes_cites_line(self, tmp_path, n):
+        bad = MINIMAL.replace("n = 1000", f"n = {n}")
+        lineno = line_of(bad, f"n = {n}")
+        assert lineno == 8
+        with pytest.raises(ScenarioError, match=rf"scenario\.cfg:{lineno}: n must be >= 2, got {n}"):
+            parse_scenario(write_config(tmp_path, bad))
+
+    def test_k_min_below_one_cites_line(self, tmp_path):
+        bad = MINIMAL.replace("k_min = 2", "k_min = 0")
+        lineno = line_of(bad, "k_min = 0")
+        assert lineno == 7
+        with pytest.raises(ScenarioError, match=rf"scenario\.cfg:{lineno}: k_min must be >= 1, got 0"):
+            parse_scenario(write_config(tmp_path, bad))
+
 
 class TestRunScenario:
     def test_row_count_and_manifest(self, tmp_path):
@@ -244,6 +259,8 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, MINIMAL.replace("alpha = 0.5", "alpha = 2.0"))
+        assert main(["simulate", "--config", str(path)]) == 1
+        path = write_config(tmp_path, MINIMAL.replace("n = 1000", "n = 0"), "no_nodes.cfg")
         assert main(["simulate", "--config", str(path)]) == 1
 
     def test_compare_tolerance_exit_code(self, tmp_path):

@@ -1,12 +1,19 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rumornet import montecarlo
 from rumornet.inoculation import make_random_plan, make_targeted_plan
 from rumornet.meanfield import ModelParams, final_rumor_size
 from rumornet.montecarlo import (
     IGNORANT,
     SPREADER,
     STIFLER,
+    _Kernel,
     contact_count,
     ensemble,
     mean_trace,
@@ -112,6 +119,98 @@ class TestRunBasics:
             assert len(transitions) <= 2
             if len(transitions) == 2:
                 assert transitions[0][2] == SPREADER and transitions[1][2] == STIFLER
+
+
+class TestStepKernel:
+    def test_star_hubs_inform_uniform_distinct_leaves(self):
+        # two disjoint stars whose hubs spread together; with p = 1 each hub
+        # informs exactly the leaves it contacts, and only its own
+        sizes, alpha, dt, trials = (12, 7), 0.7, 0.1, 4000
+        hubs = np.array([0, sizes[0] + 1])
+        leaves = [np.arange(hub + 1, hub + 1 + d) for hub, d in zip(hubs, sizes)]
+        stars = Network(sum(sizes) + 2, [(hub, leaf) for hub, own in zip(hubs, leaves) for leaf in own])
+        kernel = _Kernel(stars, ModelParams(lam=100.0, alpha=alpha), dt)
+        status = np.zeros(stars.n, dtype=np.int8)
+        status[hubs] = SPREADER
+        gen = np.random.default_rng(4)
+        hits = np.zeros(stars.n)
+        counts = np.empty((trials, 2))
+        for j in range(trials):
+            _, informed = kernel.step(status, hubs, gen)
+            counts[j] = [np.isin(informed, own).sum() for own in leaves]
+            hits[informed] += 1
+        assert hits[hubs].sum() == 0
+        for d, column, own in zip(sizes, counts.T, leaves):
+            mean = d**alpha
+            assert set(column.tolist()) == {math.floor(mean), math.ceil(mean)}
+            assert abs(column.mean() - mean) < 5 * 0.5 / math.sqrt(trials)
+            p = mean / d
+            se = math.sqrt(p * (1 - p) / trials)
+            assert np.all(np.abs(hits[own] / trials - p) < 5 * se)
+        assert np.array_equal(status[hubs], [SPREADER, SPREADER]) and status.sum() == 2  # left unchanged
+
+
+@st.composite
+def small_runs(draw):
+    """A random graph on at most 10 nodes, model parameters, a plan and seeds."""
+    n = draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    network = Network(n, [pair for pair, kept in zip(pairs, keep) if kept])
+    params = ModelParams(
+        lam=draw(st.floats(0.0, 20.0)),
+        alpha=draw(st.floats(0.05, 1.0)),
+        beta=draw(st.floats(-1.0, 1.0)),
+        sigma=draw(st.floats(0.1, 3.0)),
+    )
+    g = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    plan = make_random_plan(g) if g else None
+    return network, params, plan, draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1))
+
+
+def run_recording_plan(network, params, plan, seeds, rng):
+    """``run`` with record_events, plus the node ids ``apply_plan`` returned to it."""
+    picked = []
+    real = montecarlo.apply_plan
+
+    def spy(*args):
+        picked.append(real(*args))
+        return picked[-1]
+
+    with mock.patch.object(montecarlo, "apply_plan", spy):
+        trace = run(network, params, plan=plan, seeds=seeds, t_max=20.0, rng=rng, record_events=True)
+    return trace, picked[0]
+
+
+class TestRunProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(small_runs())
+    def test_fractions_conserved_and_stiflers_monotone(self, case):
+        network, params, plan, seeds, rng = case
+        trace, _ = run_recording_plan(network, params, plan, seeds, rng)
+        total = trace.ignorant + trace.spreader + trace.stifler + trace.inoculated_fraction
+        assert np.allclose(total, 1.0, rtol=0.0, atol=1e-12)
+        assert np.all(np.diff(trace.stifler) >= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_runs())
+    def test_inoculated_nodes_never_in_events(self, case):
+        network, params, plan, seeds, rng = case
+        trace, picked = run_recording_plan(network, params, plan, seeds, rng)
+        seed_ids = [node for t, node, _, _ in trace.events if t == 0.0]
+        inoculated = np.setdiff1d(picked, seed_ids)
+        assert inoculated.size == round(trace.inoculated_fraction * network.n)
+        assert not set(inoculated.tolist()) & {node for _, node, _, _ in trace.events}
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_runs())
+    def test_same_seed_same_trace(self, case):
+        network, params, plan, seeds, rng = case
+        a = run(network, params, plan=plan, seeds=seeds, t_max=20.0, rng=rng, record_events=True)
+        b = run(network, params, plan=plan, seeds=seeds, t_max=20.0, rng=rng, record_events=True)
+        for field in ("times", "ignorant", "spreader", "stifler"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert a.events == b.events
 
 
 class TestMarkovOracle:

@@ -117,6 +117,32 @@ class TestBANetwork:
         assert net.degrees.max() > 20 * net.degrees.min()
 
 
+def sequential_stub_matching(dist, n_nodes, rng, max_rounds=100):
+    """Pair-by-pair stub matching, the reference for ``build_configuration_network``.
+
+    Returns the sorted edge list and the erased pair count.
+    """
+    degrees = rng.choice(dist.support, size=n_nodes, p=dist.probs)
+    while degrees.sum() % 2 == 1:
+        degrees[-1] = rng.choice(dist.support, p=dist.probs)
+    leftover = np.repeat(np.arange(n_nodes, dtype=np.int64), degrees)
+    seen = set()
+    for _ in range(max_rounds):
+        if leftover.size < 2:
+            break
+        rng.shuffle(leftover)
+        rejected = []
+        for i in range(0, leftover.size - 1, 2):
+            u, v = int(leftover[i]), int(leftover[i + 1])
+            key = (min(u, v), max(u, v))
+            if u == v or key in seen:
+                rejected += (u, v)
+            else:
+                seen.add(key)
+        leftover = np.array(rejected, dtype=np.int64)
+    return sorted(seen), leftover.size // 2
+
+
 class TestConfigurationNetwork:
     def test_point_mass_degree_two(self):
         dist = DegreeDistribution([2], [1.0])
@@ -144,6 +170,26 @@ class TestConfigurationNetwork:
         target[dist.support] = dist.probs
         tv = 0.5 * np.abs(empirical - target).sum()
         assert tv < 0.05
+
+    def test_heavy_tail_validates_and_reports_erased_edges(self):
+        # a gamma near 2 with k_min = 1 leaves hub stubs that cannot be matched
+        dist = sample_powerlaw_distribution(2.1, 1, 2000)
+        net = build_configuration_network(dist, 2000, np.random.default_rng(3))
+        net.validate()
+        assert net.erased_edges > 0
+        # one round erases more, but the same drawn stubs are all accounted for
+        once = build_configuration_network(dist, 2000, np.random.default_rng(3), max_rounds=1)
+        once.validate()
+        assert once.erased_edges > net.erased_edges
+        assert once.edge_count + once.erased_edges == net.edge_count + net.erased_edges
+
+    def test_matches_sequential_stub_matching(self):
+        for seed, (gamma, k_min, n) in enumerate([(2.4, 2, 3000), (2.1, 1, 1500), (3.0, 3, 400)]):
+            dist = sample_powerlaw_distribution(gamma, k_min, n)
+            net = build_configuration_network(dist, n, np.random.default_rng(seed))
+            edges, erased = sequential_stub_matching(dist, n, np.random.default_rng(seed))
+            assert list(net.edges()) == edges
+            assert net.erased_edges == erased
 
     def test_degree_sum_even(self):
         for seed in range(4):
@@ -205,7 +251,10 @@ class TestNodeStrength:
         deg = net.degrees.astype(float)
         kbeta = deg**params.beta
         strengths = np.array(
-            [params.b * deg[i] ** params.beta * kbeta[net.adjacency[i]].sum() for i in range(net.n)]
+            [
+                params.b * deg[i] ** params.beta * kbeta[net.indices[net.indptr[i]:net.indptr[i + 1]]].sum()
+                for i in range(net.n)
+            ]
         )
         for k in (2, 3, 5):
             mask = net.degrees == k
@@ -215,12 +264,57 @@ class TestNodeStrength:
             )
 
 
+def check_csr(net):
+    """The CSR invariants, checked independently of ``Network.validate``."""
+    assert net.indptr[0] == 0
+    assert net.indptr[-1] == net.indices.size == 2 * net.edge_count
+    assert np.array_equal(np.diff(net.indptr), net.degrees)
+    rows = [net.indices[net.indptr[u]:net.indptr[u + 1]] for u in range(net.n)]
+    assert all(np.all(np.diff(row) > 0) for row in rows)
+    slots = {(u, int(v)) for u, row in enumerate(rows) for v in row}
+    assert slots == {(v, u) for u, v in slots}
+    assert all(u != v for u, v in slots)
+
+
 class TestNetworkBasics:
     def test_rejects_self_loop_and_duplicate(self):
         with pytest.raises(ValueError):
             Network(3, [(0, 0)])
         with pytest.raises(ValueError):
             Network(3, [(0, 1), (1, 0)])
+
+    def test_constructor_errors_name_the_first_offender(self):
+        with pytest.raises(ValueError, match=r"^self-loop at node 2$"):
+            Network(3, [(0, 1), (2, 2), (1, 0)])
+        with pytest.raises(ValueError, match=r"^edge \(1,5\) out of range for n=3$"):
+            Network(3, [(0, 1), (1, 5), (5, 1)])
+        with pytest.raises(ValueError, match=r"^edge \(-1,0\) out of range for n=3$"):
+            Network(3, [(-1, 0)])
+        with pytest.raises(ValueError, match=r"^duplicate edge \(2,1\)$"):
+            Network(3, [(1, 2), (0, 1), (2, 1), (0, 0)])
+
+    def test_csr_layout(self):
+        net = Network(4, [(2, 0), (1, 0), (3, 1)])
+        assert net.indptr.tolist() == [0, 2, 4, 5, 6]
+        assert net.indices.tolist() == [1, 2, 0, 3, 0, 1]
+        assert list(net.edges()) == [(0, 1), (0, 2), (1, 3)]
+        assert Network(3, []).indptr.tolist() == [0, 0, 0, 0]
+        check_csr(build_ba_network(300, 4, 2, np.random.default_rng(6)))
+        dist = sample_powerlaw_distribution(2.2, 1, 2000)
+        check_csr(build_configuration_network(dist, 2000, np.random.default_rng(7)))
+
+    def test_validate_detects_broken_csr(self):
+        net = Network(4, [(0, 1), (1, 2), (2, 3)])
+        net.validate()
+        net.indices = np.array([1, 0, 3, 1, 3, 2])  # row 1 names 3, row 3 does not name 1
+        with pytest.raises(AssertionError, match=r"asymmetric edge \(1,3\)"):
+            net.validate()
+        net.indices = np.array([1, 1, 2, 1, 3, 2])  # row 1 names itself
+        with pytest.raises(AssertionError, match="self-loop at node 1"):
+            net.validate()
+        net.indices = np.array([1, 0, 2, 1, 1, 2])  # row 2 names 1 twice
+        with pytest.raises(AssertionError, match="multi-edge or unsorted row at node 2"):
+            net.validate()
 
     def test_edge_list_roundtrip(self, tmp_path):
         net = build_ba_network(50, 4, 2, np.random.default_rng(8))
