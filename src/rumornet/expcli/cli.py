@@ -17,12 +17,10 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from ..netgen import build_ba_network, build_configuration_network, sample_powerlaw_distribution, \
-    write_distribution_csv, write_edge_list
+from ..netgen import write_distribution_csv, write_edge_list
 from .scenario import (
     ScenarioError,
+    build_network,
     compare_engines,
     parse_scenario,
     run_scenario,
@@ -72,13 +70,7 @@ def _load(args) -> "Scenario":
 
 def _cmd_generate(scenario) -> int:
     os.makedirs(scenario.out_dir, exist_ok=True)
-    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 0]).generate_state(1)[0])
-    if scenario.net_kind == "ba":
-        network = build_ba_network(scenario.n_nodes, scenario.m0, scenario.m, rng)
-        dist = network.empirical_distribution()
-    else:
-        dist = sample_powerlaw_distribution(scenario.gamma, scenario.k_min, scenario.n_nodes)
-        network = build_configuration_network(dist, scenario.n_nodes, rng)
+    dist, network = build_network(scenario)
     edge_path = os.path.join(scenario.out_dir, "network.edgelist")
     dist_path = os.path.join(scenario.out_dir, "degree_distribution.csv")
     write_edge_list(network, edge_path)

@@ -43,6 +43,7 @@ from .svg import line_plot
 __all__ = [
     "Scenario",
     "ScenarioError",
+    "build_network",
     "compare_engines",
     "parse_scenario",
     "run_scenario",
@@ -302,18 +303,27 @@ def _derive_seed(master: int, tag: int) -> int:
     return int(np.random.SeedSequence([int(master), int(tag)]).generate_state(1)[0])
 
 
-def _build_assets(scenario: Scenario) -> tuple[DegreeDistribution, Network | None]:
-    """The degree distribution for analytics, plus a concrete graph when needed."""
-    # numpy.random is imported on first use; a mean-field-only run never loads it
+def build_network(scenario: Scenario) -> tuple[DegreeDistribution, Network]:
+    """Build the scenario's graph, with the distribution analytics use on it.
+
+    The graph's random stream is keyed to the master seed alone, so every verb
+    that builds it gets the same graph: a BA graph comes with its empirical
+    distribution, a configuration graph with the power law it realizes.
+    """
+    rng = np.random.default_rng(_derive_seed(scenario.seed, 0))
     if scenario.net_kind == "ba":
-        rng = np.random.default_rng(_derive_seed(scenario.seed, 0))
         network = build_ba_network(scenario.n_nodes, scenario.m0, scenario.m, rng)
         return network.empirical_distribution(), network
     dist = sample_powerlaw_distribution(scenario.gamma, scenario.k_min, scenario.n_nodes)
-    if scenario.engine not in ("montecarlo", "both"):
-        return dist, None
-    rng = np.random.default_rng(_derive_seed(scenario.seed, 0))
     return dist, build_configuration_network(dist, scenario.n_nodes, rng)
+
+
+def _build_assets(scenario: Scenario) -> tuple[DegreeDistribution, Network | None]:
+    """The degree distribution for analytics, plus a concrete graph when needed."""
+    if scenario.net_kind == "ba" or scenario.engine in ("montecarlo", "both"):
+        return build_network(scenario)
+    # numpy.random is imported on first use; a mean-field-only run never loads it
+    return sample_powerlaw_distribution(scenario.gamma, scenario.k_min, scenario.n_nodes), None
 
 
 def _point_result(scenario: Scenario, dist, network, index: int, point: dict) -> dict:

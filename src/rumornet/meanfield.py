@@ -21,6 +21,7 @@ sigma = 1 formulas are recovered verbatim.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,14 @@ __all__ = [
     "psi_fixed_point",
     "uniform_seed_state",
 ]
+
+
+_log = logging.getLogger(__name__)
+
+# np.exp is many times slower when its results are subnormal (below about
+# e**-708); clipped here, e**x stays a normal float and the clipped terms are
+# still negligible next to any ignorant fraction that matters
+_EXP_FLOOR = -700.0
 
 
 class IntegrationError(RuntimeError):
@@ -129,11 +138,12 @@ def uniform_seed_state(dist: DegreeDistribution, s0: float) -> DegreeClassState:
     )
 
 
-def _force_vector(dist: DegreeDistribution, params: ModelParams, plan: InoculationPlan | None) -> np.ndarray:
-    """Per-class rate factor lam * (1 - g_k) * k**(1+beta) / <k**(1+beta)>."""
-    k = dist.support.astype(np.float64)
+def _class_terms(dist: DegreeDistribution, params: ModelParams, plan: InoculationPlan | None):
+    """Per-class (g_k, w_k, a_k): the inoculated fraction (0.0 without a plan),
+    the weight k**alpha P(k) and the rate a_k = lam (1 - g_k) k**(1+beta) / <k**(1+beta)>."""
     g_k = plan.profile(dist) if plan is not None else 0.0
-    return params.lam * (1.0 - g_k) * k ** (1.0 + params.beta) / dist.moment(1.0 + params.beta)
+    rates = params.lam * (1.0 - g_k) * dist.power(1.0 + params.beta) / dist.moment(1.0 + params.beta)
+    return g_k, dist.power(params.alpha) * dist.probs, rates
 
 
 def derivatives_modified(
@@ -151,7 +161,7 @@ def derivatives_modified(
         raise ValueError("state and distribution supports disagree")
     k = dist.support.astype(np.float64)
     phi = float((k ** params.alpha * dist.probs * state.rho_s).sum())
-    infection = _force_vector(dist, params, plan) * state.rho_i * phi
+    infection = _class_terms(dist, params, plan)[2] * state.rho_i * phi
     d_i = -infection
     d_s = infection - params.sigma * state.rho_s
     d_r = params.sigma * state.rho_s
@@ -272,7 +282,7 @@ def integrate(
     probs = dist.probs
     kalpha_p = k ** params.alpha * probs
     if model == "modified":
-        force = _force_vector(dist, params, plan)
+        force = _class_terms(dist, params, plan)[2]
         sigma = params.sigma
 
         def rhs(y):
@@ -368,49 +378,63 @@ def psi_fixed_point(
     sigma * Psi = <k**alpha> - sum_k k**alpha P(k)
                   * exp(-lam (1 - g_k) k**(1+beta) Psi / <k**(1+beta)>)
 
-    Zero is always a root; the right-hand side is concave and increasing in
-    Psi, so a nonzero root exists exactly when the slope at zero exceeds one,
-    i.e. above the rumor threshold, and damped iteration from the upper bound
-    <k**alpha>/sigma converges to the largest root from above.  Falls back to
-    bisection if the iteration stalls.
+    Zero is always a root.  The right-hand side f is concave and increasing in
+    Psi, so a nonzero root exists exactly when its slope at zero exceeds one,
+    i.e. above the rumor threshold; below it the result is 0.  Above it,
+    Newton's method on the convex h(x) = x - f(x), started from the upper
+    bound <k**alpha>/sigma, descends monotonically onto the largest root and
+    stops once a step is below tol * max(1, x).  h is evaluated through expm1,
+    which is exact near x = 0 and never produces subnormals.  Falls back to
+    bisection if h' is not positive or the iterates stop descending (rounding
+    right at the critical point) or max_iter steps pass.  Each call logs its
+    path (zero, newton or bisection) and step count at DEBUG level.
     """
-    k = dist.support.astype(np.float64)
-    weights = k ** params.alpha * dist.probs
-    g_k = plan.profile(dist) if plan is not None else np.zeros_like(dist.probs)
-    expo = params.lam * (1.0 - g_k) * k ** (1.0 + params.beta) / dist.moment(1.0 + params.beta)
-    kalpha_mean = float(weights.sum())
+    _, weights, rates = _class_terms(dist, params, plan)
     sigma = params.sigma
-
-    slope_at_zero = float((weights * expo).sum()) / sigma
-    if slope_at_zero <= 1.0:
+    kalpha_mean = float(weights.sum())
+    weighted_rates = weights * rates
+    slope_sum = float(weighted_rates.sum())
+    if slope_sum / sigma <= 1.0:
+        _log.debug("psi_fixed_point: path=zero steps=0")
         return 0.0
 
-    def f(x: float) -> float:
-        return (kalpha_mean - float((weights * np.exp(-expo * x)).sum())) / sigma
+    neg_rates = -rates
+
+    def h(x: float) -> tuple[float, float]:
+        """h(x) = x + sum_k w_k expm1(-a_k x) / sigma and its derivative."""
+        em = np.expm1(neg_rates * x)
+        return x + float(weights @ em) / sigma, 1.0 - (slope_sum + float(weighted_rates @ em)) / sigma
 
     x = kalpha_mean / sigma
-    for _ in range(max_iter):
-        x_next = 0.5 * x + 0.5 * f(x)
+    for step in range(1, max_iter + 1):
+        hx, slope = h(x)
+        if slope <= 0.0:
+            break
+        x_next = x - hx / slope
         if abs(x_next - x) < tol * max(1.0, x):
+            _log.debug("psi_fixed_point: path=newton steps=%d", step)
             return x_next
+        if not 0.0 < x_next < x:
+            break
         x = x_next
 
-    # stalled (only happens essentially at the critical point): bisect x - f(x)
+    # bisect h between a point where it is negative and the upper bound
     hi = kalpha_mean / sigma
     lo = hi
-    for _ in range(200):
+    for halvings in range(1, 201):
         lo *= 0.5
-        if lo - f(lo) < 0.0:
+        if h(lo)[0] < 0.0:
             break
     else:
         raise FixedPointError("could not bracket the nonzero fixed point")
-    for _ in range(200):
+    for step in range(1, 201):
         mid = 0.5 * (lo + hi)
-        if mid - f(mid) < 0.0:
+        if h(mid)[0] < 0.0:
             lo = mid
         else:
             hi = mid
         if hi - lo < tol:
+            _log.debug("psi_fixed_point: path=bisection steps=%d", halvings + step)
             return 0.5 * (lo + hi)
     raise FixedPointError("bisection failed to converge")
 
@@ -428,11 +452,10 @@ def final_rumor_size(
     so inoculated nodes count neither as informed nor as reachable.  Reduces
     to 1 - sum_k P(k) exp(...) without inoculation.
     """
-    k = dist.support.astype(np.float64)
-    g_k = plan.profile(dist) if plan is not None else np.zeros_like(dist.probs)
+    g_k, _, rates = _class_terms(dist, params, plan)
     psi_star = psi_fixed_point(dist, params, plan)
-    expo = params.lam * (1.0 - g_k) * k ** (1.0 + params.beta) / dist.moment(1.0 + params.beta)
-    still_ignorant = float((dist.probs * (1.0 - g_k) * np.exp(-expo * psi_star)).sum())
+    ignorant = np.exp(np.maximum(-rates * psi_star, _EXP_FLOOR))
+    still_ignorant = float((dist.probs * (1.0 - g_k) * ignorant).sum())
     inoculated = float((dist.probs * g_k).sum())
     r = 1.0 - still_ignorant - inoculated
     return min(max(r, 0.0), 1.0)

@@ -41,9 +41,7 @@ __all__ = [
     "SPREADER",
     "STIFLER",
     "EnsembleSummary",
-    "SimState",
     "SimTrace",
-    "contact_count",
     "ensemble",
     "mean_trace",
     "run",
@@ -52,18 +50,6 @@ __all__ = [
 ]
 
 IGNORANT, SPREADER, STIFLER, INOCULATED = 0, 1, 2, 3
-STATUS_NAMES = {IGNORANT: "ignorant", SPREADER: "spreader", STIFLER: "stifler", INOCULATED: "inoculated"}
-
-
-@dataclass
-class SimState:
-    """Per-node statuses at one instant of a run."""
-
-    status: np.ndarray
-    time: float = 0.0
-
-    def counts(self) -> dict[str, int]:
-        return {name: int((self.status == code).sum()) for code, name in STATUS_NAMES.items()}
 
 
 @dataclass
@@ -79,24 +65,6 @@ class SimTrace:
     peak_s: float
     seed: int | None = None
     events: list[tuple[float, int, int, int]] | None = None  # (t, node, old, new)
-
-
-def contact_count(degree: int, alpha: float, rng: np.random.Generator) -> int:
-    """Randomized rounding of degree**alpha: floor plus a Bernoulli on the fraction.
-
-    Preserves the mean exactly and reduces to the integer itself when
-    degree**alpha is integral (a degree-1 node always makes its one contact).
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree == 0:
-        return 0
-    mean = float(degree) ** alpha
-    base = int(mean)
-    frac = mean - base
-    if frac > 0.0 and rng.random() < frac:
-        base += 1
-    return min(base, degree)
 
 
 class _Kernel:

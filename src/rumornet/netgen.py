@@ -62,9 +62,9 @@ class TieStrengthParams:
 class DegreeDistribution:
     """Normalized degree distribution on a finite, strictly increasing support.
 
-    Moments <k**q> are computed on demand and cached.  ``gamma`` records the
-    power-law exponent when the distribution was built as a truncated power
-    law; ad-hoc distributions leave it as None.
+    Powers k**q of the support and moments <k**q> are computed on demand and
+    cached.  ``gamma`` records the power-law exponent when the distribution
+    was built as a truncated power law; ad-hoc distributions leave it as None.
     """
 
     def __init__(self, support, probs, gamma: float | None = None):
@@ -88,6 +88,7 @@ class DegreeDistribution:
         self.k_min = int(support[0])
         self.k_max = int(support[-1])
         self.gamma = None if gamma is None else float(gamma)
+        self._powers: dict[float, np.ndarray] = {}
         self._moments: dict[float, float] = {}
 
     def __repr__(self) -> str:
@@ -107,11 +108,20 @@ class DegreeDistribution:
         """Alternative exponent convention P(k) ~ k**-(2 + gamma'), i.e. gamma' = gamma - 2."""
         return None if self.gamma is None else self.gamma - 2.0
 
+    def power(self, q: float) -> np.ndarray:
+        """Return k**q over the support as a read-only float array."""
+        q = float(q)
+        if q not in self._powers:
+            kq = self.support.astype(np.float64) ** q
+            kq.setflags(write=False)
+            self._powers[q] = kq
+        return self._powers[q]
+
     def moment(self, q: float) -> float:
         """Return <k**q> = sum_k k**q P(k)."""
         q = float(q)
         if q not in self._moments:
-            self._moments[q] = float((self.support.astype(np.float64) ** q * self.probs).sum())
+            self._moments[q] = float((self.power(q) * self.probs).sum())
         return self._moments[q]
 
     @property

@@ -1,9 +1,11 @@
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from rumornet import montecarlo
 from rumornet.expcli.cli import main
 from rumornet.expcli.scenario import (
     ScenarioError,
@@ -13,6 +15,7 @@ from rumornet.expcli.scenario import (
     threshold_table,
 )
 from rumornet.expcli.svg import line_plot
+from rumornet.netgen import read_edge_list
 
 MINIMAL = """\
 [scenario]
@@ -256,6 +259,42 @@ class TestCli:
         assert code == 0
         edge_file = tmp_path / "g" / "network.edgelist"
         assert edge_file.read_text().startswith("# nodes=300")
+
+    @pytest.mark.parametrize("network", [
+        "kind = configuration\ngamma = 2.4\nk_min = 2\nn = 300",
+        "kind = ba\nm = 2\nm0 = 3\nn = 300",
+    ], ids=["configuration", "ba"])
+    def test_generate_writes_the_graph_simulate_uses(self, tmp_path, network):
+        config = f"""\
+[scenario]
+engine = montecarlo
+runs = 1
+timeseries = false
+workers = 1
+
+[network]
+{network}
+
+[model]
+lambda = 0.5
+alpha = 0.8
+t_max = 5
+"""
+        path = write_config(tmp_path, config)
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "g"), "--seed", "7"]) == 0
+        written = read_edge_list(tmp_path / "g" / "network.edgelist")
+        used = []
+        real = montecarlo.ensemble
+
+        def spy(network, *args, **kwargs):
+            used.append(network)
+            return real(network, *args, **kwargs)
+
+        with mock.patch.object(montecarlo, "ensemble", spy):
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s"), "--seed", "7"]) == 0
+        assert len(used) == 1
+        assert written.n == used[0].n == 300
+        assert sorted(written.edges()) == sorted(used[0].edges())
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, MINIMAL.replace("alpha = 0.5", "alpha = 2.0"))

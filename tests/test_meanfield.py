@@ -1,5 +1,10 @@
+import logging
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumornet.inoculation import make_random_plan, make_targeted_plan
 from rumornet.meanfield import (
@@ -228,6 +233,88 @@ class TestPsiFixedPoint:
                          t_end=60.0, dt=5e-3, sample_every=100)
         assert traj.s[-1] < 1e-8
         assert abs(psi_fixed_point(dist, params, plan) - traj.psi[-1]) < 1e-3
+
+
+class TestPsiSolver:
+    """Accuracy, underflow and logging of the Newton solver behind psi_fixed_point."""
+
+    def test_near_threshold_point_matches_bisection(self):
+        # point 411 of the phase_diagram benchmark grid: lam=0.5, alpha=0.5,
+        # beta=0, targeted g=0.01 on the n=10^5 power law, just above threshold
+        dist = sample_powerlaw_distribution(2.4, 2, 10**5)
+        params = ModelParams(lam=0.5, alpha=0.5, beta=0.0)
+        plan = make_targeted_plan(dist, 0.01)
+        k = dist.support.astype(np.float64)
+        weights = k**0.5 * dist.probs
+        rates = 0.5 * (1.0 - plan.profile(dist)) * k / dist.moment(1.0)
+        expected = bisect_root(lambda x: x + float(weights @ np.expm1(-rates * x)), 1e-6, weights.sum())
+        assert 0.0 < expected < 0.1
+        assert psi_fixed_point(dist, params, plan) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_exponents_below_underflow_stay_finite_and_exact(self):
+        # the degree-5000 class sees exponents near -5000 at the root; the
+        # solver must neither underflow nor lose the root
+        dist = DegreeDistribution([2, 5000], [0.9, 0.1])
+        params = ModelParams(lam=1.0, alpha=1.0)
+        mean_k = dist.moment(1.0)
+
+        def ignorant(x):
+            return 0.9 * math.exp(-2.0 * x / mean_k) + 0.1 * math.exp(-5000.0 * x / mean_k)
+
+        expected = bisect_root(lambda x: x - mean_k + 2.0 * 0.9 * math.exp(-2.0 * x / mean_k)
+                               + 5000.0 * 0.1 * math.exp(-5000.0 * x / mean_k), 1.0, mean_k, tol=1e-10)
+        with np.errstate(under="raise"):
+            psi_star = psi_fixed_point(dist, params)
+            r = final_rumor_size(dist, params)
+        assert 5000.0 * expected / mean_k > 745.0
+        assert math.isfinite(psi_star)
+        assert psi_star == pytest.approx(expected, rel=1e-12)
+        assert r == pytest.approx(1.0 - ignorant(expected), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        degrees=st.lists(st.integers(1, 60), min_size=1, max_size=6, unique=True),
+        raw_probs=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+        alpha=st.floats(0.1, 1.0),
+        beta=st.floats(-1.0, 1.0),
+        sigma=st.floats(0.2, 3.0),
+        over=st.floats(1.01, 8.0),
+    )
+    def test_returns_largest_root_above_threshold(self, degrees, raw_probs, alpha, beta, sigma, over):
+        support = np.array(sorted(degrees), dtype=np.float64)
+        probs = np.array(raw_probs[:support.size])
+        dist = DegreeDistribution(support.astype(int), probs / probs.sum())
+        weights = support**alpha * dist.probs
+        unit_rates = support ** (1.0 + beta) / dist.moment(1.0 + beta)
+        # slope at zero = over > 1; over <= 8 keeps the root at least about
+        # 1e-6 below the upper bound, so h is resolvable on the points checked
+        lam = over * sigma / float(weights @ unit_rates)
+        rates = lam * unit_rates
+        upper = weights.sum() / sigma
+
+        def h(x):
+            return x - (weights.sum() - float(weights @ np.exp(-rates * x))) / sigma
+
+        x = psi_fixed_point(dist, ModelParams(lam=lam, alpha=alpha, beta=beta, sigma=sigma))
+        assert 0.0 < x <= upper
+        assert abs(h(x)) <= 1e-9 * max(1.0, x)
+        for t in np.linspace(0.0, 1.0, 21)[1:]:
+            assert h(x + t * (upper - x)) > 0.0
+
+    def test_logs_path_and_steps(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
+        params = ModelParams(lam=2.0, alpha=0.8, beta=0.2)
+        newton = psi_fixed_point(TWO_FOUR, params)
+        bisected = psi_fixed_point(TWO_FOUR, params, max_iter=1)
+        psi_fixed_point(TWO_FOUR, ModelParams(lam=0.0, alpha=1.0))
+        messages = [rec.getMessage() for rec in caplog.records if rec.name == "rumornet.meanfield"]
+        assert len(messages) == 3
+        assert messages[0].startswith("psi_fixed_point: path=newton steps=")
+        assert 1 <= int(messages[0].rsplit("=", 1)[1]) <= 20
+        assert messages[1].startswith("psi_fixed_point: path=bisection steps=")
+        assert int(messages[1].rsplit("=", 1)[1]) > 1
+        assert messages[2] == "psi_fixed_point: path=zero steps=0"
+        assert bisected == pytest.approx(newton, abs=1e-9)
 
 
 class TestFinalRumorSize:

@@ -84,6 +84,13 @@ class TestMoments:
             moments = [degree_moment(dist, q) for q in qs]
             assert all(m2 >= m1 - 1e-12 for m1, m2 in zip(moments, moments[1:]))
 
+    def test_cached_power_is_shared_and_read_only(self):
+        dist = two_four_dist()
+        cube = dist.power(3)
+        assert np.array_equal(cube, [8.0, 64.0]) and cube is dist.power(3.0)
+        with pytest.raises(ValueError):
+            cube[0] = 0.0
+
 
 class TestBANetwork:
     def test_edge_count_identity_small(self):
