@@ -33,6 +33,43 @@ def powerlaw_net():
     return build_configuration_network(dist, 10**4, np.random.default_rng(100))
 
 
+def contact_counts(degree, alpha, stars, steps, seed):
+    """Contacts drawn by ``_Kernel.step`` for the hubs of disjoint stars.
+
+    With p = 1 a hub informs exactly the leaves it contacts, so counting the
+    informed leaves per hub gives one contact count per hub and step.
+    """
+    size = degree + 1
+    hubs = np.arange(stars) * size
+    net = Network(stars * size, [(hub, hub + 1 + i) for hub in hubs for i in range(degree)])
+    kernel = _Kernel(net, ModelParams(lam=100.0, alpha=alpha), 0.1)
+    status = np.zeros(net.n, dtype=np.int8)
+    status[hubs] = SPREADER
+    gen = np.random.default_rng(seed)
+    return np.concatenate(
+        [np.bincount(kernel.step(status, hubs, gen)[1] // size, minlength=stars) for _ in range(steps)]
+    )
+
+
+class TestContactCount:
+    def test_degree_one_always_contacts(self):
+        assert np.all(contact_counts(1, 0.5, 200, 1, seed=0) == 1)
+
+    def test_integer_power_is_exact(self):
+        assert np.all(contact_counts(4, 0.5, 200, 1, seed=1) == 2)
+        assert np.all(contact_counts(3, 1.0, 200, 1, seed=1) == 3)
+
+    def test_mean_preserved(self):
+        draws = contact_counts(7, 0.6, 400, 100, seed=2)
+        mean = 7.0**0.6
+        se = np.sqrt(0.25 / draws.size)  # Bernoulli variance bound on the fraction
+        assert abs(draws.mean() - mean) < 5 * se
+
+    def test_never_exceeds_degree(self):
+        for k in (1, 2, 3, 9):
+            assert np.all(contact_counts(k, 1.0, 50, 1, seed=3) <= k)
+
+
 class TestRunBasics:
     def test_lambda_zero_only_seed_informed(self):
         net = complete_graph(20)
