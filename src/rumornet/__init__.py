@@ -13,7 +13,6 @@ from .meanfield import (
     Trajectory,
     closed_form_ignorant,
     derivatives_classical,
-    derivatives_modified,
     final_rumor_size,
     integrate,
     psi_fixed_point,
@@ -62,7 +61,6 @@ __all__ = [
     "closed_form_ignorant",
     "degree_moment",
     "derivatives_classical",
-    "derivatives_modified",
     "empirical_threshold",
     "ensemble",
     "final_rumor_size",

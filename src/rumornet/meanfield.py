@@ -1,28 +1,29 @@
 """Degree-block mean-field dynamics of rumor spreading.
 
-Tracks per-degree-class fractions of ignorants, spreaders, and stiflers under
-the nonlinear-contact model: a degree-k spreader reaches k**alpha neighbors
-per unit time and per-edge transmission is weighted by the degree-dependent
-tie strength, which closes (on uncorrelated networks) into the force term
-lam * (1 - g_k) * k**(1+beta) / <k**(1+beta)> * rho_i(k) * Phi(t)
-with Phi(t) = sum_l l**alpha P(l) rho_s(l, t).  The classical all-neighbor
-model (with its contact-stifling delta terms) is kept as a baseline; at
-alpha=1, beta=0, delta=0 the two coincide exactly.
+The nonlinear-contact model tracks per-degree-class fractions of ignorants,
+spreaders and stiflers: a degree-k spreader reaches k**alpha neighbors per
+unit time and per-edge transmission is weighted by the degree-dependent tie
+strength, which closes (on uncorrelated networks) into the force term
+a_k rho_i(k) Phi(t), a_k = lam (1 - g_k) k**(1+beta) / <k**(1+beta)>,
+with Phi(t) = sum_l l**alpha P(l) rho_s(l, t).  Spreaders stifle at rate
+sigma.  The classical all-neighbor model (with its contact-stifling delta
+terms) is kept as a baseline; at alpha=1, beta=0, delta=0 the two coincide.
 
-The auxiliary integral Psi(t) = integral of Phi determines everything at the
-end of spreading: ignorants obey the closed form
-rho_i(k, t) = exp(-lam * k**(1+beta) * Psi(t) / <k**(1+beta)>)
-and the final rumor size follows from the largest root of the self-consistent
-fixed-point equation for Psi(infinity).  With a general stifling rate sigma
-the dynamics are the sigma=1 dynamics on the rescaled clock tau = sigma * t,
-so the fixed-point equation picks up a single factor of sigma and all
-sigma = 1 formulas are recovered verbatim.
+Everything in the modified model is carried by Psi(t), the integral of Phi.
+Ignorants obey the closed form rho_i(k, t) = rho_i(k, 0) exp(-a_k Psi(t)), so
+the block ODEs reduce exactly to two scalar ODEs for Psi and R, which
+``integrate`` solves by RK4 (the edge-based reduction of Miller, J. Math.
+Biol. 2011).  At the end of spreading the final rumor size follows from the
+largest root of the self-consistent fixed-point equation for Psi(infinity).
+With a general stifling rate sigma the dynamics are the sigma=1 dynamics on
+the rescaled clock tau = sigma * t, so the fixed-point equation picks up a
+single factor of sigma and all sigma = 1 formulas are recovered verbatim.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "Trajectory",
     "closed_form_ignorant",
     "derivatives_classical",
-    "derivatives_modified",
     "final_rumor_size",
     "integrate",
     "psi_fixed_point",
@@ -54,7 +54,7 @@ _EXP_FLOOR = -700.0
 
 
 class IntegrationError(RuntimeError):
-    """A state component left [0, 1] beyond tolerance during integration."""
+    """The integrated state left its valid range beyond tolerance."""
 
 
 class FixedPointError(RuntimeError):
@@ -146,28 +146,6 @@ def _class_terms(dist: DegreeDistribution, params: ModelParams, plan: Inoculatio
     return g_k, dist.power(params.alpha) * dist.probs, rates
 
 
-def derivatives_modified(
-    state: DegreeClassState,
-    dist: DegreeDistribution,
-    params: ModelParams,
-    plan: InoculationPlan | None = None,
-):
-    """Time derivatives of the nonlinear-contact model, optionally inoculated.
-
-    Returns (d_rho_i, d_rho_s, d_rho_r).
-    """
-    state.validate()
-    if state.rho_i.shape != dist.support.shape:
-        raise ValueError("state and distribution supports disagree")
-    k = dist.support.astype(np.float64)
-    phi = float((k ** params.alpha * dist.probs * state.rho_s).sum())
-    infection = _class_terms(dist, params, plan)[2] * state.rho_i * phi
-    d_i = -infection
-    d_s = infection - params.sigma * state.rho_s
-    d_r = params.sigma * state.rho_s
-    return d_i, d_s, d_r
-
-
 def derivatives_classical(state: DegreeClassState, dist: DegreeDistribution, params: ModelParams):
     """Time derivatives of the all-neighbor baseline with contact stifling.
 
@@ -193,56 +171,23 @@ def derivatives_classical(state: DegreeClassState, dist: DegreeDistribution, par
 
 @dataclass
 class Trajectory:
-    """Sampled mean-field trajectory with per-class states and aggregates.
+    """Sampled aggregates of a mean-field trajectory.
 
-    Aggregates: R = sum_k P(k) rho_r, S = sum_k P(k) rho_s,
-    I = sum_k P(k) rho_i, Phi = sum_k k**alpha P(k) rho_s, Psi = integral Phi.
-    With sigma != 1 the identity Psi(t) = sum_k k**alpha P(k) rho_r(k,t) / sigma
-    holds instead of the bare rho_r weighting.
+    R = sum_k P(k) rho_r, S = sum_k P(k) rho_s, I = sum_k P(k) rho_i,
+    Phi = sum_k k**alpha P(k) rho_s and Psi = integral of Phi, one entry per
+    sample time.
     """
 
     times: np.ndarray
-    rho_i: np.ndarray  # shape (samples, classes)
-    rho_s: np.ndarray
-    rho_r: np.ndarray
     r: np.ndarray
     s: np.ndarray
     i: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    support: np.ndarray = field(repr=False, default=None)
-    probs: np.ndarray = field(repr=False, default=None)
 
     @property
     def final_r(self) -> float:
         return float(self.r[-1])
-
-    def state_at(self, index: int) -> DegreeClassState:
-        return DegreeClassState(
-            rho_i=self.rho_i[index].copy(),
-            rho_s=self.rho_s[index].copy(),
-            rho_r=self.rho_r[index].copy(),
-            t=float(self.times[index]),
-        )
-
-    def to_csv(self, path, per_class_path=None) -> None:
-        """Write ``t,R,S,I,Phi,Psi`` rows; optionally ``t,k,rho_i,rho_s,rho_r``."""
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("t,R,S,I,Phi,Psi\n")
-            for j in range(self.times.size):
-                fh.write(
-                    f"{float(self.times[j])!r},{float(self.r[j])!r},{float(self.s[j])!r},"
-                    f"{float(self.i[j])!r},{float(self.phi[j])!r},{float(self.psi[j])!r}\n"
-                )
-        if per_class_path is not None:
-            with open(per_class_path, "w", encoding="ascii") as fh:
-                fh.write("t,k,rho_i,rho_s,rho_r\n")
-                for j in range(self.times.size):
-                    for c, k in enumerate(self.support):
-                        fh.write(
-                            f"{float(self.times[j])!r},{int(k)},{float(self.rho_i[j, c])!r},"
-                            f"{float(self.rho_s[j, c])!r},{float(self.rho_r[j, c])!r}\n"
-                        )
 
 
 def integrate(
@@ -255,13 +200,27 @@ def integrate(
     model: str = "modified",
     sample_every: int = 1,
 ) -> Trajectory:
-    """Fixed-step RK4 integration of the block ODEs.
+    """Fixed-step RK4 integration of the mean-field dynamics from ``initial``.
 
-    ``sample_every`` thins the recorded samples (aggregates and per-class
-    states alike) to every that-many steps; the initial and final states are
-    always recorded.  Psi rides along as an extra state variable so it carries
-    the same fourth-order accuracy as the compartments.  Raises
-    IntegrationError if any component leaves [-1e-6, 1 + 1e-6].
+    The modified model is integrated through its exact two-scalar reduction.
+    Ignorants obey rho_i(k, t) = rho_i(k, 0) exp(-a_k Psi(t)), so
+    Phi + sum_k w_k rho_i(k) + sigma Psi is conserved (w_k = k**alpha P(k),
+    a_k the rate of _class_terms) and the block ODEs close in Psi and R:
+
+        dPsi/dt = Phi = Phi(0) - sum_k w_k rho_i(k, 0) expm1(-a_k Psi) - sigma Psi
+        dR/dt   = sigma S = sigma (1 - I - R),
+        I = I(0) + sum_k P(k) rho_i(k, 0) expm1(-a_k Psi)
+
+    A stage costs one expm1 over the classes, which never produces
+    subnormals.  The classical baseline, whose contact stifling breaks the
+    closure, is integrated over all 3n+1 per-class components instead.
+
+    Either way there are round(t_end / dt) steps, and the aggregates of
+    Trajectory are recorded at the initial state, every ``sample_every``
+    steps and at the final step.  Raises IntegrationError when Psi drops
+    below -1e-6 or I, S, R (classical: any per-class component) leave
+    [-1e-6, 1 + 1e-6] or are not finite.  Each successful call logs its
+    model, step count, final Psi and final R at DEBUG level.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -277,48 +236,103 @@ def integrate(
     if initial.rho_i.shape != dist.support.shape:
         raise ValueError("state and distribution supports disagree")
 
+    steps = int(round(t_end / dt))
+    if model == "modified":
+        samples = _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every)
+    else:
+        samples = _classical_rk4(initial, dist, params, steps, dt, sample_every)
+    times, r, s, i, phi, psi = np.array(samples).T
+    _log.debug("integrate: model=%s steps=%d psi=%r r=%r", model, steps, float(psi[-1]), float(r[-1]))
+    return Trajectory(times=times, r=r, s=s, i=i, phi=phi, psi=psi)
+
+
+def _out_of_range(low: float, high: float) -> bool:
+    """True when [low, high] leaves [-1e-6, 1 + 1e-6] or either end is NaN."""
+    return not (-1e-6 <= low and high <= 1.0 + 1e-6)
+
+
+def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> list[tuple]:
+    """RK4 on (Psi, R); returns (t, R, S, I, Phi, Psi) samples.
+
+    R is carried as its gain q = R - R(0), so S = S(0) - (I - I(0)) - q
+    keeps full precision however small the seed fraction is.
+    """
+    _, weights, rates = _class_terms(dist, params, plan)
+    sigma = params.sigma
+    probs = dist.probs
+    mix = np.stack([weights * initial.rho_i, probs * initial.rho_i])
+    phi0 = float(weights @ initial.rho_s)
+    i0, s0, r0 = (float(probs @ rho) for rho in (initial.rho_i, initial.rho_s, initial.rho_r))
+    neg_rates = -rates
+    buf = np.empty_like(neg_rates)
+
+    def phi_and_gain(psi: float) -> tuple[float, float]:
+        """Phi and the gain of the informed, -(I - I(0)), at Psi."""
+        np.multiply(neg_rates, psi, out=buf)
+        np.expm1(buf, out=buf)
+        d_phi, d_i = (mix @ buf).tolist()
+        return phi0 - d_phi - sigma * psi, -d_i
+
+    half = 0.5 * dt
+    psi = q = 0.0
+    samples = []
+    # a diverging step overflows the next stage's exponentials; the range
+    # check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps + 1):
+            phi, gain = phi_and_gain(psi)
+            i, s, r = i0 - gain, s0 + gain - q, r0 + q
+            if not psi >= -1e-6 or _out_of_range(min(i, s, r), max(i, s, r)):
+                raise IntegrationError(
+                    f"state left range at t={step * dt:.6g} "
+                    f"(Psi={psi:.3e}, I={i:.3e}, S={s:.3e}, R={r:.3e}); reduce dt"
+                )
+            if step % sample_every == 0 or step == steps:
+                samples.append((step * dt, r, s, i, phi, psi))
+            if step == steps:
+                return samples
+            dq1 = sigma * s
+            phi2, gain2 = phi_and_gain(psi + half * phi)
+            dq2 = sigma * (s0 + gain2 - q - half * dq1)
+            phi3, gain3 = phi_and_gain(psi + half * phi2)
+            dq3 = sigma * (s0 + gain3 - q - half * dq2)
+            phi4, gain4 = phi_and_gain(psi + dt * phi3)
+            dq4 = sigma * (s0 + gain4 - q - dt * dq3)
+            psi += dt / 6.0 * (phi + 2.0 * phi2 + 2.0 * phi3 + phi4)
+            q += dt / 6.0 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
+
+
+def _classical_rk4(initial, dist, params, steps, dt, sample_every) -> list[tuple]:
+    """RK4 over all 3n+1 components of the classical baseline; same samples."""
     n = dist.support.size
     k = dist.support.astype(np.float64)
     probs = dist.probs
-    kalpha_p = k ** params.alpha * probs
-    if model == "modified":
-        force = _class_terms(dist, params, plan)[2]
-        sigma = params.sigma
+    kalpha_p = dist.power(params.alpha) * probs
+    edge_weight = k * probs / dist.moment(1.0)
+    lam, delta, sigma = params.lam, params.delta, params.sigma
 
-        def rhs(y):
-            rho_i = y[:n]
-            rho_s = y[n:2 * n]
-            phi = kalpha_p @ rho_s
-            infection = force * rho_i * phi
-            out = np.empty(3 * n + 1)
-            out[:n] = -infection
-            out[n:2 * n] = infection - sigma * rho_s
-            out[2 * n:3 * n] = sigma * rho_s
-            out[3 * n] = phi
-            return out
-    else:
-        edge_weight = k * probs / dist.moment(1.0)
-        lam, delta, sigma = params.lam, params.delta, params.sigma
+    def rhs(y):
+        rho_i = y[:n]
+        rho_s = y[n:2 * n]
+        rho_r = y[2 * n:3 * n]
+        spreader_contact = edge_weight @ rho_s
+        informed_contact = edge_weight @ (rho_s + rho_r)
+        infection = lam * k * rho_i * spreader_contact
+        stifling = delta * k * rho_s * informed_contact
+        out = np.empty(3 * n + 1)
+        out[:n] = -infection
+        out[n:2 * n] = infection - stifling - sigma * rho_s
+        out[2 * n:3 * n] = stifling + sigma * rho_s
+        out[3 * n] = kalpha_p @ rho_s
+        return out
 
-        def rhs(y):
-            rho_i = y[:n]
-            rho_s = y[n:2 * n]
-            rho_r = y[2 * n:3 * n]
-            spreader_contact = edge_weight @ rho_s
-            informed_contact = edge_weight @ (rho_s + rho_r)
-            infection = lam * k * rho_i * spreader_contact
-            stifling = delta * k * rho_s * informed_contact
-            out = np.empty(3 * n + 1)
-            out[:n] = -infection
-            out[n:2 * n] = infection - stifling - sigma * rho_s
-            out[2 * n:3 * n] = stifling + sigma * rho_s
-            out[3 * n] = kalpha_p @ rho_s
-            return out
+    def sample(step, y):
+        rho_s = y[n:2 * n]
+        return (step * dt, float(probs @ y[2 * n:3 * n]), float(probs @ rho_s),
+                float(probs @ y[:n]), float(kalpha_p @ rho_s), float(y[3 * n]))
 
-    steps = int(round(t_end / dt))
     y = np.concatenate([initial.rho_i, initial.rho_s, initial.rho_r, [0.0]])
-    times = [0.0]
-    samples = [y.copy()]
+    samples = [sample(0, y)]
     for step in range(1, steps + 1):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt * k1)
@@ -326,32 +340,14 @@ def integrate(
         k4 = rhs(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         comp = y[:3 * n]
-        if comp.min() < -1e-6 or comp.max() > 1.0 + 1e-6:
+        if _out_of_range(comp.min(), comp.max()):
             raise IntegrationError(
                 f"component left [0, 1] at t={step * dt:.6g} "
                 f"(min={comp.min():.3e}, max={comp.max():.3e}); reduce dt"
             )
         if step % sample_every == 0 or step == steps:
-            times.append(step * dt)
-            samples.append(y.copy())
-
-    arr = np.array(samples)
-    rho_i = arr[:, :n]
-    rho_s = arr[:, n:2 * n]
-    rho_r = arr[:, 2 * n:3 * n]
-    return Trajectory(
-        times=np.array(times),
-        rho_i=rho_i,
-        rho_s=rho_s,
-        rho_r=rho_r,
-        r=rho_r @ probs,
-        s=rho_s @ probs,
-        i=rho_i @ probs,
-        phi=rho_s @ kalpha_p,
-        psi=arr[:, 3 * n],
-        support=dist.support,
-        probs=probs,
-    )
+            samples.append(sample(step, y))
+    return samples
 
 
 def closed_form_ignorant(k: int, psi_t: float, dist: DegreeDistribution, params: ModelParams):
@@ -386,7 +382,8 @@ def psi_fixed_point(
     stops once a step is below tol * max(1, x).  h is evaluated through expm1,
     which is exact near x = 0 and never produces subnormals.  Falls back to
     bisection if h' is not positive or the iterates stop descending (rounding
-    right at the critical point) or max_iter steps pass.  Each call logs its
+    right at the critical point) or max_iter steps pass; bisection stops once
+    the bracket is narrower than tol times its upper end.  Each call logs its
     path (zero, newton or bisection) and step count at DEBUG level.
     """
     _, weights, rates = _class_terms(dist, params, plan)
@@ -433,7 +430,7 @@ def psi_fixed_point(
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < tol * hi:
             _log.debug("psi_fixed_point: path=bisection steps=%d", halvings + step)
             return 0.5 * (lo + hi)
     raise FixedPointError("bisection failed to converge")

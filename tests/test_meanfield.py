@@ -1,5 +1,7 @@
 import logging
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from rumornet.meanfield import (
     ModelParams,
     closed_form_ignorant,
     derivatives_classical,
-    derivatives_modified,
     final_rumor_size,
     integrate,
     psi_fixed_point,
@@ -36,6 +37,49 @@ def bisect_root(f, lo, hi, tol=1e-13):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def per_class_rk4(initial, dist, params, plan=None, t_end=10.0, dt=0.01, sample_every=1):
+    """Full per-class RK4 of the modified block ODEs, kept independent of the
+    reduced integrator it checks: all 3n+1 components (rho_i, rho_s, rho_r
+    per class and Psi), with the rates written out from the model.
+
+    Returns per-class samples of shape (samples, classes), the aggregates
+    I, S, R, Phi and Psi, and the sample times.
+    """
+    n = dist.support.size
+    k = dist.support.astype(np.float64)
+    probs = dist.probs
+    g = plan.profile(dist) if plan is not None else 0.0
+    kb = k ** (1.0 + params.beta)
+    rates = params.lam * (1.0 - g) * kb / float(probs @ kb)
+    kalpha_p = k ** params.alpha * probs
+    sigma = params.sigma
+
+    def rhs(y):
+        rho_i, rho_s = y[:n], y[n:2 * n]
+        phi = kalpha_p @ rho_s
+        infection = rates * rho_i * phi
+        return np.concatenate([-infection, infection - sigma * rho_s, sigma * rho_s, [phi]])
+
+    steps = int(round(t_end / dt))
+    y = np.concatenate([initial.rho_i, initial.rho_s, initial.rho_r, [0.0]])
+    times, rows = [0.0], [y]
+    for step in range(1, steps + 1):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % sample_every == 0 or step == steps:
+            times.append(step * dt)
+            rows.append(y)
+    arr = np.array(rows)
+    rho_i, rho_s, rho_r = arr[:, :n], arr[:, n:2 * n], arr[:, 2 * n:3 * n]
+    return SimpleNamespace(
+        times=np.array(times), rho_i=rho_i, rho_s=rho_s, rho_r=rho_r,
+        i=rho_i @ probs, s=rho_s @ probs, r=rho_r @ probs, phi=rho_s @ kalpha_p, psi=arr[:, 3 * n],
+    )
 
 
 class TestModelParams:
@@ -71,39 +115,51 @@ class TestDegreeClassState:
 
 
 class TestDerivatives:
+    """The modified model's dynamics in limiting cases, through ``integrate``."""
+
     def test_absorbing_state(self):
         state = DegreeClassState(rho_i=np.array([0.4, 0.7]), rho_s=np.zeros(2), rho_r=np.array([0.6, 0.3]))
         params = ModelParams(lam=1.2, alpha=0.5, beta=-0.5)
-        for d in derivatives_modified(state, TWO_FOUR, params):
-            assert np.all(d == 0.0)
+        traj = integrate(state, TWO_FOUR, params, t_end=5.0, dt=0.1)
+        probs = TWO_FOUR.probs
+        assert np.all(traj.i == probs @ state.rho_i)
+        assert np.all(traj.r == probs @ state.rho_r)
+        assert np.all(traj.s == 0.0)
+        assert np.all(traj.phi == 0.0)
+        assert np.all(traj.psi == 0.0)
 
     def test_lambda_zero_decouples(self):
         s = np.array([0.2, 0.05])
         state = DegreeClassState(rho_i=1.0 - s, rho_s=s, rho_r=np.zeros(2))
         params = ModelParams(lam=0.0, alpha=1.0, sigma=2.0)
-        d_i, d_s, d_r = derivatives_modified(state, TWO_FOUR, params)
-        assert np.all(d_i == 0.0)
-        assert np.allclose(d_r, 2.0 * s)
-        assert np.allclose(d_s, -2.0 * s)
+        traj = integrate(state, TWO_FOUR, params, t_end=3.0, dt=0.01)
+        s0 = float(TWO_FOUR.probs @ s)
+        phi0 = float((TWO_FOUR.support * TWO_FOUR.probs) @ s)
+        decay = np.exp(-2.0 * traj.times)
+        assert np.all(traj.i == 1.0 - s0)
+        assert np.max(np.abs(traj.s - s0 * decay)) < 1e-9
+        assert np.max(np.abs(traj.r - s0 * (1.0 - decay))) < 1e-9
+        assert np.max(np.abs(traj.psi - phi0 * (1.0 - decay) / 2.0)) < 1e-9
 
     def test_full_inoculation_freezes_ignorants(self):
         s = np.array([0.3, 0.1])
         state = DegreeClassState(rho_i=1.0 - s, rho_s=s, rho_r=np.zeros(2))
         params = ModelParams(lam=2.0, alpha=1.0)
-        d_i, _, _ = derivatives_modified(state, TWO_FOUR, params, make_random_plan(1.0))
-        assert np.all(d_i == 0.0)
+        traj = integrate(state, TWO_FOUR, params, make_random_plan(1.0), t_end=5.0, dt=0.01)
+        assert np.all(traj.i == TWO_FOUR.probs @ state.rho_i)
+        assert traj.final_r > 0.0
 
     def test_classical_equals_modified_at_reduction_point(self):
         rng = np.random.default_rng(0)
         params = ModelParams(lam=0.7, alpha=1.0, beta=0.0, sigma=1.0, delta=0.0)
-        for _ in range(20):
+        for _ in range(10):
             s = rng.random(2) * 0.3
             r = rng.random(2) * 0.3
             state = DegreeClassState(rho_i=1.0 - s - r, rho_s=s, rho_r=r)
-            dm = derivatives_modified(state, TWO_FOUR, params)
-            dc = derivatives_classical(state, TWO_FOUR, params)
-            for a, b in zip(dm, dc):
-                assert np.allclose(a, b, rtol=0, atol=1e-12)
+            modified = integrate(state, TWO_FOUR, params, t_end=5.0, dt=0.01)
+            classical = integrate(state, TWO_FOUR, params, t_end=5.0, dt=0.01, model="classical")
+            for name in ("i", "s", "r", "phi", "psi"):
+                assert np.max(np.abs(getattr(modified, name) - getattr(classical, name))) < 1e-9
 
     def test_classical_contact_stifling_direction(self):
         s = np.array([0.2, 0.2])
@@ -118,7 +174,7 @@ class TestIntegrate:
     def test_no_spreaders_constant(self):
         initial = uniform_seed_state(TWO_FOUR, 0.0)
         traj = integrate(initial, TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), t_end=5.0, dt=0.01)
-        assert np.allclose(traj.rho_i, 1.0)
+        assert np.all(traj.i == 1.0)
         assert np.all(traj.r == 0.0)
 
     def test_pure_decay_matches_exponential(self):
@@ -142,40 +198,106 @@ class TestIntegrate:
         peak = int(np.argmax(increments))
         assert 0 < peak < increments.size - 1
 
+    @pytest.mark.parametrize("dist", [TWO_FOUR, sample_powerlaw_distribution(2.4, 2, 1000)],
+                             ids=["two_four", "powerlaw_1000"])
+    def test_matches_per_class_oracle(self, dist):
+        # sigma != 1, a targeted plan and a degree-dependent, partly stifled start
+        params = ModelParams(lam=1.3, alpha=0.7, beta=-0.4, sigma=1.7)
+        plan = make_targeted_plan(dist, 0.05)
+        frac = np.linspace(0.0, 1.0, dist.support.size)
+        rho_s = 0.02 + 0.08 * frac
+        rho_r = 0.1 * (1.0 - frac)
+        initial = DegreeClassState(rho_i=1.0 - rho_s - rho_r, rho_s=rho_s, rho_r=rho_r)
+        # 2000 steps, not a multiple of sample_every: the final step is still recorded
+        traj = integrate(initial, dist, params, plan, t_end=20.0, dt=0.01, sample_every=70)
+        oracle = per_class_rk4(initial, dist, params, plan, t_end=20.0, dt=0.01, sample_every=70)
+        assert traj.times[-1] == 20.0
+        assert np.array_equal(traj.times, oracle.times)
+        for name in ("i", "s", "r", "phi", "psi"):
+            assert np.max(np.abs(getattr(traj, name) - getattr(oracle, name))) < 1e-9
+        assert oracle.s[-1] < 1e-5  # the window reaches the end of spreading
+
     def test_conservation_and_monotonicity(self):
         dist = sample_powerlaw_distribution(2.4, 2, 1000)
         params = ModelParams(lam=0.9, alpha=0.5, beta=-0.5)
-        traj = integrate(uniform_seed_state(dist, 1e-3), dist, params, t_end=30.0, dt=0.01)
-        total = traj.rho_i + traj.rho_s + traj.rho_r
-        assert np.max(np.abs(total - 1.0)) < 1e-9
+        initial = uniform_seed_state(dist, 1e-3)
+        traj = integrate(initial, dist, params, t_end=30.0, dt=0.01)
+        assert np.max(np.abs(traj.i + traj.s + traj.r - 1.0)) < 1e-12
         assert np.all(np.diff(traj.r) >= -1e-12)
         assert np.all(np.diff(traj.psi) >= -1e-12)
-        for row in (traj.rho_r, traj.rho_i):
-            diffs = np.diff(row, axis=0)
-            assert np.all(diffs >= -1e-12) if row is traj.rho_r else np.all(diffs <= 1e-12)
+        assert np.all(np.diff(traj.i) <= 1e-12)
+        oracle = per_class_rk4(initial, dist, params, t_end=30.0, dt=0.01, sample_every=10)
+        total = oracle.rho_i + oracle.rho_s + oracle.rho_r
+        assert np.max(np.abs(total - 1.0)) < 1e-9
+        assert np.all(np.diff(oracle.rho_r, axis=0) >= -1e-12)
+        assert np.all(np.diff(oracle.rho_i, axis=0) <= 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        degrees=st.lists(st.integers(1, 60), min_size=2, max_size=6, unique=True),
+        raw_probs=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+        alpha=st.floats(0.05, 1.0),
+        beta=st.floats(-1.0, 1.0),
+        lam=st.floats(0.0, 5.0),
+        sigma=st.floats(0.2, 3.0),
+        s0=st.floats(1e-6, 0.5),
+    )
+    def test_reduced_invariants(self, degrees, raw_probs, alpha, beta, lam, sigma, s0):
+        support = np.array(sorted(degrees))
+        probs = np.array(raw_probs[:support.size])
+        dist = DegreeDistribution(support, probs / probs.sum())
+        params = ModelParams(lam=lam, alpha=alpha, beta=beta, sigma=sigma)
+        traj = integrate(uniform_seed_state(dist, s0), dist, params, t_end=10.0, dt=0.01, sample_every=5)
+        assert np.max(np.abs(traj.i + traj.s + traj.r - 1.0)) <= 1e-12
+        # monotone up to rounding
+        assert np.all(np.diff(traj.r) >= -1e-15)
+        assert np.all(np.diff(traj.psi) >= -1e-15)
+        assert np.all(np.diff(traj.i) <= 1e-15)
+        assert traj.psi[-1] <= dist.moment(alpha) / sigma
 
     def test_closed_form_ignorant_tracks_integration(self):
         dist = TWO_FOUR
         params = ModelParams(lam=1.5, alpha=0.7, beta=0.3)
-        traj = integrate(uniform_seed_state(dist, 1e-5), dist, params, t_end=25.0, dt=1e-3, sample_every=100)
-        for idx in range(0, traj.times.size, 7):
+        oracle = per_class_rk4(uniform_seed_state(dist, 1e-5), dist, params, t_end=25.0, dt=1e-3,
+                               sample_every=100)
+        for idx in range(0, oracle.times.size, 7):
             for c, k in enumerate(dist.support):
-                predicted = closed_form_ignorant(int(k), traj.psi[idx], dist, params)
-                assert abs(traj.rho_i[idx, c] - predicted) < 1e-4
+                predicted = closed_form_ignorant(int(k), oracle.psi[idx], dist, params)
+                assert abs(oracle.rho_i[idx, c] - predicted) < 1e-4
 
     def test_sigma_normalized_psi_identity(self):
         dist = TWO_FOUR
         params = ModelParams(lam=1.2, alpha=0.6, beta=0.0, sigma=2.5)
-        traj = integrate(uniform_seed_state(dist, 1e-2), dist, params, t_end=15.0, dt=1e-3, sample_every=50)
+        oracle = per_class_rk4(uniform_seed_state(dist, 1e-2), dist, params, t_end=15.0, dt=1e-3,
+                               sample_every=50)
         kalpha_p = dist.support.astype(float) ** params.alpha * dist.probs
-        recovered_weight = traj.rho_r @ kalpha_p / params.sigma
-        assert np.max(np.abs(traj.psi - recovered_weight)) < 1e-4
+        recovered_weight = oracle.rho_r @ kalpha_p / params.sigma
+        assert np.max(np.abs(oracle.psi - recovered_weight)) < 1e-4
 
-    def test_blowup_reported(self):
+    def test_stiff_rates_stay_accurate(self):
+        # a_k up to about 190: stiff for RK4 over the classes, not for the
+        # reduction, whose step only has to resolve the sigma time scale
         dist = TWO_FOUR
         params = ModelParams(lam=80.0, alpha=1.0, beta=2.0)
-        with pytest.raises(IntegrationError):
-            integrate(uniform_seed_state(dist, 0.5), dist, params, t_end=10.0, dt=0.9)
+        traj = integrate(uniform_seed_state(dist, 0.5), dist, params, t_end=10.0, dt=0.9)
+        assert abs(traj.final_r - final_rumor_size(dist, params)) < 1e-4
+
+    def test_blowup_reported(self):
+        # sigma * dt = 3.6 lies beyond RK4's real-axis stability limit of about 2.785
+        dist = TWO_FOUR
+        params = ModelParams(lam=80.0, alpha=1.0, beta=2.0, sigma=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError):
+                integrate(uniform_seed_state(dist, 0.5), dist, params, t_end=10.0, dt=0.9)
+
+    def test_negative_psi_reported(self):
+        # one step at sigma * dt = 3.2 pushes Psi below zero while I, S and R
+        # are still inside [0, 1]
+        state = DegreeClassState(rho_i=[0.2, 0.2], rho_s=[0.4, 0.4], rho_r=[0.4, 0.4])
+        params = ModelParams(lam=1.0, alpha=1.0, sigma=4.0)
+        with pytest.raises(IntegrationError, match="Psi=-"):
+            integrate(state, TWO_FOUR, params, t_end=0.8, dt=0.8)
 
     def test_classical_model_switch(self):
         params = ModelParams(lam=0.7, alpha=1.0, beta=0.0, delta=0.5)
@@ -186,14 +308,18 @@ class TestIntegrate:
             integrate(uniform_seed_state(TWO_FOUR, 1e-2), TWO_FOUR, params,
                       model="classical", plan=make_random_plan(0.5))
 
-    def test_csv_export(self, tmp_path):
-        traj = integrate(uniform_seed_state(TWO_FOUR, 1e-2), TWO_FOUR,
-                         ModelParams(lam=1.0, alpha=1.0), t_end=2.0, dt=0.01, sample_every=10)
-        agg = tmp_path / "traj.csv"
-        per_class = tmp_path / "classes.csv"
-        traj.to_csv(agg, per_class)
-        assert agg.read_text().splitlines()[0] == "t,R,S,I,Phi,Psi"
-        assert per_class.read_text().splitlines()[0] == "t,k,rho_i,rho_s,rho_r"
+    def test_logs_model_steps_psi_and_r(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
+        params = ModelParams(lam=1.0, alpha=1.0)
+        initial = uniform_seed_state(TWO_FOUR, 1e-2)
+        modified = integrate(initial, TWO_FOUR, params, t_end=2.0, dt=0.01, sample_every=10)
+        classical = integrate(initial, TWO_FOUR, params, t_end=1.0, dt=0.1, model="classical")
+        messages = [rec.getMessage() for rec in caplog.records
+                    if rec.name == "rumornet.meanfield" and rec.getMessage().startswith("integrate:")]
+        assert messages == [
+            f"integrate: model=modified steps=200 psi={float(modified.psi[-1])!r} r={modified.final_r!r}",
+            f"integrate: model=classical steps=10 psi={float(classical.psi[-1])!r} r={classical.final_r!r}",
+        ]
 
 
 class TestPsiFixedPoint:
@@ -250,6 +376,19 @@ class TestPsiSolver:
         expected = bisect_root(lambda x: x + float(weights @ np.expm1(-rates * x)), 1e-6, weights.sum())
         assert 0.0 < expected < 0.1
         assert psi_fixed_point(dist, params, plan) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_forced_bisection_matches_newton_near_threshold(self, caplog):
+        # point 411 again (Psi* about 0.01): the fallback must stop on a
+        # relative bracket width, as Newton's method does
+        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
+        dist = sample_powerlaw_distribution(2.4, 2, 10**5)
+        params = ModelParams(lam=0.5, alpha=0.5, beta=0.0)
+        plan = make_targeted_plan(dist, 0.01)
+        newton = psi_fixed_point(dist, params, plan)
+        bisected = psi_fixed_point(dist, params, plan, max_iter=1)
+        paths = [rec.getMessage().split()[1] for rec in caplog.records if rec.name == "rumornet.meanfield"]
+        assert paths == ["path=newton", "path=bisection"]
+        assert bisected == pytest.approx(newton, rel=1e-9, abs=0.0)
 
     def test_exponents_below_underflow_stay_finite_and_exact(self):
         # the degree-5000 class sees exponents near -5000 at the root; the
