@@ -577,13 +577,19 @@ def write_comparison(scenario: Scenario, report: dict, out_dir: str) -> list[str
 def threshold_table(scenario: Scenario) -> list[dict]:
     """Analytic threshold rows ``param,value,lambda_c,regime`` over the grid.
 
-    For a BA network the degree exponent is effectively 3; configuration
-    scenarios use their own gamma.  Random inoculation rescales by 1/(1-g);
-    a targeted plan uses the profile-weighted moment ratio.
+    lambda_c and a targeted plan use the distribution ``simulate`` uses: a
+    configuration scenario's power law, a BA scenario's empirical degree
+    distribution.  The size regime of threshold_modified_bounded is analytic;
+    for a BA network it takes gamma=3 and k_min=m.  Random inoculation
+    rescales by 1/(1-g); a targeted plan uses the profile-weighted moment
+    ratio.
     """
-    gamma = scenario.gamma if scenario.net_kind == "configuration" else 3.0
-    k_min = scenario.k_min if scenario.net_kind == "configuration" else scenario.m
-    dist = sample_powerlaw_distribution(gamma, k_min, scenario.n_nodes)
+    if scenario.net_kind == "ba":
+        gamma, k_min = 3.0, scenario.m
+        dist = build_network(scenario)[0]
+    else:
+        gamma, k_min = scenario.gamma, scenario.k_min
+        dist = sample_powerlaw_distribution(gamma, k_min, scenario.n_nodes)
     axis = _sweep_axis(scenario)
     if axis == "lambda":  # lambda never moves a threshold; fall back to the point index
         axis = "point"

@@ -13,8 +13,14 @@ Everything in the modified model is carried by Psi(t), the integral of Phi.
 Ignorants obey the closed form rho_i(k, t) = rho_i(k, 0) exp(-a_k Psi(t)), so
 the block ODEs reduce exactly to two scalar ODEs for Psi and R, which
 ``integrate`` solves by RK4 (the edge-based reduction of Miller, J. Math.
-Biol. 2011).  At the end of spreading the final rumor size follows from the
-largest root of the self-consistent fixed-point equation for Psi(infinity).
+Biol. 2011).  Each RK4 stage sums expm1(-a_k Psi) over the degree classes.
+In double precision expm1(-x) is exactly -1.0 once x > 54 ln 2, so the
+classes with a_k Psi beyond that contribute a constant, summed once before
+the loop, and a stage evaluates only the others.  Every class's term is the
+one the full sum would use; only the order of summation changes, so this adds
+no approximation.  At the end of spreading the final rumor size follows from
+the largest root of the self-consistent fixed-point equation for
+Psi(infinity).
 With a general stifling rate sigma the dynamics are the sigma=1 dynamics on
 the rescaled clock tau = sigma * t, so the fixed-point equation picks up a
 single factor of sigma and all sigma = 1 formulas are recovered verbatim.
@@ -51,6 +57,10 @@ _log = logging.getLogger(__name__)
 # e**-708); clipped here, e**x stays a normal float and the clipped terms are
 # still negligible next to any ignorant fraction that matters
 _EXP_FLOOR = -700.0
+
+# expm1(-x) rounds to exactly -1.0 once x > 54 ln 2 (about 37.43); the cut
+# sits above that with a margin for the rounding of a_k * Psi
+_EXPM1_CUT = 38.0
 
 
 class IntegrationError(RuntimeError):
@@ -212,15 +222,23 @@ def integrate(
         I = I(0) + sum_k P(k) rho_i(k, 0) expm1(-a_k Psi)
 
     A stage costs one expm1 over the classes, which never produces
-    subnormals.  The classical baseline, whose contact stifling breaks the
-    closure, is integrated over all 3n+1 per-class components instead.
+    subnormals.  Once a_k Psi > _EXPM1_CUT, expm1(-a_k Psi) rounds to
+    exactly -1.0, so the classes past the cut (a suffix once they are sorted
+    by a_k) contribute a constant, summed once before the loop, and only
+    the rest are evaluated.  Each class's term is bit-identical to the full
+    sum's; only the order of summation differs.  At Psi <= 0 (the start, or
+    a diverging step) or a NaN Psi every class is evaluated.  The classical
+    baseline, whose contact stifling breaks the closure, is integrated over
+    all 3n+1 per-class components instead.
 
     Either way there are round(t_end / dt) steps, and the aggregates of
     Trajectory are recorded at the initial state, every ``sample_every``
     steps and at the final step.  Raises IntegrationError when Psi drops
     below -1e-6 or I, S, R (classical: any per-class component) leave
     [-1e-6, 1 + 1e-6] or are not finite.  Each successful call logs its
-    model, step count, final Psi and final R at DEBUG level.
+    model, step count, final Psi, final R and the number of per-class
+    exponentials evaluated (``evals``; 0 for the classical baseline) at
+    DEBUG level.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -238,11 +256,12 @@ def integrate(
 
     steps = int(round(t_end / dt))
     if model == "modified":
-        samples = _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every)
+        samples, evals = _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every)
     else:
-        samples = _classical_rk4(initial, dist, params, steps, dt, sample_every)
+        samples, evals = _classical_rk4(initial, dist, params, steps, dt, sample_every), 0
     times, r, s, i, phi, psi = np.array(samples).T
-    _log.debug("integrate: model=%s steps=%d psi=%r r=%r", model, steps, float(psi[-1]), float(r[-1]))
+    _log.debug("integrate: model=%s steps=%d psi=%r r=%r evals=%d",
+               model, steps, float(psi[-1]), float(r[-1]), evals)
     return Trajectory(times=times, r=r, s=s, i=i, phi=phi, psi=psi)
 
 
@@ -251,26 +270,42 @@ def _out_of_range(low: float, high: float) -> bool:
     return not (-1e-6 <= low and high <= 1.0 + 1e-6)
 
 
-def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> list[tuple]:
-    """RK4 on (Psi, R); returns (t, R, S, I, Phi, Psi) samples.
+def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[list[tuple], int]:
+    """RK4 on (Psi, R); returns (t, R, S, I, Phi, Psi) samples and the number
+    of per-class exponentials evaluated.
 
     R is carried as its gain q = R - R(0), so S = S(0) - (I - I(0)) - q
-    keeps full precision however small the seed fraction is.
+    keeps full precision however small the seed fraction is.  The classes
+    are sorted by a_k, so the saturated ones form a suffix (see integrate).
     """
     _, weights, rates = _class_terms(dist, params, plan)
     sigma = params.sigma
     probs = dist.probs
-    mix = np.stack([weights * initial.rho_i, probs * initial.rho_i])
+    classes = rates.size
+    # stable, so equal rates keep their order; a targeted plan zeroes the
+    # hubs' rates, so a_k is not monotone in k
+    order = np.argsort(rates, kind="stable")
+    rates = rates[order]
+    mix = np.stack([weights * initial.rho_i, probs * initial.rho_i])[:, order]
+    # tail[c] = sum of mix over the classes c.. (the last row is zero)
+    tail = np.zeros((classes + 1, 2))
+    tail[:-1] = np.cumsum(mix[:, ::-1], axis=1)[:, ::-1].T
     phi0 = float(weights @ initial.rho_s)
     i0, s0, r0 = (float(probs @ rho) for rho in (initial.rho_i, initial.rho_s, initial.rho_r))
     neg_rates = -rates
     buf = np.empty_like(neg_rates)
+    evals = 0
 
     def phi_and_gain(psi: float) -> tuple[float, float]:
         """Phi and the gain of the informed, -(I - I(0)), at Psi."""
-        np.multiply(neg_rates, psi, out=buf)
-        np.expm1(buf, out=buf)
-        d_phi, d_i = (mix @ buf).tolist()
+        nonlocal evals
+        # not psi > 0 (zero, negative or NaN): every class is evaluated
+        cut = int(rates.searchsorted(_EXPM1_CUT / psi, side="right")) if psi > 0.0 else classes
+        evals += cut
+        head = buf[:cut]
+        np.multiply(neg_rates[:cut], psi, out=head)
+        np.expm1(head, out=head)
+        d_phi, d_i = (mix[:, :cut] @ head - tail[cut]).tolist()
         return phi0 - d_phi - sigma * psi, -d_i
 
     half = 0.5 * dt
@@ -290,7 +325,7 @@ def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> list[t
             if step % sample_every == 0 or step == steps:
                 samples.append((step * dt, r, s, i, phi, psi))
             if step == steps:
-                return samples
+                return samples, evals
             dq1 = sigma * s
             phi2, gain2 = phi_and_gain(psi + half * phi)
             dq2 = sigma * (s0 + gain2 - q - half * dq1)

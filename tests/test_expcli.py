@@ -9,12 +9,14 @@ from rumornet import montecarlo
 from rumornet.expcli.cli import main
 from rumornet.expcli.scenario import (
     ScenarioError,
+    build_network,
     compare_engines,
     parse_scenario,
     run_scenario,
     threshold_table,
 )
 from rumornet.expcli.svg import line_plot
+from rumornet.meanfield import ModelParams, final_rumor_size
 from rumornet.netgen import read_edge_list
 
 MINIMAL = """\
@@ -193,6 +195,38 @@ g = 0.0,0.5
         rows = threshold_table(scenario)
         assert rows[1]["lambda_c"] == pytest.approx(2 * rows[0]["lambda_c"], rel=1e-12)
 
+    def test_ba_threshold_is_the_onset_simulate_sees(self, tmp_path):
+        config = """\
+[scenario]
+engine = meanfield
+seed = 0
+
+[network]
+kind = ba
+m = 2
+m0 = 3
+n = 2000
+
+[model]
+lambda = 0.2
+alpha = 0.8
+beta = 0
+
+[inoculation]
+kind = targeted
+g = 0.0,0.05
+"""
+        scenario = parse_scenario(write_config(tmp_path, config))
+        rows = threshold_table(scenario)
+        dist = build_network(scenario)[0]
+        assert len(rows) == 2
+        for row, g in zip(rows, (0.0, 0.05)):
+            plan = scenario.plan_for(dist, g)
+            below = ModelParams(lam=row["lambda_c"] * (1 - 1e-3), alpha=0.8)
+            above = ModelParams(lam=row["lambda_c"] * (1 + 1e-3), alpha=0.8)
+            assert final_rumor_size(dist, below, plan) < 1e-12
+            assert final_rumor_size(dist, above, plan) > 1e-5
+
 
 class TestCompareEngines:
     def test_lambda_zero_point_passes(self, tmp_path):
@@ -328,6 +362,40 @@ seeds = 10
         code = main(["compare", "--config", str(path), "--out", str(tmp_path / "c")])
         assert code == 3
         assert (tmp_path / "c" / "comparison.csv").exists()
+
+    def test_workers_do_not_change_outputs(self, tmp_path):
+        config = """\
+[scenario]
+engine = both
+runs = 2
+seed = 11
+timeseries = true
+
+[network]
+kind = configuration
+gamma = 2.4
+k_min = 2
+n = 500
+
+[model]
+lambda = 0.3,0.9
+alpha = 0.8
+beta = -0.5
+t_max = 20
+
+[inoculation]
+kind = targeted
+g = 0.0,0.05
+"""
+        path = write_config(tmp_path, config)
+        hashes = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["simulate", "--config", str(path), "--out", str(out), "--workers", workers]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["completed"] == 4
+            hashes.append(manifest["files"])
+        assert hashes[0] == hashes[1]
 
     def test_simulate_writes_manifest(self, tmp_path):
         path = write_config(tmp_path, MINIMAL)

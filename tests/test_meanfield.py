@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rumornet import meanfield
 from rumornet.inoculation import make_random_plan, make_targeted_plan
 from rumornet.meanfield import (
     DegreeClassState,
@@ -80,6 +82,15 @@ def per_class_rk4(initial, dist, params, plan=None, t_end=10.0, dt=0.01, sample_
         times=np.array(times), rho_i=rho_i, rho_s=rho_s, rho_r=rho_r,
         i=rho_i @ probs, s=rho_s @ probs, r=rho_r @ probs, phi=rho_s @ kalpha_p, psi=arr[:, 3 * n],
     )
+
+
+def graded_state(classes):
+    """A degree-dependent, partly stifled start: spreaders grow from 0.02 to
+    0.1 and stiflers fall from 0.1 to 0 across the classes."""
+    frac = np.linspace(0.0, 1.0, classes)
+    rho_s = 0.02 + 0.08 * frac
+    rho_r = 0.1 * (1.0 - frac)
+    return DegreeClassState(rho_i=1.0 - rho_s - rho_r, rho_s=rho_s, rho_r=rho_r)
 
 
 class TestModelParams:
@@ -204,10 +215,7 @@ class TestIntegrate:
         # sigma != 1, a targeted plan and a degree-dependent, partly stifled start
         params = ModelParams(lam=1.3, alpha=0.7, beta=-0.4, sigma=1.7)
         plan = make_targeted_plan(dist, 0.05)
-        frac = np.linspace(0.0, 1.0, dist.support.size)
-        rho_s = 0.02 + 0.08 * frac
-        rho_r = 0.1 * (1.0 - frac)
-        initial = DegreeClassState(rho_i=1.0 - rho_s - rho_r, rho_s=rho_s, rho_r=rho_r)
+        initial = graded_state(dist.support.size)
         # 2000 steps, not a multiple of sample_every: the final step is still recorded
         traj = integrate(initial, dist, params, plan, t_end=20.0, dt=0.01, sample_every=70)
         oracle = per_class_rk4(initial, dist, params, plan, t_end=20.0, dt=0.01, sample_every=70)
@@ -216,6 +224,52 @@ class TestIntegrate:
         for name in ("i", "s", "r", "phi", "psi"):
             assert np.max(np.abs(getattr(traj, name) - getattr(oracle, name))) < 1e-9
         assert oracle.s[-1] < 1e-5  # the window reaches the end of spreading
+
+    def test_matches_per_class_oracle_past_the_cut(self, caplog):
+        # a targeted plan zeroes the hubs' rates, so a_k is not monotone in
+        # k, and sigma=0.5 drives a_k Psi past the cut for most classes
+        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
+        k = np.arange(2, 42)
+        p = k ** -2.4
+        dist = DegreeDistribution(k, p / p.sum())
+        params = ModelParams(lam=2.0, alpha=1.0, sigma=0.5)
+        plan = make_targeted_plan(dist, 0.002)
+        assert plan.profile(dist)[-1] == 1.0 and plan.profile(dist)[0] == 0.0
+        initial = graded_state(k.size)
+        traj = integrate(initial, dist, params, plan, t_end=20.0, dt=1e-3, sample_every=500)
+        oracle = per_class_rk4(initial, dist, params, plan, t_end=20.0, dt=1e-3, sample_every=500)
+        for name in ("i", "s", "r", "phi", "psi"):
+            assert np.max(np.abs(getattr(traj, name) - getattr(oracle, name))) < 1e-9
+        # the cut was reached: well under the 4 * 20000 + 1 stages of 40 classes
+        evals = int(caplog.records[-1].getMessage().rsplit("evals=", 1)[1])
+        assert evals < 0.5 * (4 * 20000 + 1) * k.size
+
+    def test_expm1_is_minus_one_past_the_cut(self):
+        # the cut replaces these exponentials by -1.0; if expm1 ever stops
+        # saturating there, this fails instead of the curves drifting
+        x = meanfield._EXPM1_CUT * np.array([1.0 - 1e-12, 1.0, 1.01, 2.0, 20.0, 1e3, 1e300, np.inf])
+        assert np.all(np.expm1(-x) == -1.0)
+
+    def test_zero_psi_evaluates_every_class(self, caplog):
+        # without spreaders Psi stays 0 and no class may count as saturated
+        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
+        params = ModelParams(lam=80.0, alpha=1.0, beta=2.0)
+        traj = integrate(uniform_seed_state(TWO_FOUR, 0.0), TWO_FOUR, params, t_end=1.0, dt=0.1)
+        assert np.all(traj.i == 1.0) and np.all(traj.psi == 0.0)
+        assert caplog.records[-1].getMessage().endswith(" evals=82")  # 2 classes, 4 * 10 + 1 stages
+
+    def test_negative_psi_evaluates_every_class(self):
+        # the state of test_negative_psi_reported: the reported I must be the
+        # sum over all classes at the negative Psi, not a cut one
+        state = DegreeClassState(rho_i=[0.2, 0.2], rho_s=[0.4, 0.4], rho_r=[0.4, 0.4])
+        params = ModelParams(lam=1.0, alpha=1.0, sigma=4.0)
+        with pytest.raises(IntegrationError) as info:
+            integrate(state, TWO_FOUR, params, t_end=0.8, dt=0.8)
+        found = re.search(r"Psi=(\S+), I=(\S+),", str(info.value))
+        psi, i = float(found[1]), float(found[2])
+        assert psi < 0.0
+        rates = TWO_FOUR.support / TWO_FOUR.moment(1.0)
+        assert i == pytest.approx(float(TWO_FOUR.probs @ (state.rho_i * np.exp(-rates * psi))), rel=1e-3)
 
     def test_conservation_and_monotonicity(self):
         dist = sample_powerlaw_distribution(2.4, 2, 1000)
@@ -316,9 +370,13 @@ class TestIntegrate:
         classical = integrate(initial, TWO_FOUR, params, t_end=1.0, dt=0.1, model="classical")
         messages = [rec.getMessage() for rec in caplog.records
                     if rec.name == "rumornet.meanfield" and rec.getMessage().startswith("integrate:")]
+        # no class of TWO_FOUR saturates at lam=1: all 2 classes in each of
+        # the 4 * 200 + 1 stages; the classical baseline evaluates no expm1
         assert messages == [
-            f"integrate: model=modified steps=200 psi={float(modified.psi[-1])!r} r={modified.final_r!r}",
-            f"integrate: model=classical steps=10 psi={float(classical.psi[-1])!r} r={classical.final_r!r}",
+            f"integrate: model=modified steps=200 psi={float(modified.psi[-1])!r} r={modified.final_r!r}"
+            " evals=1602",
+            f"integrate: model=classical steps=10 psi={float(classical.psi[-1])!r} r={classical.final_r!r}"
+            " evals=0",
         ]
 
 
