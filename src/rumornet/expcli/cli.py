@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import replace
 
-from ..netgen import write_distribution_csv, write_edge_list
+from ..netgen import write_edge_list
 from .scenario import (
     ScenarioError,
     build_network,
@@ -26,6 +26,7 @@ from .scenario import (
     run_scenario,
     threshold_table,
     write_comparison,
+    write_distribution_csv,
     write_threshold_table,
 )
 

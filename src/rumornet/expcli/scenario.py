@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from ..netgen import (
     sample_powerlaw_distribution,
 )
 from ..thresholds import (
-    NO_OUTBREAK,
+    threshold_classic_bounded,
     threshold_modified,
     threshold_modified_bounded,
     threshold_random_inoc,
@@ -49,6 +50,8 @@ __all__ = [
     "run_scenario",
     "threshold_table",
     "write_comparison",
+    "write_distribution_csv",
+    "write_threshold_table",
 ]
 
 ENGINES = ("meanfield", "montecarlo", "both")
@@ -366,8 +369,9 @@ def _point_job(args):
         return "err", {"point": idx, "params": point, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _collect_results(scenario: Scenario, dist, network) -> tuple[list[dict], list[dict]]:
-    """Run every grid point; a failed point is recorded, never fatal."""
+def _collect_results(scenario: Scenario) -> tuple[list[dict], list[dict]]:
+    """Run every grid point; results in point order, a failed point recorded, never fatal."""
+    dist, network = _build_assets(scenario)
     points = scenario.grid()
     jobs = [(scenario, dist, network, idx, point) for idx, point in enumerate(points)]
     if scenario.workers > 1 and len(points) > 1:
@@ -377,6 +381,7 @@ def _collect_results(scenario: Scenario, dist, network) -> tuple[list[dict], lis
         outcomes = [_point_job(job) for job in jobs]
     results = [payload for status, payload in outcomes if status == "ok"]
     failures = [payload for status, payload in outcomes if status == "err"]
+    results.sort(key=lambda res: res["point"])
     return results, failures
 
 
@@ -392,6 +397,33 @@ def _audit_header(scenario: Scenario) -> list[str]:
         f"# runs={scenario.runs} seeds={scenario.mc_seeds} dt_mf={scenario.dt_meanfield} "
         f"dt_mc={scenario.dt_montecarlo} t_end={scenario.t_end} t_max={scenario.t_max}",
     ]
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, numbers.Integral):  # bool, int, numpy integer
+        return str(int(value))
+    return repr(float(value))
+
+
+def _write_csv(path, columns: list[str], rows, header=()) -> None:
+    """Write the ``header`` comment lines, the column line and one line per row.
+
+    Every cell is formatted by one rule: a str passes through, an integer
+    prints as one (a bool as 0 or 1), anything else as repr(float(x)), so
+    a numpy float prints like a Python float.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        for line in header:
+            fh.write(line + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def write_distribution_csv(dist: DegreeDistribution, path) -> None:
+    _write_csv(path, ["k", "p"], zip(dist.support, dist.probs))
 
 
 def _sweep_axis(scenario: Scenario) -> str:
@@ -416,23 +448,14 @@ def _series_label(point: dict, axis: str) -> str:
 
 
 def _write_final_size(scenario: Scenario, results: list[dict], out_dir: str) -> list[str]:
-    csv_path = os.path.join(out_dir, "final_size.csv")
     columns = ["point", "lambda", "alpha", "beta", "sigma", "g"]
     if scenario.engine in ("meanfield", "both"):
         columns.append("R_mf")
     if scenario.engine in ("montecarlo", "both"):
         columns += ["R_mc_mean", "R_mc_std", "peak_S_mean"]
-    with open(csv_path, "w", encoding="ascii") as fh:
-        for line in _audit_header(scenario):
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for res in results:
-            row = [str(res["point"])] + [repr(float(res[k])) for k in ("lambda", "alpha", "beta", "sigma", "g")]
-            if scenario.engine in ("meanfield", "both"):
-                row.append(repr(res["r_mf"]))
-            if scenario.engine in ("montecarlo", "both"):
-                row += [repr(res["r_mc_mean"]), repr(res["r_mc_std"]), repr(res["peak_s_mean"])]
-            fh.write(",".join(row) + "\n")
+    # a result's keys are its column names in lower case
+    _write_csv(os.path.join(out_dir, "final_size.csv"), columns,
+               ([res[column.lower()] for column in columns] for res in results), _audit_header(scenario))
 
     axis = _sweep_axis(scenario)
     series: dict[str, list[tuple[float, float]]] = {}
@@ -452,26 +475,15 @@ def _write_final_size(scenario: Scenario, results: list[dict], out_dir: str) -> 
 
 
 def _write_timeseries(scenario: Scenario, results: list[dict], out_dir: str) -> list[str]:
-    csv_path = os.path.join(out_dir, "timeseries.csv")
-    rows_written = False
-    with open(csv_path, "w", encoding="ascii") as fh:
-        for line in _audit_header(scenario):
-            fh.write(line + "\n")
-        fh.write("point,engine,t,I,S,R\n")
-        for res in results:
-            for engine_key, tag in (("mf_curve", "meanfield"), ("mc_curve", "montecarlo")):
-                if engine_key not in res:
-                    continue
-                times, i, s, r = res[engine_key]
-                rows_written = True
-                for j in range(len(times)):
-                    fh.write(
-                        f"{res['point']},{tag},{float(times[j])!r},"
-                        f"{float(i[j])!r},{float(s[j])!r},{float(r[j])!r}\n"
-                    )
-    if not rows_written:
-        os.remove(csv_path)
+    rows = []
+    for res in results:
+        for engine_key, tag in (("mf_curve", "meanfield"), ("mc_curve", "montecarlo")):
+            if engine_key in res:
+                rows += [(res["point"], tag, *sample) for sample in zip(*res[engine_key])]
+    if not rows:
         return []
+    _write_csv(os.path.join(out_dir, "timeseries.csv"), ["point", "engine", "t", "I", "S", "R"], rows,
+               _audit_header(scenario))
     plot_series = []
     for res in results:
         for engine_key, tag in (("mf_curve", "mf"), ("mc_curve", "mc")):
@@ -495,9 +507,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> dict:
     """Run every grid point, write the plot-family files, return the manifest."""
     out_dir = out_dir or scenario.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    dist, network = _build_assets(scenario)
-    results, failures = _collect_results(scenario, dist, network)
-    results.sort(key=lambda res: res["point"])
+    results, failures = _collect_results(scenario)
 
     files = _write_final_size(scenario, results, out_dir)
     if scenario.timeseries:
@@ -522,9 +532,7 @@ def compare_engines(scenario: Scenario) -> dict:
     """Per grid point |R_mc_mean - R_mf| with a pass flag against the tolerance."""
     if scenario.engine != "both":
         raise ScenarioError("engine comparison requires engine=both")
-    dist, network = _build_assets(scenario)
-    results, failures = _collect_results(scenario, dist, network)
-    results.sort(key=lambda res: res["point"])
+    results, failures = _collect_results(scenario)
     rows = []
     for res in results:
         deviation = abs(res["r_mc_mean"] - res["r_mf"])
@@ -552,18 +560,12 @@ def compare_engines(scenario: Scenario) -> dict:
 
 def write_comparison(scenario: Scenario, report: dict, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "comparison.csv")
-    with open(csv_path, "w", encoding="ascii") as fh:
-        for line in _audit_header(scenario):
-            fh.write(line + "\n")
-        fh.write(f"# tolerance={report['tolerance']}\n")
-        fh.write("point,lambda,alpha,beta,sigma,g,R_mf,R_mc_mean,deviation,passed\n")
-        for row in report["rows"]:
-            fh.write(
-                f"{row['point']},{row['lambda']!r},{row['alpha']!r},{row['beta']!r},"
-                f"{row['sigma']!r},{row['g']!r},{row['r_mf']!r},{row['r_mc_mean']!r},"
-                f"{row['deviation']!r},{int(row['passed'])}\n"
-            )
+    columns = ["point", "lambda", "alpha", "beta", "sigma", "g", "R_mf", "R_mc_mean", "deviation", "passed"]
+    _write_csv(
+        os.path.join(out_dir, "comparison.csv"), columns,
+        ([row[column.lower()] for column in columns] for row in report["rows"]),
+        _audit_header(scenario) + [f"# tolerance={report['tolerance']}"],
+    )
     xs = [row["point"] for row in report["rows"]]
     series = [
         ("mf", xs, [row["r_mf"] for row in report["rows"]]),
@@ -575,14 +577,15 @@ def write_comparison(scenario: Scenario, report: dict, out_dir: str) -> list[str
 
 
 def threshold_table(scenario: Scenario) -> list[dict]:
-    """Analytic threshold rows ``param,value,lambda_c,regime`` over the grid.
+    """Analytic threshold rows ``param,value,lambda_c,lambda_c_classic,regime`` over the grid.
 
     lambda_c and a targeted plan use the distribution ``simulate`` uses: a
     configuration scenario's power law, a BA scenario's empirical degree
-    distribution.  The size regime of threshold_modified_bounded is analytic;
-    for a BA network it takes gamma=3 and k_min=m.  Random inoculation
-    rescales by 1/(1-g); a targeted plan uses the profile-weighted moment
-    ratio.
+    distribution.  lambda_c_classic, the classic model's threshold on the
+    bounded network (threshold_classic_bounded), and the size regime of
+    threshold_modified_bounded are analytic; for a BA network they take
+    gamma=3 and k_min=m.  Random inoculation rescales lambda_c by 1/(1-g); a
+    targeted plan uses the profile-weighted moment ratio.
     """
     if scenario.net_kind == "ba":
         gamma, k_min = 3.0, scenario.m
@@ -590,6 +593,7 @@ def threshold_table(scenario: Scenario) -> list[dict]:
     else:
         gamma, k_min = scenario.gamma, scenario.k_min
         dist = sample_powerlaw_distribution(gamma, k_min, scenario.n_nodes)
+    classic = threshold_classic_bounded(gamma, k_min, scenario.n_nodes)
     axis = _sweep_axis(scenario)
     if axis == "lambda":  # lambda never moves a threshold; fall back to the point index
         axis = "point"
@@ -616,6 +620,7 @@ def threshold_table(scenario: Scenario) -> list[dict]:
                 "param": axis,
                 "value": index if axis == "point" else point[axis],
                 "lambda_c": lambda_c,
+                "lambda_c_classic": classic,
                 "regime": report.regime,
             }
         )
@@ -624,15 +629,13 @@ def threshold_table(scenario: Scenario) -> list[dict]:
 
 def write_threshold_table(scenario: Scenario, rows: list[dict], out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "thresholds.csv")
-    with open(csv_path, "w", encoding="ascii") as fh:
-        for line in _audit_header(scenario):
-            fh.write(line + "\n")
-        fh.write("param,value,lambda_c,regime\n")
-        for row in rows:
-            value = row["lambda_c"]
-            rendered = "no-outbreak" if value == NO_OUTBREAK or math.isinf(value) else repr(float(value))
-            fh.write(f"{row['param']},{row['value']!r},{rendered},{row['regime']}\n")
+    _write_csv(
+        os.path.join(out_dir, "thresholds.csv"),
+        ["param", "value", "lambda_c", "lambda_c_classic", "regime"],
+        ([row["param"], row["value"], "no-outbreak" if math.isinf(row["lambda_c"]) else row["lambda_c"],
+          row["lambda_c_classic"], row["regime"]] for row in rows),
+        _audit_header(scenario),
+    )
     finite = [(row["value"], row["lambda_c"]) for row in rows if math.isfinite(row["lambda_c"])]
     series = [("lambda_c", [p[0] for p in finite], [p[1] for p in finite])] if finite else []
     svg_path = os.path.join(out_dir, "thresholds.svg")

@@ -16,38 +16,30 @@ import numpy as np
 
 from .netgen import DegreeDistribution, Network
 
-__all__ = ["InoculationPlan", "apply_plan", "make_random_plan", "make_targeted_plan", "write_plan_csv"]
+__all__ = ["InoculationPlan", "apply_plan", "make_random_plan", "make_targeted_plan"]
 
-KIND_NONE = "none"
 KIND_RANDOM = "random"
 KIND_TARGETED = "targeted"
 
 
 @dataclass(frozen=True)
 class InoculationPlan:
-    """Either nothing, a uniform fraction g, or a degree-step profile (k_t, f)."""
+    """Either a uniform fraction g or a degree-step profile (k_t, f); no plan is None."""
 
-    kind: str = KIND_NONE
+    kind: str
     g: float = 0.0
     k_t: int | None = None
     f: float = 0.0
-    g_bar: float = 0.0
     support: np.ndarray | None = None
     g_profile: np.ndarray | None = None
 
     def profile(self, dist: DegreeDistribution) -> np.ndarray:
         """Per-degree inoculated fraction g_k aligned with ``dist.support``."""
-        if self.kind == KIND_NONE:
-            return np.zeros_like(dist.probs)
         if self.kind == KIND_RANDOM:
             return np.full_like(dist.probs, self.g)
         if self.support is None or not np.array_equal(self.support, dist.support):
             raise ValueError("targeted plan support does not match the distribution support")
         return self.g_profile
-
-    def mean_fraction(self, dist: DegreeDistribution) -> float:
-        """sum_k g_k P(k); equals g (random) or g_bar (targeted)."""
-        return float((self.profile(dist) * dist.probs).sum())
 
 
 def make_random_plan(g: float) -> InoculationPlan:
@@ -76,8 +68,7 @@ def make_targeted_plan(dist: DegreeDistribution, g_bar: float) -> InoculationPla
     if g_bar == 0.0:
         profile = np.zeros(n)
         return InoculationPlan(
-            kind=KIND_TARGETED, k_t=int(support[-1]), f=0.0, g_bar=0.0,
-            support=support, g_profile=profile,
+            kind=KIND_TARGETED, k_t=int(support[-1]), f=0.0, support=support, g_profile=profile,
         )
     idx = int(np.argmax(tail <= g_bar + 1e-15))
     f = (g_bar - tail[idx]) / probs[idx] if probs[idx] > 0 else 0.0
@@ -91,8 +82,7 @@ def make_targeted_plan(dist: DegreeDistribution, g_bar: float) -> InoculationPla
     profile[idx + 1:] = 1.0
     profile[idx] = f
     plan = InoculationPlan(
-        kind=KIND_TARGETED, k_t=int(support[idx]), f=f, g_bar=float(g_bar),
-        support=support, g_profile=profile,
+        kind=KIND_TARGETED, k_t=int(support[idx]), f=f, support=support, g_profile=profile,
     )
     realized = float((profile * probs).sum())
     if abs(realized - g_bar) > 1e-9:
@@ -108,7 +98,7 @@ def apply_plan(network: Network, plan: InoculationPlan | None, rng: np.random.Ge
     with degree > k_t plus a uniformly chosen round(f * count) of the
     degree-k_t nodes.  Returns a sorted id array (possibly empty).
     """
-    if plan is None or plan.kind == KIND_NONE:
+    if plan is None:
         return np.array([], dtype=np.int64)
     if plan.kind == KIND_RANDOM:
         return np.flatnonzero(rng.random(network.n) < plan.g).astype(np.int64)
@@ -118,16 +108,3 @@ def apply_plan(network: Network, plan: InoculationPlan | None, rng: np.random.Ge
     if count > 0:
         chosen.append(np.sort(rng.choice(at_cut, size=count, replace=False)))
     return np.sort(np.concatenate(chosen)).astype(np.int64)
-
-
-def write_plan_csv(plan: InoculationPlan | None, path) -> None:
-    """Targeted plans serialize as ``k,g_k`` rows; others as a single ``g=<value>`` line."""
-    with open(path, "w", encoding="ascii") as fh:
-        if plan is None or plan.kind == KIND_NONE:
-            fh.write("g=0.0\n")
-        elif plan.kind == KIND_RANDOM:
-            fh.write(f"g={plan.g!r}\n")
-        else:
-            fh.write("k,g_k\n")
-            for k, g in zip(plan.support, plan.g_profile):
-                fh.write(f"{int(k)},{float(g)!r}\n")

@@ -6,8 +6,8 @@ unit time and per-edge transmission is weighted by the degree-dependent tie
 strength, which closes (on uncorrelated networks) into the force term
 a_k rho_i(k) Phi(t), a_k = lam (1 - g_k) k**(1+beta) / <k**(1+beta)>,
 with Phi(t) = sum_l l**alpha P(l) rho_s(l, t).  Spreaders stifle at rate
-sigma.  The classical all-neighbor model (with its contact-stifling delta
-terms) is kept as a baseline; at alpha=1, beta=0, delta=0 the two coincide.
+sigma.  The classic model, in which every node spreads in proportion to its
+degree with uniform tie strength, is the case alpha=1, beta=0.
 
 Everything in the modified model is carried by Psi(t), the integral of Phi.
 Ignorants obey the closed form rho_i(k, t) = rho_i(k, 0) exp(-a_k Psi(t)), so
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inoculation import InoculationPlan
-from .netgen import DegreeDistribution, TieStrengthParams
+from .netgen import DegreeDistribution
 
 __all__ = [
     "DegreeClassState",
@@ -42,8 +42,6 @@ __all__ = [
     "IntegrationError",
     "ModelParams",
     "Trajectory",
-    "closed_form_ignorant",
-    "derivatives_classical",
     "final_rumor_size",
     "integrate",
     "psi_fixed_point",
@@ -79,16 +77,12 @@ class ModelParams:
     alpha  contact (spreadness) exponent, in (0, 1]
     beta   tie-strength exponent
     sigma  spontaneous stifling rate (default 1)
-    delta  contact-stifling rate, used only by the classical baseline
-    b      tie-strength prefactor (cancels from all normalized rates)
     """
 
     lam: float
     alpha: float
     beta: float = 0.0
     sigma: float = 1.0
-    delta: float = 0.0
-    b: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
@@ -97,14 +91,6 @@ class ModelParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.lam < 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
-        if not self.b > 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-
-    @property
-    def tie(self) -> TieStrengthParams:
-        return TieStrengthParams(beta=self.beta, b=self.b)
 
 
 @dataclass
@@ -156,29 +142,6 @@ def _class_terms(dist: DegreeDistribution, params: ModelParams, plan: Inoculatio
     return g_k, dist.power(params.alpha) * dist.probs, rates
 
 
-def derivatives_classical(state: DegreeClassState, dist: DegreeDistribution, params: ModelParams):
-    """Time derivatives of the all-neighbor baseline with contact stifling.
-
-    Uses the uncorrelated closure P(l|k) = l P(l) / <k>.  Spreaders convert
-    ignorants at rate lam, turn stifler on meeting spreaders or stiflers at
-    rate delta, and stifle spontaneously at rate sigma.
-    """
-    state.validate()
-    if state.rho_i.shape != dist.support.shape:
-        raise ValueError("state and distribution supports disagree")
-    k = dist.support.astype(np.float64)
-    mean_k = dist.moment(1.0)
-    edge_weight = k * dist.probs / mean_k
-    spreader_contact = float((edge_weight * state.rho_s).sum())
-    informed_contact = float((edge_weight * (state.rho_s + state.rho_r)).sum())
-    infection = params.lam * k * state.rho_i * spreader_contact
-    contact_stifling = params.delta * k * state.rho_s * informed_contact
-    d_i = -infection
-    d_s = infection - contact_stifling - params.sigma * state.rho_s
-    d_r = contact_stifling + params.sigma * state.rho_s
-    return d_i, d_s, d_r
-
-
 @dataclass
 class Trajectory:
     """Sampled aggregates of a mean-field trajectory.
@@ -207,12 +170,11 @@ def integrate(
     plan: InoculationPlan | None = None,
     t_end: float = 100.0,
     dt: float = 0.01,
-    model: str = "modified",
     sample_every: int = 1,
 ) -> Trajectory:
     """Fixed-step RK4 integration of the mean-field dynamics from ``initial``.
 
-    The modified model is integrated through its exact two-scalar reduction.
+    The dynamics are integrated through their exact two-scalar reduction.
     Ignorants obey rho_i(k, t) = rho_i(k, 0) exp(-a_k Psi(t)), so
     Phi + sum_k w_k rho_i(k) + sigma Psi is conserved (w_k = k**alpha P(k),
     a_k the rate of _class_terms) and the block ODEs close in Psi and R:
@@ -227,18 +189,14 @@ def integrate(
     by a_k) contribute a constant, summed once before the loop, and only
     the rest are evaluated.  Each class's term is bit-identical to the full
     sum's; only the order of summation differs.  At Psi <= 0 (the start, or
-    a diverging step) or a NaN Psi every class is evaluated.  The classical
-    baseline, whose contact stifling breaks the closure, is integrated over
-    all 3n+1 per-class components instead.
+    a diverging step) or a NaN Psi every class is evaluated.
 
-    Either way there are round(t_end / dt) steps, and the aggregates of
-    Trajectory are recorded at the initial state, every ``sample_every``
-    steps and at the final step.  Raises IntegrationError when Psi drops
-    below -1e-6 or I, S, R (classical: any per-class component) leave
-    [-1e-6, 1 + 1e-6] or are not finite.  Each successful call logs its
-    model, step count, final Psi, final R and the number of per-class
-    exponentials evaluated (``evals``; 0 for the classical baseline) at
-    DEBUG level.
+    There are round(t_end / dt) steps, and the aggregates of Trajectory are
+    recorded at the initial state, every ``sample_every`` steps and at the
+    final step.  Raises IntegrationError when Psi drops below -1e-6 or I, S,
+    R leave [-1e-6, 1 + 1e-6] or are not finite.  Each successful call logs
+    its step count, final Psi, final R and the number of per-class
+    exponentials evaluated (``evals``) at DEBUG level.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -246,28 +204,15 @@ def integrate(
         raise ValueError("t_end must be nonnegative")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    if model not in ("modified", "classical"):
-        raise ValueError(f"unknown model {model!r}")
-    if model == "classical" and plan is not None and plan.kind != "none":
-        raise ValueError("the classical baseline has no inoculation term")
     initial.validate()
     if initial.rho_i.shape != dist.support.shape:
         raise ValueError("state and distribution supports disagree")
 
     steps = int(round(t_end / dt))
-    if model == "modified":
-        samples, evals = _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every)
-    else:
-        samples, evals = _classical_rk4(initial, dist, params, steps, dt, sample_every), 0
+    samples, evals = _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every)
     times, r, s, i, phi, psi = np.array(samples).T
-    _log.debug("integrate: model=%s steps=%d psi=%r r=%r evals=%d",
-               model, steps, float(psi[-1]), float(r[-1]), evals)
+    _log.debug("integrate: steps=%d psi=%r r=%r evals=%d", steps, float(psi[-1]), float(r[-1]), evals)
     return Trajectory(times=times, r=r, s=s, i=i, phi=phi, psi=psi)
-
-
-def _out_of_range(low: float, high: float) -> bool:
-    """True when [low, high] leaves [-1e-6, 1 + 1e-6] or either end is NaN."""
-    return not (-1e-6 <= low and high <= 1.0 + 1e-6)
 
 
 def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[list[tuple], int]:
@@ -317,7 +262,7 @@ def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[
         for step in range(steps + 1):
             phi, gain = phi_and_gain(psi)
             i, s, r = i0 - gain, s0 + gain - q, r0 + q
-            if not psi >= -1e-6 or _out_of_range(min(i, s, r), max(i, s, r)):
+            if not (psi >= -1e-6 and -1e-6 <= min(i, s, r) and max(i, s, r) <= 1.0 + 1e-6):
                 raise IntegrationError(
                     f"state left range at t={step * dt:.6g} "
                     f"(Psi={psi:.3e}, I={i:.3e}, S={s:.3e}, R={r:.3e}); reduce dt"
@@ -335,66 +280,6 @@ def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[
             dq4 = sigma * (s0 + gain4 - q - dt * dq3)
             psi += dt / 6.0 * (phi + 2.0 * phi2 + 2.0 * phi3 + phi4)
             q += dt / 6.0 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
-
-
-def _classical_rk4(initial, dist, params, steps, dt, sample_every) -> list[tuple]:
-    """RK4 over all 3n+1 components of the classical baseline; same samples."""
-    n = dist.support.size
-    k = dist.support.astype(np.float64)
-    probs = dist.probs
-    kalpha_p = dist.power(params.alpha) * probs
-    edge_weight = k * probs / dist.moment(1.0)
-    lam, delta, sigma = params.lam, params.delta, params.sigma
-
-    def rhs(y):
-        rho_i = y[:n]
-        rho_s = y[n:2 * n]
-        rho_r = y[2 * n:3 * n]
-        spreader_contact = edge_weight @ rho_s
-        informed_contact = edge_weight @ (rho_s + rho_r)
-        infection = lam * k * rho_i * spreader_contact
-        stifling = delta * k * rho_s * informed_contact
-        out = np.empty(3 * n + 1)
-        out[:n] = -infection
-        out[n:2 * n] = infection - stifling - sigma * rho_s
-        out[2 * n:3 * n] = stifling + sigma * rho_s
-        out[3 * n] = kalpha_p @ rho_s
-        return out
-
-    def sample(step, y):
-        rho_s = y[n:2 * n]
-        return (step * dt, float(probs @ y[2 * n:3 * n]), float(probs @ rho_s),
-                float(probs @ y[:n]), float(kalpha_p @ rho_s), float(y[3 * n]))
-
-    y = np.concatenate([initial.rho_i, initial.rho_s, initial.rho_r, [0.0]])
-    samples = [sample(0, y)]
-    for step in range(1, steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        comp = y[:3 * n]
-        if _out_of_range(comp.min(), comp.max()):
-            raise IntegrationError(
-                f"component left [0, 1] at t={step * dt:.6g} "
-                f"(min={comp.min():.3e}, max={comp.max():.3e}); reduce dt"
-            )
-        if step % sample_every == 0 or step == steps:
-            samples.append(sample(step, y))
-    return samples
-
-
-def closed_form_ignorant(k: int, psi_t: float, dist: DegreeDistribution, params: ModelParams):
-    """Ignorant fraction exp(-lam * k**(1+beta) * psi_t / <k**(1+beta)>).
-
-    Exact for the un-inoculated dynamics at any sigma, with psi_t the running
-    integral of Phi.  ``k`` may be an array.
-    """
-    if np.any(np.asarray(psi_t) < 0):
-        raise ValueError("psi_t must be nonnegative")
-    kk = np.asarray(k, dtype=np.float64)
-    return np.exp(-params.lam * kk ** (1.0 + params.beta) * psi_t / dist.moment(1.0 + params.beta))
 
 
 def psi_fixed_point(

@@ -45,8 +45,6 @@ __all__ = [
     "ensemble",
     "mean_trace",
     "run",
-    "write_ensemble_csv",
-    "write_trace_csv",
 ]
 
 IGNORANT, SPREADER, STIFLER, INOCULATED = 0, 1, 2, 3
@@ -227,7 +225,7 @@ def _run_seed(master_seed: int, index: int) -> int:
 
 
 def ensemble(
-    network_or_generator,
+    network: Network,
     params: ModelParams,
     plan: InoculationPlan | None = None,
     runs: int = 50,
@@ -237,11 +235,7 @@ def ensemble(
     master_seed: int = 0,
     keep_traces: bool = False,
 ) -> EnsembleSummary:
-    """Aggregate ``runs`` independent runs, deterministically keyed to master_seed.
-
-    ``network_or_generator`` is either a fixed Network shared by every run or
-    a callable taking a Generator and returning a fresh Network per run.
-    """
+    """Aggregate ``runs`` independent runs on ``network``, deterministically keyed to master_seed."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     finals = np.empty(runs)
@@ -250,10 +244,7 @@ def ensemble(
     traces: list[SimTrace] | None = [] if keep_traces else None
     for idx in range(runs):
         seed = _run_seed(master_seed, idx)
-        gen = np.random.default_rng(seed)
-        net = network_or_generator(gen) if callable(network_or_generator) else network_or_generator
-        trace = run(net, params, plan=plan, seeds=seeds, dt=dt, t_max=t_max, rng=gen)
-        trace.seed = seed
+        trace = run(network, params, plan=plan, seeds=seeds, dt=dt, t_max=t_max, rng=seed)
         finals[idx] = trace.final_r
         peaks[idx] = trace.peak_s
         run_seeds[idx] = seed
@@ -290,20 +281,3 @@ def mean_trace(traces: list[SimTrace]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     s = np.mean([padded(t.spreader) for t in traces], axis=0)
     r = np.mean([padded(t.stifler) for t in traces], axis=0)
     return ref, i, s, r
-
-
-def write_trace_csv(trace: SimTrace, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("t,I,S,R\n")
-        for j in range(trace.times.size):
-            fh.write(
-                f"{float(trace.times[j])!r},{float(trace.ignorant[j])!r},"
-                f"{float(trace.spreader[j])!r},{float(trace.stifler[j])!r}\n"
-            )
-
-
-def write_ensemble_csv(summary: EnsembleSummary, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("run,final_R,peak_S,seed\n")
-        for idx in range(summary.finals.size):
-            fh.write(f"{idx},{float(summary.finals[idx])!r},{float(summary.peaks[idx])!r},{int(summary.seeds[idx])}\n")

@@ -6,7 +6,7 @@ k_max = k_min * n**(1/(gamma-1)).  Networks are undirected simple graphs built
 either by preferential-attachment growth (which locks the exponent near 3) or
 by the configuration model (which realizes an arbitrary target distribution).
 Edge weights are never stored: the tie strength of an edge is derived from its
-endpoint degrees as w_ij = b * (k_i * k_j)**beta.
+endpoint degrees as w_ij = (k_i * k_j)**beta.
 
 All generators are pure functions of an explicit numpy Generator, so they can
 run concurrently as long as each task owns its own stream.
@@ -15,7 +15,6 @@ run concurrently as long as each task owns its own stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,40 +22,16 @@ __all__ = [
     "DegreeDistribution",
     "DegreeSequenceError",
     "Network",
-    "TieStrengthParams",
     "build_ba_network",
     "build_configuration_network",
-    "degree_moment",
-    "node_strength",
-    "read_distribution_csv",
     "read_edge_list",
     "sample_powerlaw_distribution",
-    "tie_strength",
-    "write_distribution_csv",
     "write_edge_list",
 ]
 
 
 class DegreeSequenceError(RuntimeError):
     """A drawn degree sequence cannot be realized as a simple graph."""
-
-
-@dataclass(frozen=True)
-class TieStrengthParams:
-    """Parameters of the power-law tie strength w_ij = b * (k_i * k_j)**beta.
-
-    beta > 0 favors transmission toward high-degree nodes, beta < 0 toward
-    low-degree nodes, and beta = 0 recovers degree-independent transmission.
-    The prefactor b cancels out of every normalized transmission rate; it is
-    kept so raw edge weights remain meaningful.
-    """
-
-    beta: float = 0.0
-    b: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.b > 0:
-            raise ValueError(f"tie-strength prefactor b must be positive, got {self.b}")
 
 
 class DegreeDistribution:
@@ -97,16 +72,6 @@ class DegreeDistribution:
 
     def __len__(self) -> int:
         return int(self.support.size)
-
-    @property
-    def prob(self) -> dict[int, float]:
-        """Mapping view degree -> probability."""
-        return {int(k): float(p) for k, p in zip(self.support, self.probs)}
-
-    @property
-    def gamma_prime(self) -> float | None:
-        """Alternative exponent convention P(k) ~ k**-(2 + gamma'), i.e. gamma' = gamma - 2."""
-        return None if self.gamma is None else self.gamma - 2.0
 
     def power(self, q: float) -> np.ndarray:
         """Return k**q over the support as a read-only float array."""
@@ -149,29 +114,6 @@ def sample_powerlaw_distribution(gamma: float, k_min: int, n_nodes: int) -> Degr
     probs = support.astype(np.float64) ** (-gamma)
     probs /= probs.sum()
     return DegreeDistribution(support, probs, gamma=gamma)
-
-
-def degree_moment(dist: DegreeDistribution, q: float) -> float:
-    """Return the distribution moment <k**q>."""
-    return dist.moment(q)
-
-
-def tie_strength(k_i: int, k_j: int, p: TieStrengthParams) -> float:
-    """Tie strength w_ij = b * (k_i * k_j)**beta; symmetric in its degree arguments."""
-    if k_i < 1 or k_j < 1:
-        raise ValueError("degrees must be >= 1")
-    return p.b * float(k_i * k_j) ** p.beta
-
-
-def node_strength(dist: DegreeDistribution, k: int, p: TieStrengthParams) -> float:
-    """Expected total tie strength of a degree-k node on an uncorrelated network.
-
-    Uses the neighbor-degree closure P(l|k) = l P(l) / <k>, which gives
-    S_k = b * k**(1+beta) * <k**(1+beta)> / <k>.
-    """
-    if k not in dist.support:
-        raise ValueError(f"degree {k} not in the distribution support")
-    return p.b * float(k) ** (1.0 + p.beta) * dist.moment(1.0 + p.beta) / dist.moment(1.0)
 
 
 class Network:
@@ -377,26 +319,3 @@ def read_edge_list(path) -> Network:
     if n is None:
         raise ValueError(f"{path}: missing '# nodes=<N>' header")
     return Network(n, edges)
-
-
-def write_distribution_csv(dist: DegreeDistribution, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("k,p\n")
-        for k, p in zip(dist.support, dist.probs):
-            fh.write(f"{int(k)},{float(p)!r}\n")
-
-
-def read_distribution_csv(path) -> DegreeDistribution:
-    ks, ps = [], []
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "k,p":
-            raise ValueError(f"{path}: expected 'k,p' header, got {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            k, p = line.split(",")
-            ks.append(int(k))
-            ps.append(float(p))
-    return DegreeDistribution(ks, ps)

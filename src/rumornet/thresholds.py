@@ -1,4 +1,4 @@
-"""Analytic rumor thresholds and empirical threshold estimation.
+"""Analytic rumor thresholds.
 
 The primary threshold is the discrete moment ratio
 lambda_c = <k**(beta+1)> / <k**(alpha+beta+1)> evaluated on the finite
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,13 +24,11 @@ from .inoculation import InoculationPlan
 from .netgen import DegreeDistribution
 
 __all__ = [
-    "BracketError",
     "NO_OUTBREAK",
     "REGIME_FINITE",
     "REGIME_LOG",
     "REGIME_VANISHING",
     "ThresholdReport",
-    "empirical_threshold",
     "threshold_classic_bounded",
     "threshold_modified",
     "threshold_modified_bounded",
@@ -46,10 +43,6 @@ REGIME_VANISHING = "vanishing"
 REGIME_LOG = "logarithmic"
 
 _BOUNDARY_EPS = 1e-12
-
-
-class BracketError(ValueError):
-    """The final-size function does not bracket the requested onset level."""
 
 
 @dataclass(frozen=True)
@@ -180,33 +173,3 @@ def threshold_targeted_inoc(
     if denominator <= 0.0:
         return NO_OUTBREAK
     return numerator / denominator
-
-
-def empirical_threshold(
-    final_size_fn: Callable[[float], float],
-    epsilon: float,
-    lo: float,
-    hi: float,
-    width: float = 1e-3,
-) -> float:
-    """Locate the onset of final size above epsilon by bisection on [lo, hi].
-
-    Requires final_size_fn nondecreasing on the bracket with
-    final_size_fn(lo) <= epsilon < final_size_fn(hi); returns the bracket
-    midpoint once the bracket is narrower than ``width``.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    r_lo = final_size_fn(lo)
-    r_hi = final_size_fn(hi)
-    if not (r_lo <= epsilon < r_hi):
-        raise BracketError(
-            f"onset level {epsilon} not bracketed: R({lo})={r_lo}, R({hi})={r_hi}"
-        )
-    while hi - lo >= width:
-        mid = 0.5 * (lo + hi)
-        if final_size_fn(mid) > epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)

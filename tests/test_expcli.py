@@ -9,6 +9,8 @@ from rumornet import montecarlo
 from rumornet.expcli.cli import main
 from rumornet.expcli.scenario import (
     ScenarioError,
+    _audit_header,
+    _write_csv,
     build_network,
     compare_engines,
     parse_scenario,
@@ -18,6 +20,7 @@ from rumornet.expcli.scenario import (
 from rumornet.expcli.svg import line_plot
 from rumornet.meanfield import ModelParams, final_rumor_size
 from rumornet.netgen import read_edge_list
+from rumornet.thresholds import threshold_classic_bounded
 
 MINIMAL = """\
 [scenario]
@@ -226,6 +229,78 @@ g = 0.0,0.05
             above = ModelParams(lam=row["lambda_c"] * (1 + 1e-3), alpha=0.8)
             assert final_rumor_size(dist, below, plan) < 1e-12
             assert final_rumor_size(dist, above, plan) > 1e-5
+
+    @pytest.mark.parametrize("network, gamma, k_min", [
+        ("kind = configuration\ngamma = 2.6\nk_min = 3\nn = 2000", 2.6, 3),
+        ("kind = ba\nm = 2\nm0 = 3\nn = 2000", 3.0, 2),
+    ], ids=["configuration", "ba"])
+    def test_classic_column(self, tmp_path, network, gamma, k_min):
+        config = f"""\
+[network]
+{network}
+
+[model]
+lambda = 1.0
+alpha = 0.5,0.8
+beta = -0.5
+
+[inoculation]
+kind = random
+g = 0.0,1.0
+"""
+        path = write_config(tmp_path, config)
+        assert main(["threshold", "--config", str(path), "--out", str(tmp_path / "t")]) == 0
+        lines = (tmp_path / "t" / "thresholds.csv").read_text().splitlines()
+        data = [line.split(",") for line in lines if not line.startswith("#")]
+        assert data[0] == ["param", "value", "lambda_c", "lambda_c_classic", "regime"]
+        classic = threshold_classic_bounded(gamma, k_min, 2000)
+        assert len(data) == 1 + 4
+        for row, g in zip(data[1:], (0.0, 1.0, 0.0, 1.0)):
+            assert float(row[3]) == classic
+            if g == 1.0:
+                assert row[2] == "no-outbreak"
+            else:
+                # the paper's claim: the modified threshold exceeds the classic one
+                assert float(row[2]) > classic
+        assert [row["lambda_c_classic"] for row in threshold_table(parse_scenario(path))] == [classic] * 4
+
+
+class TestCsvWriter:
+    def test_cell_rule_and_audit_header(self, tmp_path):
+        scenario = parse_scenario(write_config(tmp_path, MINIMAL))
+        path = tmp_path / "cells.csv"
+        rows = [
+            [3, True, 0.1, np.float64(1 / 3), "no-outbreak"],
+            [np.int64(-7), False, float("inf"), np.float64(2.0), ""],
+        ]
+        _write_csv(path, ["int", "bool", "float", "np_float", "str"], rows, _audit_header(scenario))
+        assert path.read_text() == (
+            "# scenario=scenario\n"
+            "# engine=meanfield seed=0\n"
+            "# network kind=configuration gamma=2.4 k_min=2 n=1000 m=3 m0=5\n"
+            "# lambda=0.2,0.5,0.9 alpha=0.5 beta=-0.5 sigma=1.0\n"
+            "# inoculation kind=none g=0.0\n"
+            "# runs=None seeds=1 dt_mf=0.01 dt_mc=0.1 t_end=100.0 t_max=200.0\n"
+            "int,bool,float,np_float,str\n"
+            "3,1,0.1,0.3333333333333333,no-outbreak\n"
+            "-7,0,inf,2.0,\n"
+        )
+
+    def test_no_header(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        _write_csv(path, ["k", "p"], [])
+        assert path.read_text() == "k,p\n"
+
+    def test_generate_distribution_parses_back_exactly(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL.replace("n = 1000", "n = 300"))
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "g"), "--seed", "5"]) == 0
+        lines = (tmp_path / "g" / "degree_distribution.csv").read_text().splitlines()
+        assert lines[0] == "k,p"
+        support = [int(line.split(",")[0]) for line in lines[1:]]
+        probs = [float(line.split(",")[1]) for line in lines[1:]]
+        dist = build_network(parse_scenario(path))[0]
+        assert support == dist.support.tolist()
+        assert probs == dist.probs.tolist()
 
 
 class TestCompareEngines:

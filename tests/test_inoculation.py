@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rumornet.inoculation import apply_plan, make_random_plan, make_targeted_plan, write_plan_csv
+from rumornet.inoculation import apply_plan, make_random_plan, make_targeted_plan
 from rumornet.netgen import DegreeDistribution, build_configuration_network, sample_powerlaw_distribution
 
 
@@ -16,7 +16,7 @@ class TestRandomPlan:
     def test_zero_is_no_op(self):
         plan = make_random_plan(0.0)
         dist = sample_powerlaw_distribution(2.4, 2, 100)
-        assert plan.mean_fraction(dist) == 0.0
+        assert (plan.profile(dist) * dist.probs).sum() == 0.0
 
     def test_stores_fraction(self):
         assert make_random_plan(0.3).g == 0.3
@@ -63,7 +63,7 @@ class TestTargetedPlan:
             dist = random_dist(rng)
             g_bar = float(rng.random())
             plan = make_targeted_plan(dist, g_bar)
-            assert plan.mean_fraction(dist) == pytest.approx(g_bar, abs=1e-9)
+            assert (plan.profile(dist) * dist.probs).sum() == pytest.approx(g_bar, abs=1e-9)
 
     def test_monotone_severity(self):
         rng = np.random.default_rng(43)
@@ -118,18 +118,3 @@ class TestApplyPlan:
         b = apply_plan(network, plan, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
-
-class TestSerialization:
-    def test_random_line(self, tmp_path):
-        path = tmp_path / "plan.csv"
-        write_plan_csv(make_random_plan(0.3), path)
-        assert path.read_text() == "g=0.3\n"
-
-    def test_targeted_rows(self, tmp_path):
-        dist = DegreeDistribution([2, 4], [0.5, 0.5])
-        path = tmp_path / "plan.csv"
-        write_plan_csv(make_targeted_plan(dist, 0.25), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,g_k"
-        assert lines[1] == "2,0.0"
-        assert lines[2] == "4,0.5"

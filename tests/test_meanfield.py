@@ -15,8 +15,6 @@ from rumornet.meanfield import (
     DegreeClassState,
     IntegrationError,
     ModelParams,
-    closed_form_ignorant,
-    derivatives_classical,
     final_rumor_size,
     integrate,
     psi_fixed_point,
@@ -106,11 +104,6 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(lam=0.1, alpha=1.0, sigma=0.0)
 
-    def test_tie_view(self):
-        params = ModelParams(lam=1.0, alpha=0.5, beta=-0.5, b=2.0)
-        assert params.tie.beta == -0.5
-        assert params.tie.b == 2.0
-
 
 class TestDegreeClassState:
     def test_sum_invariant_enforced(self):
@@ -161,25 +154,19 @@ class TestDerivatives:
         assert traj.final_r > 0.0
 
     def test_classical_equals_modified_at_reduction_point(self):
+        # the classic model, every node spreading to all its neighbors with
+        # uniform tie strength, is alpha=1, beta=0: the oracle's rates are then
+        # the all-neighbor infection lam k rho_i sum_l l P(l) rho_s(l) / <k>
         rng = np.random.default_rng(0)
-        params = ModelParams(lam=0.7, alpha=1.0, beta=0.0, sigma=1.0, delta=0.0)
+        params = ModelParams(lam=0.7, alpha=1.0, beta=0.0, sigma=1.0)
         for _ in range(10):
             s = rng.random(2) * 0.3
             r = rng.random(2) * 0.3
             state = DegreeClassState(rho_i=1.0 - s - r, rho_s=s, rho_r=r)
             modified = integrate(state, TWO_FOUR, params, t_end=5.0, dt=0.01)
-            classical = integrate(state, TWO_FOUR, params, t_end=5.0, dt=0.01, model="classical")
+            classical = per_class_rk4(state, TWO_FOUR, params, t_end=5.0, dt=0.01)
             for name in ("i", "s", "r", "phi", "psi"):
                 assert np.max(np.abs(getattr(modified, name) - getattr(classical, name))) < 1e-9
-
-    def test_classical_contact_stifling_direction(self):
-        s = np.array([0.2, 0.2])
-        r = np.array([0.1, 0.1])
-        state = DegreeClassState(rho_i=1.0 - s - r, rho_s=s, rho_r=r)
-        base = derivatives_classical(state, TWO_FOUR, ModelParams(lam=0.5, alpha=1.0, delta=0.0))
-        with_delta = derivatives_classical(state, TWO_FOUR, ModelParams(lam=0.5, alpha=1.0, delta=1.0))
-        assert np.all(with_delta[2] > base[2])  # stiflers accumulate faster
-
 
 class TestIntegrate:
     def test_no_spreaders_constant(self):
@@ -310,14 +297,17 @@ class TestIntegrate:
         assert traj.psi[-1] <= dist.moment(alpha) / sigma
 
     def test_closed_form_ignorant_tracks_integration(self):
+        # rho_i(k, t) = rho_i(k, 0) exp(-a_k Psi(t)), the identity the (Psi, R)
+        # reduction rests on, along the full per-class integration
         dist = TWO_FOUR
         params = ModelParams(lam=1.5, alpha=0.7, beta=0.3)
         oracle = per_class_rk4(uniform_seed_state(dist, 1e-5), dist, params, t_end=25.0, dt=1e-3,
                                sample_every=100)
+        kb = dist.support.astype(np.float64) ** (1.0 + params.beta)
+        rates = params.lam * kb / float(dist.probs @ kb)
         for idx in range(0, oracle.times.size, 7):
-            for c, k in enumerate(dist.support):
-                predicted = closed_form_ignorant(int(k), oracle.psi[idx], dist, params)
-                assert abs(oracle.rho_i[idx, c] - predicted) < 1e-4
+            predicted = (1.0 - 1e-5) * np.exp(-rates * oracle.psi[idx])
+            assert np.max(np.abs(oracle.rho_i[idx] - predicted)) < 1e-4
 
     def test_sigma_normalized_psi_identity(self):
         dist = TWO_FOUR
@@ -353,30 +343,17 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match="Psi=-"):
             integrate(state, TWO_FOUR, params, t_end=0.8, dt=0.8)
 
-    def test_classical_model_switch(self):
-        params = ModelParams(lam=0.7, alpha=1.0, beta=0.0, delta=0.5)
-        traj = integrate(uniform_seed_state(TWO_FOUR, 1e-2), TWO_FOUR, params,
-                         t_end=30.0, dt=0.01, model="classical")
-        assert traj.final_r > 0.1
-        with pytest.raises(ValueError):
-            integrate(uniform_seed_state(TWO_FOUR, 1e-2), TWO_FOUR, params,
-                      model="classical", plan=make_random_plan(0.5))
-
     def test_logs_model_steps_psi_and_r(self, caplog):
         caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
         params = ModelParams(lam=1.0, alpha=1.0)
         initial = uniform_seed_state(TWO_FOUR, 1e-2)
-        modified = integrate(initial, TWO_FOUR, params, t_end=2.0, dt=0.01, sample_every=10)
-        classical = integrate(initial, TWO_FOUR, params, t_end=1.0, dt=0.1, model="classical")
+        traj = integrate(initial, TWO_FOUR, params, t_end=2.0, dt=0.01, sample_every=10)
         messages = [rec.getMessage() for rec in caplog.records
                     if rec.name == "rumornet.meanfield" and rec.getMessage().startswith("integrate:")]
         # no class of TWO_FOUR saturates at lam=1: all 2 classes in each of
-        # the 4 * 200 + 1 stages; the classical baseline evaluates no expm1
+        # the 4 * 200 + 1 stages
         assert messages == [
-            f"integrate: model=modified steps=200 psi={float(modified.psi[-1])!r} r={modified.final_r!r}"
-            " evals=1602",
-            f"integrate: model=classical steps=10 psi={float(classical.psi[-1])!r} r={classical.final_r!r}"
-            " evals=0",
+            f"integrate: steps=200 psi={float(traj.psi[-1])!r} r={traj.final_r!r} evals=1602",
         ]
 
 
@@ -552,18 +529,3 @@ class TestFinalRumorSize:
             finals.append(traj.final_r)
         assert finals[0] / finals[1] >= 5.0
 
-
-class TestClosedFormIgnorant:
-    def test_psi_zero_is_one(self):
-        params = ModelParams(lam=1.0, alpha=1.0, beta=0.5)
-        assert closed_form_ignorant(3, 0.0, TWO_FOUR, params) == 1.0
-
-    def test_point_mass_cancellation(self):
-        dist = DegreeDistribution([7], [1.0])
-        params = ModelParams(lam=1.0, alpha=1.0, beta=0.0)
-        for psi in (0.1, 0.5, 2.0):
-            assert closed_form_ignorant(7, psi, dist, params) == pytest.approx(np.exp(-psi), rel=1e-14)
-
-    def test_rejects_negative_psi(self):
-        with pytest.raises(ValueError):
-            closed_form_ignorant(2, -0.1, TWO_FOUR, ModelParams(lam=1.0, alpha=1.0))

@@ -17,8 +17,6 @@ from rumornet.montecarlo import (
     ensemble,
     mean_trace,
     run,
-    write_ensemble_csv,
-    write_trace_csv,
 )
 from rumornet.netgen import Network, build_configuration_network, sample_powerlaw_distribution
 
@@ -310,13 +308,6 @@ class TestEnsemble:
         assert np.array_equal(a.finals, b.finals)
         assert np.array_equal(a.seeds, b.seeds)
 
-    def test_network_generator_callable(self):
-        dist = sample_powerlaw_distribution(2.4, 2, 300)
-        builder = lambda gen: build_configuration_network(dist, 300, gen)
-        summary = ensemble(builder, ModelParams(lam=0.5, alpha=0.5, beta=-0.5),
-                           runs=3, seeds=2, master_seed=11)
-        assert summary.finals.size == 3
-
     def test_classical_runs_match_meanfield_well_above_threshold(self, powerlaw_net):
         # annealed theory overshoots quenched simulation near threshold; well
         # above it the two land within 0.1
@@ -339,24 +330,6 @@ class TestEnsemble:
 
 
 class TestExports:
-    def test_trace_csv(self, tmp_path):
-        net = complete_graph(10)
-        trace = run(net, ModelParams(lam=1.0, alpha=1.0), seeds=1, rng=0)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,I,S,R"
-        assert len(lines) == trace.times.size + 1
-
-    def test_ensemble_csv(self, tmp_path):
-        net = complete_graph(10)
-        summary = ensemble(net, ModelParams(lam=1.0, alpha=1.0), runs=4, seeds=1, master_seed=1)
-        path = tmp_path / "ens.csv"
-        write_ensemble_csv(summary, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "run,final_R,peak_S,seed"
-        assert len(lines) == 5
-
     def test_mean_trace_padding(self):
         net = complete_graph(12)
         summary = ensemble(net, ModelParams(lam=2.0, alpha=1.0), runs=6, seeds=1,

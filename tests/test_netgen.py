@@ -5,16 +5,10 @@ from rumornet.netgen import (
     DegreeDistribution,
     DegreeSequenceError,
     Network,
-    TieStrengthParams,
     build_ba_network,
     build_configuration_network,
-    degree_moment,
-    node_strength,
-    read_distribution_csv,
     read_edge_list,
     sample_powerlaw_distribution,
-    tie_strength,
-    write_distribution_csv,
     write_edge_list,
 )
 
@@ -37,7 +31,8 @@ class TestDegreeDistribution:
     def test_powerlaw_ratio(self):
         dist = sample_powerlaw_distribution(2.4, 2, 10**3)
         expected = 2.0**2.4  # independent evaluation of k**-gamma at k=2 vs k=4
-        assert dist.prob[2] / dist.prob[4] == pytest.approx(expected, rel=1e-12)
+        assert dist.support[0] == 2 and dist.support[2] == 4
+        assert dist.probs[0] / dist.probs[2] == pytest.approx(expected, rel=1e-12)
 
     def test_normalization_exact(self):
         dist = sample_powerlaw_distribution(2.5, 2, 10**4)
@@ -57,22 +52,17 @@ class TestDegreeDistribution:
         with pytest.raises(ValueError):
             DegreeDistribution([1, 2], [0.6, 0.6])
 
-    def test_gamma_prime_identity(self):
-        dist = sample_powerlaw_distribution(2.4, 2, 100)
-        assert dist.gamma_prime == pytest.approx(0.4)
-        assert two_four_dist().gamma_prime is None
-
 
 class TestMoments:
     def test_first_moment(self):
-        assert degree_moment(two_four_dist(), 1) == pytest.approx(8 / 3, rel=1e-14)
+        assert two_four_dist().moment(1) == pytest.approx(8 / 3, rel=1e-14)
 
     def test_second_moment(self):
-        assert degree_moment(two_four_dist(), 2) == pytest.approx(8.0, rel=1e-14)
+        assert two_four_dist().moment(2) == pytest.approx(8.0, rel=1e-14)
 
     def test_zeroth_moment_is_one(self):
         for dist in (two_four_dist(), sample_powerlaw_distribution(2.7, 3, 500)):
-            assert degree_moment(dist, 0) == pytest.approx(1.0, rel=1e-14)
+            assert dist.moment(0) == pytest.approx(1.0, rel=1e-14)
 
     def test_nondecreasing_in_q(self):
         rng = np.random.default_rng(5)
@@ -81,7 +71,7 @@ class TestMoments:
             weights = rng.random(6)
             dist = DegreeDistribution(support, weights / weights.sum())
             qs = np.linspace(-1.0, 3.0, 17)
-            moments = [degree_moment(dist, q) for q in qs]
+            moments = [dist.moment(q) for q in qs]
             assert all(m2 >= m1 - 1e-12 for m1, m2 in zip(moments, moments[1:]))
 
     def test_cached_power_is_shared_and_read_only(self):
@@ -206,69 +196,24 @@ class TestConfigurationNetwork:
             assert net.degrees.sum() == 2 * net.edge_count
 
 
-class TestTieStrength:
-    def test_beta_zero_degree_independent(self):
-        assert tie_strength(3, 5, TieStrengthParams(beta=0.0, b=1.0)) == 1.0
-
-    def test_linear_case(self):
-        assert tie_strength(2, 8, TieStrengthParams(beta=1.0, b=1.0)) == 16.0
-
-    def test_negative_beta_with_prefactor(self):
-        assert tie_strength(4, 4, TieStrengthParams(beta=-1.0, b=2.0)) == pytest.approx(0.125)
-
-    def test_symmetry_exact(self):
-        params = TieStrengthParams(beta=-0.7, b=1.3)
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            ki, kj = rng.integers(1, 500, size=2)
-            assert tie_strength(int(ki), int(kj), params) == tie_strength(int(kj), int(ki), params)
-
-    def test_rejects_nonpositive_prefactor(self):
-        with pytest.raises(ValueError):
-            TieStrengthParams(beta=0.0, b=0.0)
-
-
 class TestNodeStrength:
-    def test_point_mass_closure(self):
-        k0, beta, b = 5, 0.3, 2.0
-        dist = DegreeDistribution([k0], [1.0])
-        expected = b * k0 ** (1 + 2 * beta)
-        assert node_strength(dist, k0, TieStrengthParams(beta=beta, b=b)) == pytest.approx(expected)
-
-    def test_beta_zero_reduces_to_degree(self):
-        dist = two_four_dist()
-        params = TieStrengthParams(beta=0.0, b=1.0)
-        assert node_strength(dist, 2, params) == pytest.approx(2.0)
-        assert node_strength(dist, 4, params) == pytest.approx(4.0)
-
-    def test_two_class_value(self):
-        # S_2 = 2**2 * <k**2> / <k> = 4 * 8 / (8/3) = 12
-        dist = two_four_dist()
-        assert node_strength(dist, 2, TieStrengthParams(beta=1.0, b=1.0)) == pytest.approx(12.0)
-
-    def test_rejects_degree_off_support(self):
-        with pytest.raises(ValueError):
-            node_strength(two_four_dist(), 3, TieStrengthParams())
-
     def test_graph_strength_matches_closure(self):
-        # per-degree mean of S_i = sum_j w_ij on a large sampled graph
+        # per-degree mean of S_i = sum_j w_ij, w_ij = (k_i k_j)**beta, on a
+        # large sampled graph against the uncorrelated neighbor-degree closure
+        # P(l|k) = l P(l) / <k>, which gives S_k = k**(1+beta) <k**(1+beta)> / <k>
         dist = sample_powerlaw_distribution(2.4, 2, 10**4)
         net = build_configuration_network(dist, 10**4, np.random.default_rng(21))
-        params = TieStrengthParams(beta=-0.5, b=1.0)
+        beta = -0.5
         deg = net.degrees.astype(float)
-        kbeta = deg**params.beta
+        kbeta = deg**beta
         strengths = np.array(
-            [
-                params.b * deg[i] ** params.beta * kbeta[net.indices[net.indptr[i]:net.indptr[i + 1]]].sum()
-                for i in range(net.n)
-            ]
+            [deg[i] ** beta * kbeta[net.indices[net.indptr[i]:net.indptr[i + 1]]].sum() for i in range(net.n)]
         )
         for k in (2, 3, 5):
             mask = net.degrees == k
             assert mask.sum() > 50
-            assert strengths[mask].mean() == pytest.approx(
-                node_strength(dist, k, params), rel=0.10
-            )
+            closure = k ** (1.0 + beta) * dist.moment(1.0 + beta) / dist.moment(1.0)
+            assert strengths[mask].mean() == pytest.approx(closure, rel=0.10)
 
 
 def check_csr(net):
@@ -332,11 +277,3 @@ class TestNetworkBasics:
         back = read_edge_list(path)
         assert back.n == net.n
         assert sorted(back.edges()) == sorted(net.edges())
-
-    def test_distribution_csv_roundtrip(self, tmp_path):
-        dist = sample_powerlaw_distribution(2.4, 2, 200)
-        path = tmp_path / "dist.csv"
-        write_distribution_csv(dist, path)
-        back = read_distribution_csv(path)
-        assert np.array_equal(back.support, dist.support)
-        assert np.allclose(back.probs, dist.probs, rtol=0, atol=1e-15)

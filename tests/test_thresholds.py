@@ -5,15 +5,12 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 from rumornet.inoculation import make_random_plan, make_targeted_plan
-from rumornet.meanfield import ModelParams, final_rumor_size
 from rumornet.netgen import DegreeDistribution, sample_powerlaw_distribution
 from rumornet.thresholds import (
     NO_OUTBREAK,
-    BracketError,
     REGIME_FINITE,
     REGIME_LOG,
     REGIME_VANISHING,
-    empirical_threshold,
     threshold_classic_bounded,
     threshold_modified,
     threshold_modified_bounded,
@@ -208,20 +205,3 @@ class TestInoculatedThresholds:
         plan = make_targeted_plan(dist, 1.0)
         assert threshold_targeted_inoc(dist, 1.0, 0.0, plan) == NO_OUTBREAK
 
-
-class TestEmpiricalThreshold:
-    def test_meanfield_point_mass_onset(self):
-        dist = DegreeDistribution([1], [1.0])
-        params_for = lambda lam: ModelParams(lam=lam, alpha=1.0, beta=0.0)
-        onset = empirical_threshold(
-            lambda lam: final_rumor_size(dist, params_for(lam)), 1e-4, 0.5, 2.0
-        )
-        assert onset == pytest.approx(1.0, abs=0.01)
-
-    def test_bracket_violation_reported(self):
-        with pytest.raises(BracketError):
-            empirical_threshold(lambda lam: 0.0, 0.5, 0.0, 1.0)
-
-    def test_bracket_width(self):
-        onset = empirical_threshold(lambda lam: lam, 0.5, 0.0, 1.0)
-        assert abs(onset - 0.5) < 1e-3
