@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .. import montecarlo
-from ..inoculation import InoculationPlan, make_random_plan, make_targeted_plan
+from ..inoculation import KIND_RANDOM, InoculationPlan, make_random_plan, make_targeted_plan
 from ..meanfield import ModelParams, final_rumor_size, integrate, uniform_seed_state
 from ..netgen import (
     DegreeDistribution,
@@ -321,9 +321,13 @@ def build_network(scenario: Scenario) -> tuple[DegreeDistribution, Network]:
     return dist, build_configuration_network(dist, scenario.n_nodes, rng)
 
 
-def _build_assets(scenario: Scenario) -> tuple[DegreeDistribution, Network | None]:
-    """The degree distribution for analytics, plus a concrete graph when needed."""
-    if scenario.net_kind == "ba" or scenario.engine in ("montecarlo", "both"):
+def _build_assets(scenario: Scenario, graph: bool) -> tuple[DegreeDistribution, Network | None]:
+    """The degree distribution for analytics, plus the graph if ``graph`` is set.
+
+    A BA distribution is the empirical one of its graph, so a BA scenario
+    always builds the graph.
+    """
+    if scenario.net_kind == "ba" or graph:
         return build_network(scenario)
     # numpy.random is imported on first use; a mean-field-only run never loads it
     return sample_powerlaw_distribution(scenario.gamma, scenario.k_min, scenario.n_nodes), None
@@ -371,7 +375,7 @@ def _point_job(args):
 
 def _collect_results(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     """Run every grid point; results in point order, a failed point recorded, never fatal."""
-    dist, network = _build_assets(scenario)
+    dist, network = _build_assets(scenario, graph=scenario.engine in ("montecarlo", "both"))
     points = scenario.grid()
     jobs = [(scenario, dist, network, idx, point) for idx, point in enumerate(points)]
     if scenario.workers > 1 and len(points) > 1:
@@ -587,12 +591,8 @@ def threshold_table(scenario: Scenario) -> list[dict]:
     gamma=3 and k_min=m.  Random inoculation rescales lambda_c by 1/(1-g); a
     targeted plan uses the profile-weighted moment ratio.
     """
-    if scenario.net_kind == "ba":
-        gamma, k_min = 3.0, scenario.m
-        dist = build_network(scenario)[0]
-    else:
-        gamma, k_min = scenario.gamma, scenario.k_min
-        dist = sample_powerlaw_distribution(gamma, k_min, scenario.n_nodes)
+    dist = _build_assets(scenario, graph=False)[0]
+    gamma, k_min = (3.0, scenario.m) if scenario.net_kind == "ba" else (scenario.gamma, scenario.k_min)
     classic = threshold_classic_bounded(gamma, k_min, scenario.n_nodes)
     axis = _sweep_axis(scenario)
     if axis == "lambda":  # lambda never moves a threshold; fall back to the point index
@@ -605,13 +605,13 @@ def threshold_table(scenario: Scenario) -> list[dict]:
             continue
         seen.add(key)
         bare = threshold_modified(dist, point["alpha"], point["beta"])
-        if scenario.inoc_kind == "random" and point["g"] > 0:
-            lambda_c = threshold_random_inoc(bare, point["g"])
-        elif scenario.inoc_kind == "targeted" and point["g"] > 0:
-            plan = make_targeted_plan(dist, point["g"])
-            lambda_c = threshold_targeted_inoc(dist, point["alpha"], point["beta"], plan)
-        else:
+        plan = scenario.plan_for(dist, point["g"])
+        if plan is None:
             lambda_c = bare
+        elif plan.kind == KIND_RANDOM:
+            lambda_c = threshold_random_inoc(bare, plan.g)
+        else:
+            lambda_c = threshold_targeted_inoc(dist, point["alpha"], point["beta"], plan)
         report = threshold_modified_bounded(
             gamma, k_min, scenario.n_nodes, point["alpha"], point["beta"]
         )

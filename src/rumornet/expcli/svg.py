@@ -13,22 +13,24 @@ import math
 PALETTE = ["#1f6fb4", "#d95f02", "#2a9d53", "#c23b80", "#7a5195", "#8a6d1d", "#4b4b4b", "#0fa3a3"]
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 16, 34, 46
+_WIDTH, _HEIGHT = 720, 460
+_TICKS = 5  # about this many ticks per axis
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi] with a 1/2/5 step."""
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / max(target, 1)
+    raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
-        if span / step <= target + 1:
+        if span / step <= _TICKS + 1:
             break
     first = math.ceil(lo / step) * step
     ticks = []
@@ -44,8 +46,6 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 460,
     path=None,
 ) -> str:
     """Render labelled (xs, ys) series as one SVG document string.
@@ -73,8 +73,8 @@ def line_plot(
     y_lo -= y_pad
     y_hi += y_pad
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -83,15 +83,15 @@ def line_plot(
         return _MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
         )
     for tx in _nice_ticks(x_lo, x_hi):
@@ -107,7 +107,7 @@ def line_plot(
         out.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" text-anchor="end" '
                    f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>')
     if xlabel:
-        out.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle" '
+        out.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>')
     if ylabel:
         cy = _MARGIN_T + plot_h / 2

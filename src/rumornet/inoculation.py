@@ -1,11 +1,19 @@
 """Random and degree-targeted inoculation plans.
 
-An inoculated node keeps its place in the graph but never adopts and never
-transmits the rumor (removed-site semantics), which is what makes the
-mean-field treatment a simple (1 - g_k) rate reduction.  A random plan
-inoculates a uniform fraction g of nodes; a targeted plan inoculates every
-node above a degree cutoff k_t plus a fraction f of the nodes exactly at the
-cutoff, chosen so the mean inoculated fraction equals a requested g_bar.
+A plan is one degree rule.  A random plan inoculates each node with the same
+probability g; a targeted plan inoculates every node above a degree cutoff
+k_t plus a fraction f of the nodes exactly at the cutoff, chosen so the mean
+inoculated fraction equals a requested g_bar.  The same rule gives the
+per-degree fraction g_k of a distribution (``InoculationPlan.profile``) and
+the inoculated node ids of a graph (``apply_plan``).
+
+The engines do not yet read g_k the same way.  The ODE of
+``meanfield.integrate`` uses rate reduction: every class starts with the same
+ignorant fraction and its rate carries a factor (1 - g_k), so inoculated
+mass still becomes informed.  ``meanfield.final_rumor_size`` and the Monte
+Carlo use removed-site semantics: an inoculated node never adopts and never
+transmits.  The two agree at the threshold but not in the final size (ROADMAP
+item 2).
 """
 
 from __future__ import annotations
@@ -24,22 +32,27 @@ KIND_TARGETED = "targeted"
 
 @dataclass(frozen=True)
 class InoculationPlan:
-    """Either a uniform fraction g or a degree-step profile (k_t, f); no plan is None."""
+    """One degree rule: a uniform fraction g, or the cutoff rule (k_t, f).
+
+    A plan holds no array, so it is hashable and equal plans compare equal.
+    No plan is None.
+    """
 
     kind: str
     g: float = 0.0
     k_t: int | None = None
     f: float = 0.0
-    support: np.ndarray | None = None
-    g_profile: np.ndarray | None = None
 
     def profile(self, dist: DegreeDistribution) -> np.ndarray:
-        """Per-degree inoculated fraction g_k aligned with ``dist.support``."""
+        """Per-degree inoculated fraction g_k on ``dist.support``.
+
+        Random: g everywhere.  Targeted: 1.0 above k_t, f at k_t and 0.0
+        below, on any support, as ``apply_plan`` treats a graph's degrees.
+        """
         if self.kind == KIND_RANDOM:
             return np.full_like(dist.probs, self.g)
-        if self.support is None or not np.array_equal(self.support, dist.support):
-            raise ValueError("targeted plan support does not match the distribution support")
-        return self.g_profile
+        k = dist.support
+        return np.where(k > self.k_t, 1.0, np.where(k == self.k_t, self.f, 0.0))
 
 
 def make_random_plan(g: float) -> InoculationPlan:
@@ -50,44 +63,33 @@ def make_random_plan(g: float) -> InoculationPlan:
 
 
 def make_targeted_plan(dist: DegreeDistribution, g_bar: float) -> InoculationPlan:
-    """Build the degree-step profile with mean inoculated fraction g_bar.
+    """Find the cutoff rule (k_t, f) with mean inoculated fraction g_bar on ``dist``.
 
-    The profile is g_k = 1 for k > k_t, f at k = k_t, 0 below, with k_t the
-    smallest support degree whose strict upper tail fits inside g_bar and
-    f = (g_bar - tail) / P(k_t).  A zero f is normalized away by moving the
-    cutoff one support degree up with f = 1, so f stays in (0, 1] whenever
-    g_bar > 0.
+    k_t is the smallest support degree whose strict upper tail fits inside
+    g_bar and f = (g_bar - tail) / P(k_t).  A zero f is normalized away by
+    moving the cutoff one support degree up with f = 1, so f stays in (0, 1]
+    whenever g_bar > 0; g_bar = 0 gives f = 0 at the largest degree.
     """
     if not 0.0 <= g_bar <= 1.0:
         raise ValueError(f"mean inoculation fraction must lie in [0, 1], got {g_bar}")
     support = dist.support
     probs = dist.probs
-    n = support.size
+    if g_bar == 0.0:
+        return InoculationPlan(kind=KIND_TARGETED, k_t=int(support[-1]), f=0.0)
     # tail[i] = P(k > support[i])
     tail = np.concatenate([np.cumsum(probs[::-1])[::-1][1:], [0.0]])
-    if g_bar == 0.0:
-        profile = np.zeros(n)
-        return InoculationPlan(
-            kind=KIND_TARGETED, k_t=int(support[-1]), f=0.0, support=support, g_profile=profile,
-        )
     idx = int(np.argmax(tail <= g_bar + 1e-15))
     f = (g_bar - tail[idx]) / probs[idx] if probs[idx] > 0 else 0.0
-    if f <= 0.0 and idx + 1 < n:
+    if f <= 0.0 and idx + 1 < support.size:
         idx += 1
         f = 1.0
     f = min(float(f), 1.0)
     if abs(f - 1.0) < 1e-12:
         f = 1.0
-    profile = np.zeros(n)
-    profile[idx + 1:] = 1.0
-    profile[idx] = f
-    plan = InoculationPlan(
-        kind=KIND_TARGETED, k_t=int(support[idx]), f=f, support=support, g_profile=profile,
-    )
-    realized = float((profile * probs).sum())
+    plan = InoculationPlan(kind=KIND_TARGETED, k_t=int(support[idx]), f=f)
+    realized = float((plan.profile(dist) * probs).sum())
     if abs(realized - g_bar) > 1e-9:
         raise AssertionError(f"profile mean {realized} missed g_bar {g_bar}")
-    profile.setflags(write=False)
     return plan
 
 

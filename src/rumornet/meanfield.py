@@ -28,6 +28,7 @@ single factor of sigma and all sigma = 1 formulas are recovered verbatim.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -59,6 +60,9 @@ _EXP_FLOOR = -700.0
 # expm1(-x) rounds to exactly -1.0 once x > 54 ln 2 (about 37.43); the cut
 # sits above that with a margin for the rounding of a_k * Psi
 _EXPM1_CUT = 38.0
+
+# how far a state's compartments may stray from [0, 1] and from summing to 1
+_STATE_ATOL = 1e-9
 
 
 class IntegrationError(RuntimeError):
@@ -100,7 +104,6 @@ class DegreeClassState:
     rho_i: np.ndarray
     rho_s: np.ndarray
     rho_r: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self) -> None:
         self.rho_i = np.asarray(self.rho_i, dtype=np.float64)
@@ -108,17 +111,15 @@ class DegreeClassState:
         self.rho_r = np.asarray(self.rho_r, dtype=np.float64)
         if not (self.rho_i.shape == self.rho_s.shape == self.rho_r.shape):
             raise ValueError("compartment arrays must share one shape")
-        if self.t < 0:
-            raise ValueError("time must be nonnegative")
         self.validate()
 
-    def validate(self, atol: float = 1e-9) -> None:
+    def validate(self) -> None:
         total = self.rho_i + self.rho_s + self.rho_r
-        if np.any(np.abs(total - 1.0) > atol):
+        if np.any(np.abs(total - 1.0) > _STATE_ATOL):
             worst = float(np.abs(total - 1.0).max())
-            raise ValueError(f"compartments must sum to 1 within {atol}, worst deviation {worst:.3e}")
+            raise ValueError(f"compartments must sum to 1 within {_STATE_ATOL}, worst deviation {worst:.3e}")
         for name, arr in (("rho_i", self.rho_i), ("rho_s", self.rho_s), ("rho_r", self.rho_r)):
-            if np.any(arr < -atol) or np.any(arr > 1.0 + atol):
+            if np.any(arr < -_STATE_ATOL) or np.any(arr > 1.0 + _STATE_ATOL):
                 raise ValueError(f"{name} has components outside [0, 1]")
 
 
@@ -134,12 +135,23 @@ def uniform_seed_state(dist: DegreeDistribution, s0: float) -> DegreeClassState:
     )
 
 
+@functools.lru_cache(maxsize=1)
 def _class_terms(dist: DegreeDistribution, params: ModelParams, plan: InoculationPlan | None):
     """Per-class (g_k, w_k, a_k): the inoculated fraction (0.0 without a plan),
-    the weight k**alpha P(k) and the rate a_k = lam (1 - g_k) k**(1+beta) / <k**(1+beta)>."""
+    the weight k**alpha P(k) and the rate a_k = lam (1 - g_k) k**(1+beta) / <k**(1+beta)>.
+
+    The arrays are read-only, and the last result is cached: one grid point
+    asks for the same terms in final_rumor_size, psi_fixed_point and
+    integrate.  The key holds ``dist`` by identity and the frozen params and
+    plan by value.
+    """
     g_k = plan.profile(dist) if plan is not None else 0.0
     rates = params.lam * (1.0 - g_k) * dist.power(1.0 + params.beta) / dist.moment(1.0 + params.beta)
-    return g_k, dist.power(params.alpha) * dist.probs, rates
+    terms = (g_k, dist.power(params.alpha) * dist.probs, rates)
+    for array in terms:
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    return terms
 
 
 @dataclass

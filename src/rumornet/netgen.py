@@ -30,6 +30,12 @@ __all__ = [
 ]
 
 
+# stub matching: rejection rounds before the leftover stubs are erased, and
+# resamples of the last node's degree to reach an even stub sum
+_MATCHING_ROUNDS = 100
+_PARITY_RETRIES = 100
+
+
 class DegreeSequenceError(RuntimeError):
     """A drawn degree sequence cannot be realized as a simple graph."""
 
@@ -70,9 +76,6 @@ class DegreeDistribution:
         g = f", gamma={self.gamma}" if self.gamma is not None else ""
         return f"DegreeDistribution(k_min={self.k_min}, k_max={self.k_max}, classes={self.support.size}{g})"
 
-    def __len__(self) -> int:
-        return int(self.support.size)
-
     def power(self, q: float) -> np.ndarray:
         """Return k**q over the support as a read-only float array."""
         q = float(q)
@@ -88,10 +91,6 @@ class DegreeDistribution:
         if q not in self._moments:
             self._moments[q] = float((self.power(q) * self.probs).sum())
         return self._moments[q]
-
-    @property
-    def mean_degree(self) -> float:
-        return self.moment(1.0)
 
 
 def sample_powerlaw_distribution(gamma: float, k_min: int, n_nodes: int) -> DegreeDistribution:
@@ -239,28 +238,23 @@ def build_ba_network(n_nodes: int, m0: int, m: int, rng: np.random.Generator) ->
     return Network(n_nodes, edges)
 
 
-def build_configuration_network(
-    dist: DegreeDistribution,
-    n_nodes: int,
-    rng: np.random.Generator,
-    max_rounds: int = 100,
-    parity_retries: int = 100,
-) -> Network:
+def build_configuration_network(dist: DegreeDistribution, n_nodes: int, rng: np.random.Generator) -> Network:
     """Realize ``dist`` as a simple graph by stub matching.
 
     Degrees are drawn i.i.d. from the distribution; the last node is resampled
-    until the stub sum is even.  Stubs are then shuffled and paired; pairs that
-    would create a self-loop or repeat an existing edge are thrown back and
-    re-shuffled, for up to ``max_rounds`` rounds.  Whatever stubs remain after
-    that are erased (their count is recorded on the returned network), which
-    keeps the generator total at the cost of a slightly truncated tail.
+    until the stub sum is even, up to ``_PARITY_RETRIES`` times.  Stubs are
+    then shuffled and paired; pairs that would create a self-loop or repeat an
+    existing edge are thrown back and re-shuffled, for up to
+    ``_MATCHING_ROUNDS`` rounds.  Whatever stubs remain after that are erased
+    (their count is recorded on the returned network), which keeps the
+    generator total at the cost of a slightly truncated tail.
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     degrees = rng.choice(dist.support, size=n_nodes, p=dist.probs)
     attempts = 0
     while degrees.sum() % 2 == 1:
-        if attempts >= parity_retries:
+        if attempts >= _PARITY_RETRIES:
             raise DegreeSequenceError(
                 "could not reach an even stub sum by resampling the last node; "
                 "the distribution cannot supply a feasible degree sequence"
@@ -272,7 +266,7 @@ def build_configuration_network(
     # every key keeps each searchsorted position in range
     seen = np.array([np.iinfo(np.int64).max])
     leftover = stubs
-    for _ in range(max_rounds):
+    for _ in range(_MATCHING_ROUNDS):
         if leftover.size < 2:
             break
         rng.shuffle(leftover)

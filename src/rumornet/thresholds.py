@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .inoculation import InoculationPlan
 from .netgen import DegreeDistribution
 
@@ -51,7 +49,6 @@ class ThresholdReport:
 
     value: float
     regime: str
-    formula: str
 
     def __post_init__(self) -> None:
         if self.value < 0:
@@ -121,23 +118,18 @@ def threshold_modified_bounded(
     if a2 < -_BOUNDARY_EPS:
         value = scale * (-a2) / (-a1)
         regime = REGIME_FINITE
-        branch = "const"
     elif abs(a2) <= _BOUNDARY_EPS:
         value = scale / (alpha * log_ratio)
         regime = REGIME_LOG
-        branch = "log"
     else:
         regime = REGIME_VANISHING
         if a1 < -_BOUNDARY_EPS:
             value = scale * (a2 / (-a1)) * ratio ** (-a2)
-            branch = "power"
         elif abs(a1) <= _BOUNDARY_EPS:
             value = scale * a2 * log_ratio * ratio ** (-a2)
-            branch = "power-log"
         else:
             value = (a2 / a1) * (k_min * ratio) ** (-alpha)
-            branch = "power-alpha"
-    return ThresholdReport(value=value, regime=regime, formula=f"bounded-moment-ratio:{branch}")
+    return ThresholdReport(value=value, regime=regime)
 
 
 def threshold_random_inoc(lambda_c: float, g: float) -> float:
@@ -165,10 +157,8 @@ def threshold_targeted_inoc(
     through its profile: an all-zero profile reduces to the bare threshold and
     a uniform profile to the random-inoculation one.
     """
-    g_k = plan.profile(dist)
-    k = dist.support.astype(np.float64)
     numerator = dist.moment(beta + 1.0)
-    inoculated_part = float((g_k * k ** (alpha + beta + 1.0) * dist.probs).sum())
+    inoculated_part = float((plan.profile(dist) * dist.power(alpha + beta + 1.0) * dist.probs).sum())
     denominator = dist.moment(alpha + beta + 1.0) - inoculated_part
     if denominator <= 0.0:
         return NO_OUTBREAK

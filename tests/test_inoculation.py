@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rumornet.inoculation import apply_plan, make_random_plan, make_targeted_plan
+from rumornet.inoculation import InoculationPlan, apply_plan, make_random_plan, make_targeted_plan
 from rumornet.netgen import DegreeDistribution, build_configuration_network, sample_powerlaw_distribution
 
 
@@ -74,11 +76,40 @@ class TestTargetedPlan:
             high = make_targeted_plan(dist, float(g2)).profile(dist)
             assert np.all(high >= low - 1e-12)
 
-    def test_mismatched_support_rejected(self):
+    def test_foreign_support_follows_the_rule(self):
         plan = make_targeted_plan(DegreeDistribution([2, 4], [0.5, 0.5]), 0.25)
-        other = DegreeDistribution([2, 5], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            plan.profile(other)
+        assert (plan.k_t, plan.f) == (4, 0.5)
+        # 1.0 above k_t, f at k_t, 0.0 below, whichever degrees the support holds
+        for support, expected in (([2, 5], [0.0, 1.0]), ([1, 3, 4, 9], [0.0, 0.0, 0.5, 1.0]), ([3], [0.0])):
+            other = DegreeDistribution(support, np.full(len(support), 1.0 / len(support)))
+            assert plan.profile(other).tolist() == expected
+
+    def test_foreign_support_matches_apply_plan(self):
+        # the profile of a graph's empirical distribution is the share of each
+        # degree class that apply_plan picks (up to rounding at the cutoff)
+        dist = sample_powerlaw_distribution(2.4, 2, 3000)
+        net = build_configuration_network(dist, 3000, np.random.default_rng(8))
+        empirical = net.empirical_distribution()
+        plan = make_targeted_plan(dist, 0.05)
+        assert not np.array_equal(empirical.support, dist.support)
+        chosen = np.zeros(net.n, dtype=bool)
+        chosen[apply_plan(net, plan, np.random.default_rng(9))] = True
+        share = np.array([chosen[net.degrees == k].mean() for k in empirical.support])
+        profile = plan.profile(empirical)
+        off_cut = empirical.support != plan.k_t
+        assert np.array_equal(share[off_cut], profile[off_cut])
+        assert np.allclose(share[~off_cut], profile[~off_cut], atol=0.5 / (net.degrees == plan.k_t).sum())
+
+    def test_plans_are_hashable_rules(self):
+        dist = sample_powerlaw_distribution(2.4, 2, 500)
+        for g_bar in (0.0, 0.1, 1.0):
+            plan = make_targeted_plan(dist, g_bar)
+            assert plan == make_targeted_plan(dist, g_bar)
+            assert hash(plan) == hash(make_targeted_plan(dist, g_bar))
+        assert make_random_plan(0.3) == make_random_plan(0.3)
+        assert len({make_random_plan(0.3), make_random_plan(0.3), make_random_plan(0.4)}) == 2
+        assert make_targeted_plan(dist, 0.1) != make_targeted_plan(dist, 0.2)
+        assert [f.name for f in dataclasses.fields(InoculationPlan)] == ["kind", "g", "k_t", "f"]
 
 
 class TestApplyPlan:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumornet import meanfield
-from rumornet.inoculation import make_random_plan, make_targeted_plan
+from rumornet.inoculation import InoculationPlan, make_random_plan, make_targeted_plan
 from rumornet.meanfield import (
     DegreeClassState,
     IntegrationError,
@@ -492,6 +492,29 @@ class TestPsiSolver:
 
 
 class TestFinalRumorSize:
+    def test_builds_class_terms_once(self, monkeypatch):
+        calls = []
+        profile = InoculationPlan.profile
+
+        def counting_profile(plan, dist):
+            calls.append(plan)
+            return profile(plan, dist)
+
+        monkeypatch.setattr(InoculationPlan, "profile", counting_profile)
+        meanfield._class_terms.cache_clear()
+        dist = sample_powerlaw_distribution(2.4, 2, 1000)
+        params = ModelParams(lam=1.0, alpha=0.8)
+        plan, other = make_targeted_plan(dist, 0.05), make_targeted_plan(dist, 0.1)
+        calls.clear()  # make_targeted_plan checks its mean through profile
+        final_rumor_size(dist, params, plan)
+        assert calls == [plan]
+        # the same point's curve reuses the terms
+        integrate(uniform_seed_state(dist, 1e-3), dist, params, plan, t_end=1.0, dt=0.1)
+        assert calls == [plan]
+        final_rumor_size(dist, params, other)
+        assert calls == [plan, other]
+        assert not any(array.flags.writeable for array in meanfield._class_terms(dist, params, other))
+
     def test_lambda_zero(self):
         assert final_rumor_size(TWO_FOUR, ModelParams(lam=0.0, alpha=1.0)) == 0.0
 
