@@ -108,6 +108,10 @@ class Scenario:
             return make_random_plan(g)
         return make_targeted_plan(dist, g)
 
+    def plans(self, dist: DegreeDistribution) -> dict[float, InoculationPlan | None]:
+        """The plan of every ``g`` of the grid, each built once."""
+        return {g: self.plan_for(dist, g) for g in self.g_grid}
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -333,11 +337,11 @@ def _build_assets(scenario: Scenario, graph: bool) -> tuple[DegreeDistribution, 
     return sample_powerlaw_distribution(scenario.gamma, scenario.k_min, scenario.n_nodes), None
 
 
-def _point_result(scenario: Scenario, dist, network, index: int, point: dict) -> dict:
+def _point_result(scenario: Scenario, dist, network, plans, index: int, point: dict) -> dict:
     params = ModelParams(
         lam=point["lambda"], alpha=point["alpha"], beta=point["beta"], sigma=point["sigma"]
     )
-    plan = scenario.plan_for(dist, point["g"])
+    plan = plans[point["g"]]
     result: dict = {"point": index, **point}
     if scenario.engine in ("meanfield", "both"):
         result["r_mf"] = final_rumor_size(dist, params, plan)
@@ -365,24 +369,45 @@ def _point_result(scenario: Scenario, dist, network, index: int, point: dict) ->
     return result
 
 
-def _point_job(args):
-    scenario, dist, network, idx, point = args
+def _point_job(assets, job):
+    """Run one grid point ``job = (index, point)`` on the run's
+    ``assets = (scenario, dist, network, plans)``."""
+    idx, point = job
     try:
-        return "ok", _point_result(scenario, dist, network, idx, point)
+        return "ok", _point_result(*assets, idx, point)
     except Exception as exc:
         return "err", {"point": idx, "params": point, "error": f"{type(exc).__name__}: {exc}"}
 
 
+# the run's assets in a worker process, set once by the pool's initializer
+_worker_assets = None
+
+
+def _init_worker(*assets) -> None:
+    global _worker_assets
+    _worker_assets = assets
+
+
+def _worker_job(job):
+    return _point_job(_worker_assets, job)
+
+
 def _collect_results(scenario: Scenario) -> tuple[list[dict], list[dict]]:
-    """Run every grid point; results in point order, a failed point recorded, never fatal."""
+    """Run every grid point; results in point order, a failed point recorded, never fatal.
+
+    The graph and the inoculation plans are built once per run.  With several
+    workers each worker process receives them once, and a job carries only
+    its point.
+    """
     dist, network = _build_assets(scenario, graph=scenario.engine in ("montecarlo", "both"))
-    points = scenario.grid()
-    jobs = [(scenario, dist, network, idx, point) for idx, point in enumerate(points)]
-    if scenario.workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=scenario.workers) as pool:
-            outcomes = list(pool.map(_point_job, jobs))
+    assets = (scenario, dist, network, scenario.plans(dist))
+    jobs = list(enumerate(scenario.grid()))
+    if scenario.workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=scenario.workers, initializer=_init_worker,
+                                 initargs=assets) as pool:
+            outcomes = list(pool.map(_worker_job, jobs))
     else:
-        outcomes = [_point_job(job) for job in jobs]
+        outcomes = [_point_job(assets, job) for job in jobs]
     results = [payload for status, payload in outcomes if status == "ok"]
     failures = [payload for status, payload in outcomes if status == "err"]
     results.sort(key=lambda res: res["point"])
@@ -597,6 +622,7 @@ def threshold_table(scenario: Scenario) -> list[dict]:
     axis = _sweep_axis(scenario)
     if axis == "lambda":  # lambda never moves a threshold; fall back to the point index
         axis = "point"
+    plans = scenario.plans(dist)
     rows = []
     seen = set()
     for index, point in enumerate(scenario.grid()):
@@ -605,7 +631,7 @@ def threshold_table(scenario: Scenario) -> list[dict]:
             continue
         seen.add(key)
         bare = threshold_modified(dist, point["alpha"], point["beta"])
-        plan = scenario.plan_for(dist, point["g"])
+        plan = plans[point["g"]]
         if plan is None:
             lambda_c = bare
         elif plan.kind == KIND_RANDOM:

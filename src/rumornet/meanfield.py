@@ -18,9 +18,12 @@ In double precision expm1(-x) is exactly -1.0 once x > 54 ln 2, so the
 classes with a_k Psi beyond that contribute a constant, summed once before
 the loop, and a stage evaluates only the others.  Every class's term is the
 one the full sum would use; only the order of summation changes, so this adds
-no approximation.  At the end of spreading the final rumor size follows from
-the largest root of the self-consistent fixed-point equation for
-Psi(infinity).
+no approximation.  One RK4 step is a function of (Psi, R) alone, so once a
+step returns the state it was given, bit for bit, every later step would
+too: ``integrate`` stops stepping there and repeats that sample to the end of
+the time grid, which gives exactly the samples of running every step.  At the
+end of spreading the final rumor size follows from the largest root of the
+self-consistent fixed-point equation for Psi(infinity).
 With a general stifling rate sigma the dynamics are the sigma=1 dynamics on
 the rescaled clock tau = sigma * t, so the fixed-point equation picks up a
 single factor of sigma and all sigma = 1 formulas are recovered verbatim.
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 import functools
 import logging
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,9 +210,16 @@ def integrate(
 
     There are round(t_end / dt) steps, and the aggregates of Trajectory are
     recorded at the initial state, every ``sample_every`` steps and at the
-    final step.  Raises IntegrationError when Psi drops below -1e-6 or I, S,
-    R leave [-1e-6, 1 + 1e-6] or are not finite.  Each successful call logs
-    its step count, final Psi, final R and the number of per-class
+    final step.  A step reads nothing but (Psi, R) and constants, so when it
+    returns its input unchanged (``==`` on both; Psi starts at +0.0 and a
+    NaN never compares equal) the state is a fixed point of the step map:
+    every later step would pass the same range check and record the same
+    aggregates.  The loop stops there and fills in the remaining samples
+    with that state, which matches running all the steps bit for bit.
+    Raises IntegrationError when Psi drops below -1e-6 or I, S, R leave
+    [-1e-6, 1 + 1e-6] or are not finite.  Each successful call logs its step
+    count, the step at which the state became fixed (``frozen``; the step
+    count if it never did), final Psi, final R and the number of per-class
     exponentials evaluated (``evals``) at DEBUG level.
     """
     if dt <= 0:
@@ -221,15 +233,17 @@ def integrate(
         raise ValueError("state and distribution supports disagree")
 
     steps = int(round(t_end / dt))
-    samples, evals = _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every)
+    samples, evals, frozen = _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every)
     times, r, s, i, phi, psi = np.array(samples).T
-    _log.debug("integrate: steps=%d psi=%r r=%r evals=%d", steps, float(psi[-1]), float(r[-1]), evals)
+    _log.debug("integrate: steps=%d frozen=%d psi=%r r=%r evals=%d",
+               steps, frozen, float(psi[-1]), float(r[-1]), evals)
     return Trajectory(times=times, r=r, s=s, i=i, phi=phi, psi=psi)
 
 
-def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[list[tuple], int]:
-    """RK4 on (Psi, R); returns (t, R, S, I, Phi, Psi) samples and the number
-    of per-class exponentials evaluated.
+def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[list[tuple], int, int]:
+    """RK4 on (Psi, R); returns (t, R, S, I, Phi, Psi) samples, the number of
+    per-class exponentials evaluated and the step at which the state became
+    fixed (``steps`` if it never did).
 
     R is carried as its gain q = R - R(0), so S = S(0) - (I - I(0)) - q
     keeps full precision however small the seed fraction is.  The classes
@@ -244,26 +258,31 @@ def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[
     order = np.argsort(rates, kind="stable")
     rates = rates[order]
     mix = np.stack([weights * initial.rho_i, probs * initial.rho_i])[:, order]
-    # tail[c] = sum of mix over the classes c.. (the last row is zero)
-    tail = np.zeros((classes + 1, 2))
-    tail[:-1] = np.cumsum(mix[:, ::-1], axis=1)[:, ::-1].T
+    # tail[:, c] = sum of mix over the classes c.. (the last column is
+    # zero); read through memoryviews, an entry is a Python float
+    tail = np.zeros((2, classes + 1))
+    tail[:, :-1] = np.cumsum(mix[:, ::-1], axis=1)[:, ::-1]
+    tail_phi, tail_i = memoryview(tail[0]), memoryview(tail[1])
     phi0 = float(weights @ initial.rho_s)
     i0, s0, r0 = (float(probs @ rho) for rho in (initial.rho_i, initial.rho_s, initial.rho_r))
     neg_rates = -rates
     buf = np.empty_like(neg_rates)
+    # bisect_right on the same doubles finds the cut searchsorted(side="right")
+    # would, at a fraction of a numpy call's fixed cost
+    rate_array = array("d", rates)
     evals = 0
 
     def phi_and_gain(psi: float) -> tuple[float, float]:
         """Phi and the gain of the informed, -(I - I(0)), at Psi."""
         nonlocal evals
         # not psi > 0 (zero, negative or NaN): every class is evaluated
-        cut = int(rates.searchsorted(_EXPM1_CUT / psi, side="right")) if psi > 0.0 else classes
+        cut = bisect_right(rate_array, _EXPM1_CUT / psi) if psi > 0.0 else classes
         evals += cut
         head = buf[:cut]
         np.multiply(neg_rates[:cut], psi, out=head)
         np.expm1(head, out=head)
-        d_phi, d_i = (mix[:, :cut] @ head - tail[cut]).tolist()
-        return phi0 - d_phi - sigma * psi, -d_i
+        sum_phi, sum_i = (mix[:, :cut] @ head).tolist()
+        return phi0 - (sum_phi - tail_phi[cut]) - sigma * psi, -(sum_i - tail_i[cut])
 
     half = 0.5 * dt
     psi = q = 0.0
@@ -282,7 +301,7 @@ def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[
             if step % sample_every == 0 or step == steps:
                 samples.append((step * dt, r, s, i, phi, psi))
             if step == steps:
-                return samples, evals
+                return samples, evals, steps
             dq1 = sigma * s
             phi2, gain2 = phi_and_gain(psi + half * phi)
             dq2 = sigma * (s0 + gain2 - q - half * dq1)
@@ -290,8 +309,15 @@ def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[
             dq3 = sigma * (s0 + gain3 - q - half * dq2)
             phi4, gain4 = phi_and_gain(psi + dt * phi3)
             dq4 = sigma * (s0 + gain4 - q - dt * dq3)
-            psi += dt / 6.0 * (phi + 2.0 * phi2 + 2.0 * phi3 + phi4)
-            q += dt / 6.0 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
+            psi_next = psi + dt / 6.0 * (phi + 2.0 * phi2 + 2.0 * phi3 + phi4)
+            q_next = q + dt / 6.0 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
+            if psi_next == psi and q_next == q:
+                # a fixed point of the step map, which depends on (Psi, q)
+                # alone: every later step records this sample again
+                samples += [(later * dt, r, s, i, phi, psi) for later in range(step + 1, steps + 1)
+                            if later % sample_every == 0 or later == steps]
+                return samples, evals, step
+            psi, q = psi_next, q_next
 
 
 def psi_fixed_point(

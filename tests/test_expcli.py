@@ -1,11 +1,13 @@
 import json
 import os
+import pickle
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from rumornet import montecarlo
+from rumornet.expcli import scenario as scenario_module
 from rumornet.expcli.cli import main
 from rumornet.expcli.scenario import (
     ScenarioError,
@@ -19,7 +21,7 @@ from rumornet.expcli.scenario import (
 )
 from rumornet.expcli.svg import line_plot
 from rumornet.meanfield import ModelParams, final_rumor_size
-from rumornet.netgen import read_edge_list
+from rumornet.netgen import Network, read_edge_list
 from rumornet.thresholds import threshold_classic_bounded
 
 MINIMAL = """\
@@ -153,6 +155,19 @@ class TestRunScenario:
         m1 = run_scenario(scenario, out_dir=str(tmp_path / "a"))
         m2 = run_scenario(scenario, out_dir=str(tmp_path / "b"))
         assert m1["files"] == m2["files"]
+
+    def test_plans_built_once_per_g(self, tmp_path):
+        # three lambdas share each g: simulate and threshold build one plan
+        # per nonzero g, not one per grid point
+        config = MINIMAL + "\n[inoculation]\nkind = targeted\ng = 0,0.05,0.1\n"
+        scenario = parse_scenario(write_config(tmp_path, config))
+        real = scenario_module.make_targeted_plan
+        with mock.patch.object(scenario_module, "make_targeted_plan", wraps=real) as spy:
+            assert run_scenario(scenario, out_dir=str(tmp_path / "out"))["completed"] == 9
+            assert [call.args[1] for call in spy.call_args_list] == [0.05, 0.1]
+            spy.reset_mock()
+            assert len(threshold_table(scenario)) == 3
+            assert [call.args[1] for call in spy.call_args_list] == [0.05, 0.1]
 
     def test_meanfield_r_increases_with_lambda(self, tmp_path):
         scenario = parse_scenario(write_config(tmp_path, MINIMAL))
@@ -471,6 +486,57 @@ g = 0.0,0.05
             assert manifest["completed"] == 4
             hashes.append(manifest["files"])
         assert hashes[0] == hashes[1]
+
+    def test_worker_jobs_carry_only_their_point(self, tmp_path, monkeypatch):
+        # the run's assets reach each worker once, through the pool's
+        # initializer; a job is (index, point) and holds no graph
+        seen = {}
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                seen["initargs"] = initargs
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                seen["jobs"] = list(jobs)
+                return map(fn, seen["jobs"])
+
+        monkeypatch.setattr(scenario_module, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(scenario_module, "_worker_assets", None)
+        config = """\
+[scenario]
+engine = both
+runs = 1
+timeseries = false
+
+[network]
+kind = configuration
+n = 500
+
+[model]
+lambda = 0.3,0.9
+alpha = 0.8
+t_max = 10
+
+[inoculation]
+kind = targeted
+g = 0.0,0.05
+"""
+        path = write_config(tmp_path, config)
+        out = tmp_path / "w2"
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--workers", "2"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["completed"] == 4
+        assert isinstance(seen["initargs"][2], Network)
+        grid = parse_scenario(path).grid()
+        assert seen["jobs"] == list(enumerate(grid))
+        for job in seen["jobs"]:
+            assert len(pickle.dumps(job)) < 200
 
     def test_simulate_writes_manifest(self, tmp_path):
         path = write_config(tmp_path, MINIMAL)

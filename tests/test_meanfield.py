@@ -82,6 +82,55 @@ def per_class_rk4(initial, dist, params, plan=None, t_end=10.0, dt=0.01, sample_
     )
 
 
+def full_reduced_rk4(initial, dist, params, plan=None, t_end=10.0, dt=0.01, sample_every=1):
+    """The reduced RK4 of integrate with every step run, never stopping at a
+    fixed point of the step map: the same class order, cut and summation
+    order, so integrate must match it bit for bit.
+
+    Returns the aggregates t, R, S, I, Phi and Psi at the sample times.
+    """
+    _, weights, rates = meanfield._class_terms(dist, params, plan)
+    sigma, probs, classes = params.sigma, dist.probs, rates.size
+    order = np.argsort(rates, kind="stable")
+    rates = rates[order]
+    mix = np.stack([weights * initial.rho_i, probs * initial.rho_i])[:, order]
+    tail = np.zeros((classes + 1, 2))
+    tail[:-1] = np.cumsum(mix[:, ::-1], axis=1)[:, ::-1].T
+    phi0 = float(weights @ initial.rho_s)
+    i0, s0, r0 = (float(probs @ rho) for rho in (initial.rho_i, initial.rho_s, initial.rho_r))
+
+    def phi_and_gain(psi):
+        cut = int(rates.searchsorted(meanfield._EXPM1_CUT / psi, side="right")) if psi > 0.0 else classes
+        d_phi, d_i = (mix[:, :cut] @ np.expm1(-rates[:cut] * psi) - tail[cut]).tolist()
+        return phi0 - d_phi - sigma * psi, -d_i
+
+    steps = int(round(t_end / dt))
+    half = 0.5 * dt
+    psi = q = 0.0
+    samples = []
+    for step in range(steps + 1):
+        phi, gain = phi_and_gain(psi)
+        i, s, r = i0 - gain, s0 + gain - q, r0 + q
+        if step % sample_every == 0 or step == steps:
+            samples.append((step * dt, r, s, i, phi, psi))
+        if step == steps:
+            break
+        dq1 = sigma * s
+        phi2, gain2 = phi_and_gain(psi + half * phi)
+        dq2 = sigma * (s0 + gain2 - q - half * dq1)
+        phi3, gain3 = phi_and_gain(psi + half * phi2)
+        dq3 = sigma * (s0 + gain3 - q - half * dq2)
+        phi4, gain4 = phi_and_gain(psi + dt * phi3)
+        dq4 = sigma * (s0 + gain4 - q - dt * dq3)
+        psi += dt / 6.0 * (phi + 2.0 * phi2 + 2.0 * phi3 + phi4)
+        q += dt / 6.0 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
+    times, r, s, i, phi, psi = np.array(samples).T
+    return SimpleNamespace(times=times, r=r, s=s, i=i, phi=phi, psi=psi)
+
+
+TRAJECTORY_ARRAYS = ("times", "r", "s", "i", "phi", "psi")
+
+
 def graded_state(classes):
     """A degree-dependent, partly stifled start: spreaders grow from 0.02 to
     0.1 and stiflers fall from 0.1 to 0 across the classes."""
@@ -243,7 +292,10 @@ class TestIntegrate:
         params = ModelParams(lam=80.0, alpha=1.0, beta=2.0)
         traj = integrate(uniform_seed_state(TWO_FOUR, 0.0), TWO_FOUR, params, t_end=1.0, dt=0.1)
         assert np.all(traj.i == 1.0) and np.all(traj.psi == 0.0)
-        assert caplog.records[-1].getMessage().endswith(" evals=82")  # 2 classes, 4 * 10 + 1 stages
+        # the state is fixed from step 0, so only its 4 stages run, each on
+        # both classes
+        message = caplog.records[-1].getMessage()
+        assert " frozen=0 " in message and message.endswith(" evals=8")
 
     def test_negative_psi_evaluates_every_class(self):
         # the state of test_negative_psi_reported: the reported I must be the
@@ -350,11 +402,66 @@ class TestIntegrate:
         traj = integrate(initial, TWO_FOUR, params, t_end=2.0, dt=0.01, sample_every=10)
         messages = [rec.getMessage() for rec in caplog.records
                     if rec.name == "rumornet.meanfield" and rec.getMessage().startswith("integrate:")]
-        # no class of TWO_FOUR saturates at lam=1: all 2 classes in each of
-        # the 4 * 200 + 1 stages
+        # no class of TWO_FOUR saturates at lam=1 and the state still moves at
+        # t=2: all 2 classes in each of the 4 * 200 + 1 stages
         assert messages == [
-            f"integrate: steps=200 psi={float(traj.psi[-1])!r} r={traj.final_r!r} evals=1602",
+            f"integrate: steps=200 frozen=200 psi={float(traj.psi[-1])!r} r={traj.final_r!r} evals=1602",
         ]
+
+
+class TestFixedPointExit:
+    """integrate stops stepping once a step returns the state it was given;
+    its samples must be those of the loop that runs every step."""
+
+    POWERLAW = sample_powerlaw_distribution(2.4, 2, 1000)
+
+    @pytest.mark.parametrize("case", ["no_plan", "targeted", "random", "sigma_2", "uneven_sampling"])
+    def test_matches_full_loop_bit_for_bit(self, case, caplog):
+        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
+        dist = self.POWERLAW
+        params = ModelParams(lam=0.9, alpha=0.8, beta=-0.5, sigma=2.0 if case == "sigma_2" else 1.0)
+        plan = {"targeted": make_targeted_plan(dist, 0.05), "random": make_random_plan(0.3)}.get(case)
+        if case == "targeted":
+            # the hubs are inoculated, so their rates are zero
+            assert meanfield._class_terms(dist, params, plan)[2][-1] == 0.0
+        # 7000 steps: 70 divides them, 65 does not
+        sample_every = 65 if case == "uneven_sampling" else 70
+        initial = uniform_seed_state(dist, 1e-3)
+        traj = integrate(initial, dist, params, plan, t_end=70.0, dt=0.01, sample_every=sample_every)
+        full = full_reduced_rk4(initial, dist, params, plan, t_end=70.0, dt=0.01, sample_every=sample_every)
+        for name in TRAJECTORY_ARRAYS:
+            assert np.array_equal(getattr(traj, name), getattr(full, name)), name
+        assert traj.times[-1] == 70.0
+        # the exit was taken, well before the last step
+        frozen = int(re.search(r" frozen=(\d+) ", caplog.records[-1].getMessage())[1])
+        assert frozen < 0.9 * 7000
+
+    def test_frozen_state_is_the_last_sample(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
+        dist = self.POWERLAW
+        params = ModelParams(lam=0.9, alpha=0.8, beta=-0.5)
+        traj = integrate(uniform_seed_state(dist, 1e-3), dist, params, t_end=70.0, dt=0.01, sample_every=1)
+        frozen = int(re.search(r" frozen=(\d+) ", caplog.records[-1].getMessage())[1])
+        # the state moved on the step before, never after
+        assert traj.psi[frozen] != traj.psi[frozen - 1] or traj.r[frozen] != traj.r[frozen - 1]
+        for name in ("r", "s", "i", "phi", "psi"):
+            assert np.all(getattr(traj, name)[frozen:] == getattr(traj, name)[frozen]), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lam=st.floats(0.0, 3.0),
+        alpha=st.floats(0.05, 1.0),
+        beta=st.floats(-1.0, 1.0),
+        s0=st.floats(1e-6, 0.5),
+    )
+    def test_matches_full_loop_on_a_small_power_law(self, lam, alpha, beta, s0):
+        dist = sample_powerlaw_distribution(2.4, 2, 100)
+        params = ModelParams(lam=lam, alpha=alpha, beta=beta)
+        initial = uniform_seed_state(dist, s0)
+        traj = integrate(initial, dist, params, t_end=40.0, dt=0.02, sample_every=7)
+        full = full_reduced_rk4(initial, dist, params, t_end=40.0, dt=0.02, sample_every=7)
+        for name in TRAJECTORY_ARRAYS:
+            assert np.array_equal(getattr(traj, name), getattr(full, name)), name
 
 
 class TestPsiFixedPoint:
