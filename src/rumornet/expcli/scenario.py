@@ -1,7 +1,8 @@
 """Declarative experiment scenarios: parse, sweep, export.
 
 A scenario file is flat ``key = value`` text under ``[section]`` headers with
-comma-separated lists for parameter grids and ``#`` comments.  Running one
+comma-separated lists for parameter grids and ``#`` comments.  ``_KEYS`` is
+the reference for the keys a file may set and the default of each.  Running one
 produces a CSV per plot family plus one SVG per CSV and a manifest with
 content hashes; re-running with the same master seed reproduces identical
 bytes.  Every random stream is keyed to (master seed, grid-point index,
@@ -148,33 +149,38 @@ def _float_list(text: str) -> list[float]:
     return [float(item) for item in items]
 
 
-_SCHEMA = {
-    ("scenario", "name"): str,
-    ("scenario", "engine"): str,
-    ("scenario", "seed"): int,
-    ("scenario", "out"): str,
-    ("scenario", "workers"): int,
-    ("scenario", "timeseries"): str,
-    ("scenario", "runs"): int,
-    ("network", "kind"): str,
-    ("network", "gamma"): float,
-    ("network", "k_min"): int,
-    ("network", "n"): int,
-    ("network", "m"): int,
-    ("network", "m0"): int,
-    ("model", "lambda"): _float_list,
-    ("model", "alpha"): _float_list,
-    ("model", "beta"): _float_list,
-    ("model", "sigma"): _float_list,
-    ("model", "s0"): float,
-    ("model", "seeds"): int,
-    ("model", "dt_meanfield"): float,
-    ("model", "dt_montecarlo"): float,
-    ("model", "t_end"): float,
-    ("model", "t_max"): float,
-    ("inoculation", "kind"): str,
-    ("inoculation", "g"): _float_list,
-    ("compare", "tolerance"): float,
+_REQUIRED = object()
+
+# (section, key) -> (Scenario field, parser, default).  A text default goes
+# through the parser as if the file held it.  None means unset; for ``name``
+# and ``seeds`` it means worked out from other fields.
+_KEYS = {
+    ("scenario", "name"): ("name", str, None),
+    ("scenario", "engine"): ("engine", str, "meanfield"),
+    ("scenario", "seed"): ("seed", int, "0"),
+    ("scenario", "out"): ("out_dir", str, "out"),
+    ("scenario", "workers"): ("workers", int, "1"),
+    ("scenario", "timeseries"): ("timeseries", str, "true"),
+    ("scenario", "runs"): ("runs", int, None),
+    ("network", "kind"): ("net_kind", str, "configuration"),
+    ("network", "gamma"): ("gamma", float, "2.4"),
+    ("network", "k_min"): ("k_min", int, "2"),
+    ("network", "n"): ("n_nodes", int, _REQUIRED),
+    ("network", "m"): ("m", int, "3"),
+    ("network", "m0"): ("m0", int, "5"),
+    ("model", "lambda"): ("lam_grid", _float_list, _REQUIRED),
+    ("model", "alpha"): ("alpha_grid", _float_list, "1.0"),
+    ("model", "beta"): ("beta_grid", _float_list, "0.0"),
+    ("model", "sigma"): ("sigma_grid", _float_list, "1.0"),
+    ("model", "s0"): ("s0", float, None),
+    ("model", "seeds"): ("mc_seeds", int, None),
+    ("model", "dt_meanfield"): ("dt_meanfield", float, "0.01"),
+    ("model", "dt_montecarlo"): ("dt_montecarlo", float, "0.1"),
+    ("model", "t_end"): ("t_end", float, "100.0"),
+    ("model", "t_max"): ("t_max", float, "200.0"),
+    ("inoculation", "kind"): ("inoc_kind", str, "none"),
+    ("inoculation", "g"): ("g_grid", _float_list, "0.0"),
+    ("compare", "tolerance"): ("tolerance", float, "0.1"),
 }
 
 
@@ -190,125 +196,89 @@ def parse_scenario(path) -> Scenario:
     entries = _parse_lines(path)
 
     for (section, key), (_, lineno) in entries.items():
-        if (section, key) not in _SCHEMA:
+        if (section, key) not in _KEYS:
             raise ScenarioError(f"{path}:{lineno}: unknown key '{key}' in [{section}]")
 
-    values: dict[tuple[str, str], object] = {}
-    lines: dict[tuple[str, str], int] = {}
+    fields = {name: parse(default) if isinstance(default, str) else default
+              for name, parse, default in _KEYS.values()}
+    lines: dict[str, int] = {}
     for loc, (text, lineno) in entries.items():
+        name, parse, _ = _KEYS[loc]
         try:
-            values[loc] = _SCHEMA[loc](text)
+            fields[name] = parse(text)
         except ValueError as exc:
             raise ScenarioError(f"{path}:{lineno}: bad value for '{loc[1]}': {exc}") from None
-        lines[loc] = lineno
+        lines[name] = lineno
 
-    def fail(loc: tuple[str, str], message: str):
-        lineno = lines.get(loc)
+    def fail(name: str, message: str):
+        lineno = lines.get(name)
         where = f"{path}:{lineno}" if lineno is not None else str(path)
         raise ScenarioError(f"{where}: {message}")
 
-    def get(section: str, key: str, default=None, required: bool = False):
-        loc = (section, key)
-        if loc in values:
-            return values[loc]
-        if required:
-            raise ScenarioError(f"{path}: missing required key '{key}' in [{section}]")
-        return default
+    def require(name: str):
+        if fields[name] is _REQUIRED:
+            section, key = next(loc for loc, spec in _KEYS.items() if spec[0] == name)
+            fail(name, f"missing required key '{key}' in [{section}]")
+        return fields[name]
 
-    engine = get("scenario", "engine", "meanfield")
+    engine = fields["engine"]
     if engine not in ENGINES:
-        fail(("scenario", "engine"), f"engine must be one of {ENGINES}, got '{engine}'")
-    ts_text = get("scenario", "timeseries", "true")
-    if ts_text not in ("true", "false"):
-        fail(("scenario", "timeseries"), "timeseries must be 'true' or 'false'")
-    runs = get("scenario", "runs")
+        fail("engine", f"engine must be one of {ENGINES}, got '{engine}'")
+    if fields["timeseries"] not in ("true", "false"):
+        fail("timeseries", "timeseries must be 'true' or 'false'")
+    runs = fields["runs"]
     if engine in ("montecarlo", "both") and runs is None:
-        fail(("scenario", "engine"), f"[scenario] runs is required when engine={engine}")
+        fail("engine", f"[scenario] runs is required when engine={engine}")
     if runs is not None and runs < 1:
-        fail(("scenario", "runs"), "runs must be >= 1")
+        fail("runs", "runs must be >= 1")
 
-    kind = get("network", "kind", "configuration")
+    kind = fields["net_kind"]
     if kind not in NETWORK_KINDS:
-        fail(("network", "kind"), f"network kind must be one of {NETWORK_KINDS}, got '{kind}'")
-    n_nodes = get("network", "n", required=True)
+        fail("net_kind", f"network kind must be one of {NETWORK_KINDS}, got '{kind}'")
+    n_nodes = require("n_nodes")
     if n_nodes < 2:
-        fail(("network", "n"), f"n must be >= 2, got {n_nodes}")
-    gamma = get("network", "gamma", 2.4)
-    if kind == "configuration" and not 2.0 < gamma <= 3.0:
-        fail(("network", "gamma"), f"gamma must lie in (2, 3], got {gamma}")
-    k_min = get("network", "k_min", 2)
-    if kind == "configuration" and k_min < 1:
-        fail(("network", "k_min"), f"k_min must be >= 1, got {k_min}")
-    m = get("network", "m", 3)
-    m0 = get("network", "m0", 5)
+        fail("n_nodes", f"n must be >= 2, got {n_nodes}")
+    if kind == "configuration" and not 2.0 < fields["gamma"] <= 3.0:
+        fail("gamma", f"gamma must lie in (2, 3], got {fields['gamma']}")
+    if kind == "configuration" and fields["k_min"] < 1:
+        fail("k_min", f"k_min must be >= 1, got {fields['k_min']}")
+    m, m0 = fields["m"], fields["m0"]
     if kind == "ba" and not n_nodes > m0 >= m >= 1:
-        fail(("network", "m"), f"need n > m0 >= m >= 1, got n={n_nodes}, m0={m0}, m={m}")
+        fail("m", f"need n > m0 >= m >= 1, got n={n_nodes}, m0={m0}, m={m}")
 
-    lam_grid = get("model", "lambda", required=True)
-    alpha_grid = get("model", "alpha", [1.0])
-    beta_grid = get("model", "beta", [0.0])
-    sigma_grid = get("model", "sigma", [1.0])
-    for loc, grid, check, what in (
-        (("model", "lambda"), lam_grid, lambda v: v >= 0, "lambda values must be >= 0"),
-        (("model", "alpha"), alpha_grid, lambda v: 0 < v <= 1, "alpha values must lie in (0, 1]"),
-        (("model", "sigma"), sigma_grid, lambda v: v > 0, "sigma values must be > 0"),
+    require("lam_grid")
+    for name, check, what in (
+        ("lam_grid", lambda v: v >= 0, "lambda values must be >= 0"),
+        ("alpha_grid", lambda v: 0 < v <= 1, "alpha values must lie in (0, 1]"),
+        ("sigma_grid", lambda v: v > 0, "sigma values must be > 0"),
     ):
-        for v in grid:
+        for v in fields[name]:
             if not check(v):
-                fail(loc, f"{what} (got {v})")
+                fail(name, f"{what} (got {v})")
 
-    inoc_kind = get("inoculation", "kind", "none")
-    if inoc_kind not in INOC_KINDS:
-        fail(("inoculation", "kind"), f"inoculation kind must be one of {INOC_KINDS}")
-    g_grid = get("inoculation", "g", [0.0])
-    for v in g_grid:
+    if fields["inoc_kind"] not in INOC_KINDS:
+        fail("inoc_kind", f"inoculation kind must be one of {INOC_KINDS}")
+    for v in fields["g_grid"]:
         if not 0.0 <= v <= 1.0:
-            fail(("inoculation", "g"), f"g values must lie in [0, 1] (got {v})")
-    if inoc_kind == "none" and any(v != 0.0 for v in g_grid):
-        fail(("inoculation", "g"), "nonzero g requires inoculation kind random or targeted")
+            fail("g_grid", f"g values must lie in [0, 1] (got {v})")
+    if fields["inoc_kind"] == "none" and any(v != 0.0 for v in fields["g_grid"]):
+        fail("g_grid", "nonzero g requires inoculation kind random or targeted")
 
-    s0 = get("model", "s0")
+    s0 = fields["s0"]
     if s0 is not None and not 0.0 < s0 < 1.0:
-        fail(("model", "s0"), f"s0 must lie in (0, 1), got {s0}")
-    mc_seeds = get("model", "seeds", max(1, int(round((s0 or 1.0 / n_nodes) * n_nodes))))
+        fail("s0", f"s0 must lie in (0, 1), got {s0}")
 
-    name = get("scenario", "name", os.path.splitext(os.path.basename(str(path)))[0])
-    return Scenario(
-        name=name,
-        engine=engine,
-        seed=get("scenario", "seed", 0),
-        out_dir=get("scenario", "out", "out"),
-        workers=max(1, get("scenario", "workers", 1)),
-        timeseries=ts_text == "true",
-        runs=runs,
-        net_kind=kind,
-        gamma=gamma,
-        k_min=k_min,
-        n_nodes=n_nodes,
-        m=m,
-        m0=m0,
-        lam_grid=lam_grid,
-        alpha_grid=alpha_grid,
-        beta_grid=beta_grid,
-        sigma_grid=sigma_grid,
-        inoc_kind=inoc_kind,
-        g_grid=g_grid,
-        s0=s0,
-        mc_seeds=mc_seeds,
-        dt_meanfield=get("model", "dt_meanfield", 0.01),
-        dt_montecarlo=get("model", "dt_montecarlo", 0.1),
-        t_end=get("model", "t_end", 100.0),
-        t_max=get("model", "t_max", 200.0),
-        tolerance=get("compare", "tolerance", 0.1),
-    )
+    if fields["mc_seeds"] is None:
+        fields["mc_seeds"] = max(1, int(round((s0 or 1.0 / n_nodes) * n_nodes)))
+    if fields["name"] is None:
+        fields["name"] = os.path.splitext(os.path.basename(str(path)))[0]
+    fields["workers"] = max(1, fields["workers"])
+    fields["timeseries"] = fields["timeseries"] == "true"
+    return Scenario(**fields)
 
 
 # ---------------------------------------------------------------------------
 # execution
-
-def _derive_seed(master: int, tag: int) -> int:
-    return int(np.random.SeedSequence([int(master), int(tag)]).generate_state(1)[0])
-
 
 def build_network(scenario: Scenario) -> tuple[DegreeDistribution, Network]:
     """Build the scenario's graph, with the distribution analytics use on it.
@@ -317,7 +287,7 @@ def build_network(scenario: Scenario) -> tuple[DegreeDistribution, Network]:
     that builds it gets the same graph: a BA graph comes with its empirical
     distribution, a configuration graph with the power law it realizes.
     """
-    rng = np.random.default_rng(_derive_seed(scenario.seed, 0))
+    rng = np.random.default_rng(montecarlo._run_seed(scenario.seed, 0))
     if scenario.net_kind == "ba":
         network = build_ba_network(scenario.n_nodes, scenario.m0, scenario.m, rng)
         return network.empirical_distribution(), network
@@ -358,7 +328,7 @@ def _point_result(scenario: Scenario, dist, network, plans, index: int, point: d
         summary = montecarlo.ensemble(
             network, params, plan=plan, runs=scenario.runs, seeds=scenario.mc_seeds,
             dt=scenario.dt_montecarlo, t_max=scenario.t_max,
-            master_seed=_derive_seed(scenario.seed, 1 + index),
+            master_seed=montecarlo._run_seed(scenario.seed, 1 + index),
             keep_traces=scenario.timeseries,
         )
         result["r_mc_mean"] = summary.mean_final_r
@@ -614,7 +584,10 @@ def threshold_table(scenario: Scenario) -> list[dict]:
     bounded network (threshold_classic_bounded), and the size regime of
     threshold_modified_bounded are analytic; for a BA network they take
     gamma=3 and k_min=m.  Random inoculation rescales lambda_c by 1/(1-g); a
-    targeted plan uses the profile-weighted moment ratio.
+    targeted plan uses the profile-weighted moment ratio.  The outbreak
+    condition compares the growth rate with the stifling rate sigma, so both
+    thresholds of a row are its sigma times their sigma = 1 values, and each
+    (alpha, beta, sigma, g) of the grid gets its own row.
     """
     dist = _build_assets(scenario, graph=False)[0]
     gamma, k_min = (3.0, scenario.m) if scenario.net_kind == "ba" else (scenario.gamma, scenario.k_min)
@@ -626,7 +599,7 @@ def threshold_table(scenario: Scenario) -> list[dict]:
     rows = []
     seen = set()
     for index, point in enumerate(scenario.grid()):
-        key = (point["alpha"], point["beta"], point["g"])
+        key = (point["alpha"], point["beta"], point["sigma"], point["g"])
         if key in seen:
             continue
         seen.add(key)
@@ -645,8 +618,8 @@ def threshold_table(scenario: Scenario) -> list[dict]:
             {
                 "param": axis,
                 "value": index if axis == "point" else point[axis],
-                "lambda_c": lambda_c,
-                "lambda_c_classic": classic,
+                "lambda_c": point["sigma"] * lambda_c,
+                "lambda_c_classic": point["sigma"] * classic,
                 "regime": report.regime,
             }
         )

@@ -61,7 +61,7 @@ class SimTrace:
     inoculated_fraction: float
     final_r: float
     peak_s: float
-    seed: int | None = None
+    seed: int
     events: list[tuple[float, int, int, int]] | None = None  # (t, node, old, new)
 
 
@@ -115,13 +115,6 @@ class _Kernel:
         return gen.random(spreaders.size) < self.stifle_p, np.unique(targets[hit])
 
 
-def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
-    if isinstance(rng, np.random.Generator):
-        return rng, None
-    seed = int(rng)
-    return np.random.default_rng(seed), seed
-
-
 def run(
     network: Network,
     params: ModelParams,
@@ -129,7 +122,7 @@ def run(
     seeds: int | float = 1,
     dt: float = 0.1,
     t_max: float = 200.0,
-    rng: np.random.Generator | int = 0,
+    rng: int = 0,
     record_events: bool = False,
 ) -> SimTrace:
     """Simulate one outbreak; returns the sampled trace.
@@ -138,12 +131,11 @@ def run(
     (float < 1).  Seed nodes are drawn first, uniformly over all nodes, and
     are excluded from inoculation, so a full-coverage plan still leaves the
     seeds active.  The loop stops when no spreaders remain or t reaches t_max.
-    Passing an int ``rng`` records it as the run's seed; a Generator is used
-    as-is.
+    ``rng`` seeds the run's generator and is recorded as the trace's seed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    gen, seed_label = _as_rng(rng)
+    gen = np.random.default_rng(rng)
     n = network.n
     if isinstance(seeds, float) and 0 < seeds < 1:
         n_seeds = max(1, int(round(seeds * n)))
@@ -201,7 +193,7 @@ def run(
         inoculated_fraction=inoc_frac,
         final_r=float(sti[-1] + spr[-1]),
         peak_s=float(spr.max()),
-        seed=seed_label,
+        seed=int(rng),
         events=events,
     )
 

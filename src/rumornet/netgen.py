@@ -44,11 +44,10 @@ class DegreeDistribution:
     """Normalized degree distribution on a finite, strictly increasing support.
 
     Powers k**q of the support and moments <k**q> are computed on demand and
-    cached.  ``gamma`` records the power-law exponent when the distribution
-    was built as a truncated power law; ad-hoc distributions leave it as None.
+    cached.
     """
 
-    def __init__(self, support, probs, gamma: float | None = None):
+    def __init__(self, support, probs):
         support = np.asarray(support, dtype=np.int64)
         probs = np.asarray(probs, dtype=np.float64)
         if support.ndim != 1 or support.shape != probs.shape or support.size == 0:
@@ -68,13 +67,11 @@ class DegreeDistribution:
         self.probs = probs
         self.k_min = int(support[0])
         self.k_max = int(support[-1])
-        self.gamma = None if gamma is None else float(gamma)
         self._powers: dict[float, np.ndarray] = {}
         self._moments: dict[float, float] = {}
 
     def __repr__(self) -> str:
-        g = f", gamma={self.gamma}" if self.gamma is not None else ""
-        return f"DegreeDistribution(k_min={self.k_min}, k_max={self.k_max}, classes={self.support.size}{g})"
+        return f"DegreeDistribution(k_min={self.k_min}, k_max={self.k_max}, classes={self.support.size})"
 
     def power(self, q: float) -> np.ndarray:
         """Return k**q over the support as a read-only float array."""
@@ -112,7 +109,7 @@ def sample_powerlaw_distribution(gamma: float, k_min: int, n_nodes: int) -> Degr
     support = np.arange(k_min, k_max + 1, dtype=np.int64)
     probs = support.astype(np.float64) ** (-gamma)
     probs /= probs.sum()
-    return DegreeDistribution(support, probs, gamma=gamma)
+    return DegreeDistribution(support, probs)
 
 
 class Network:

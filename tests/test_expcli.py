@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pickle
@@ -10,6 +11,7 @@ from rumornet import montecarlo
 from rumornet.expcli import scenario as scenario_module
 from rumornet.expcli.cli import main
 from rumornet.expcli.scenario import (
+    Scenario,
     ScenarioError,
     _audit_header,
     _write_csv,
@@ -56,11 +58,28 @@ class TestParsing:
     def test_minimal_defaults(self, tmp_path):
         scenario = parse_scenario(write_config(tmp_path, MINIMAL))
         assert scenario.engine == "meanfield"
-        assert scenario.sigma_grid == [1.0]
-        assert scenario.inoc_kind == "none"
-        assert scenario.seed == 0
-        assert scenario.name == "scenario"
         assert len(scenario.grid()) == 3
+        # every field MINIMAL leaves unset, with the default it takes
+        assert {
+            name: getattr(scenario, name)
+            for name in ("name", "seed", "out_dir", "workers", "timeseries", "runs", "m", "m0",
+                         "sigma_grid", "s0", "mc_seeds", "dt_meanfield", "dt_montecarlo",
+                         "t_end", "t_max", "inoc_kind", "g_grid", "tolerance")
+        } == {
+            "name": "scenario", "seed": 0, "out_dir": "out", "workers": 1, "timeseries": True,
+            "runs": None, "m": 3, "m0": 5, "sigma_grid": [1.0], "s0": None, "mc_seeds": 1,
+            "dt_meanfield": 0.01, "dt_montecarlo": 0.1, "t_end": 100.0, "t_max": 200.0,
+            "inoc_kind": "none", "g_grid": [0.0], "tolerance": 0.1,
+        }
+
+    def test_key_table_names_each_field_once(self):
+        names = [name for name, _, _ in scenario_module._KEYS.values()]
+        assert sorted(names) == sorted(field.name for field in dataclasses.fields(Scenario))
+
+    def test_bad_engine_reported_before_missing_n(self, tmp_path):
+        bad = MINIMAL.replace("engine = meanfield", "engine = warp").replace("n = 1000\n", "")
+        with pytest.raises(ScenarioError, match=r"scenario\.cfg:2: engine must be one of"):
+            parse_scenario(write_config(tmp_path, bad))
 
     def test_alpha_out_of_range_cites_line(self, tmp_path):
         bad = MINIMAL.replace("alpha = 0.5", "alpha = 1.5")
@@ -229,6 +248,7 @@ n = 2000
 lambda = 0.2
 alpha = 0.8
 beta = 0
+sigma = 0.5,1,2
 
 [inoculation]
 kind = targeted
@@ -237,11 +257,12 @@ g = 0.0,0.05
         scenario = parse_scenario(write_config(tmp_path, config))
         rows = threshold_table(scenario)
         dist = build_network(scenario)[0]
-        assert len(rows) == 2
-        for row, g in zip(rows, (0.0, 0.05)):
+        cases = [(sigma, g) for sigma in (0.5, 1.0, 2.0) for g in (0.0, 0.05)]
+        assert len(rows) == len(cases)
+        for row, (sigma, g) in zip(rows, cases):
             plan = scenario.plan_for(dist, g)
-            below = ModelParams(lam=row["lambda_c"] * (1 - 1e-3), alpha=0.8)
-            above = ModelParams(lam=row["lambda_c"] * (1 + 1e-3), alpha=0.8)
+            below = ModelParams(lam=row["lambda_c"] * (1 - 1e-3), alpha=0.8, sigma=sigma)
+            above = ModelParams(lam=row["lambda_c"] * (1 + 1e-3), alpha=0.8, sigma=sigma)
             assert final_rumor_size(dist, below, plan) < 1e-12
             assert final_rumor_size(dist, above, plan) > 1e-5
 
