@@ -425,25 +425,19 @@ def write_distribution_csv(dist: DegreeDistribution, path) -> None:
     _write_csv(path, ["k", "p"], zip(dist.support, dist.probs))
 
 
-def _sweep_axis(scenario: Scenario) -> str:
-    for key, grid in (
-        ("lambda", scenario.lam_grid),
-        ("beta", scenario.beta_grid),
-        ("alpha", scenario.alpha_grid),
-        ("g", scenario.g_grid),
-        ("sigma", scenario.sigma_grid),
-    ):
-        if len(grid) > 1:
-            return key
-    return "lambda"
+def _sweep_axis(scenario: Scenario, axes=("lambda", "beta", "alpha", "g", "sigma")) -> str:
+    """The first of ``axes`` whose grid holds more than one value, else the first of ``axes``."""
+    grids = {"lambda": scenario.lam_grid, "beta": scenario.beta_grid, "alpha": scenario.alpha_grid,
+             "g": scenario.g_grid, "sigma": scenario.sigma_grid}
+    return next((axis for axis in axes if len(grids[axis]) > 1), axes[0])
+
+
+# each axis's short name in a series label, in label order
+_SHORT = {"alpha": "a", "beta": "b", "sigma": "s", "g": "g", "lambda": "l"}
 
 
 def _series_label(point: dict, axis: str) -> str:
-    parts = []
-    for key, short in (("alpha", "a"), ("beta", "b"), ("sigma", "s"), ("g", "g"), ("lambda", "l")):
-        if key != axis:
-            parts.append(f"{short}={point[key]:g}")
-    return ",".join(parts)
+    return ",".join(f"{short}={point[key]:g}" for key, short in _SHORT.items() if key != axis)
 
 
 def _write_final_size(scenario: Scenario, results: list[dict], out_dir: str) -> list[str]:
@@ -575,8 +569,13 @@ def write_comparison(scenario: Scenario, report: dict, out_dir: str) -> list[str
     return ["comparison.csv", "comparison.svg"]
 
 
+# the axes that key a threshold row; lambda moves no threshold
+_THRESHOLD_AXES = ("alpha", "beta", "sigma", "g")
+
+
 def threshold_table(scenario: Scenario) -> list[dict]:
-    """Analytic threshold rows ``param,value,lambda_c,lambda_c_classic,regime`` over the grid.
+    """Analytic threshold rows ``alpha,beta,sigma,g,lambda_c,lambda_c_classic,regime``,
+    one per (alpha, beta, sigma, g) of the grid.
 
     lambda_c and a targeted plan use the distribution ``simulate`` uses: a
     configuration scenario's power law, a BA scenario's empirical degree
@@ -586,20 +585,16 @@ def threshold_table(scenario: Scenario) -> list[dict]:
     gamma=3 and k_min=m.  Random inoculation rescales lambda_c by 1/(1-g); a
     targeted plan uses the profile-weighted moment ratio.  The outbreak
     condition compares the growth rate with the stifling rate sigma, so both
-    thresholds of a row are its sigma times their sigma = 1 values, and each
-    (alpha, beta, sigma, g) of the grid gets its own row.
+    thresholds of a row are its sigma times their sigma = 1 values.
     """
     dist = _build_assets(scenario, graph=False)[0]
     gamma, k_min = (3.0, scenario.m) if scenario.net_kind == "ba" else (scenario.gamma, scenario.k_min)
     classic = threshold_classic_bounded(gamma, k_min, scenario.n_nodes)
-    axis = _sweep_axis(scenario)
-    if axis == "lambda":  # lambda never moves a threshold; fall back to the point index
-        axis = "point"
     plans = scenario.plans(dist)
     rows = []
     seen = set()
-    for index, point in enumerate(scenario.grid()):
-        key = (point["alpha"], point["beta"], point["sigma"], point["g"])
+    for point in scenario.grid():
+        key = tuple(point[axis] for axis in _THRESHOLD_AXES)
         if key in seen:
             continue
         seen.add(key)
@@ -616,8 +611,7 @@ def threshold_table(scenario: Scenario) -> list[dict]:
         )
         rows.append(
             {
-                "param": axis,
-                "value": index if axis == "point" else point[axis],
+                **dict(zip(_THRESHOLD_AXES, key)),
                 "lambda_c": point["sigma"] * lambda_c,
                 "lambda_c_classic": point["sigma"] * classic,
                 "regime": report.regime,
@@ -627,17 +621,30 @@ def threshold_table(scenario: Scenario) -> list[dict]:
 
 
 def write_threshold_table(scenario: Scenario, rows: list[dict], out_dir: str) -> list[str]:
+    """Write ``thresholds.csv`` and ``thresholds.svg``.
+
+    The SVG plots lambda_c against the first swept axis of the grid other
+    than lambda, with one series per combination of the other axes; a series
+    is labelled by the axes that vary.  Rows without an outbreak are left out
+    of the plot.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    columns = [*_THRESHOLD_AXES, "lambda_c", "lambda_c_classic", "regime"]
     _write_csv(
-        os.path.join(out_dir, "thresholds.csv"),
-        ["param", "value", "lambda_c", "lambda_c_classic", "regime"],
-        ([row["param"], row["value"], "no-outbreak" if math.isinf(row["lambda_c"]) else row["lambda_c"],
+        os.path.join(out_dir, "thresholds.csv"), columns,
+        ([*(row[axis] for axis in _THRESHOLD_AXES),
+          "no-outbreak" if math.isinf(row["lambda_c"]) else row["lambda_c"],
           row["lambda_c_classic"], row["regime"]] for row in rows),
         _audit_header(scenario),
     )
-    finite = [(row["value"], row["lambda_c"]) for row in rows if math.isfinite(row["lambda_c"])]
-    series = [("lambda_c", [p[0] for p in finite], [p[1] for p in finite])] if finite else []
+    axis = _sweep_axis(scenario, ("beta", "alpha", "g", "sigma"))
+    varying = [other for other in _THRESHOLD_AXES if other != axis and len({row[other] for row in rows}) > 1]
+    series: dict[str, list[tuple[float, float]]] = {}
+    for row in rows:
+        if math.isfinite(row["lambda_c"]):
+            label = ",".join(f"{_SHORT[other]}={row[other]:g}" for other in varying) or "lambda_c"
+            series.setdefault(label, []).append((row[axis], row["lambda_c"]))
+    plot_series = [(label, *map(list, zip(*sorted(pts)))) for label, pts in series.items()]
     svg_path = os.path.join(out_dir, "thresholds.svg")
-    line_plot(series, title=f"{scenario.name}: thresholds",
-              xlabel=rows[0]["param"] if rows else "param", ylabel="lambda_c", path=svg_path)
+    line_plot(plot_series, title=f"{scenario.name}: thresholds", xlabel=axis, ylabel="lambda_c", path=svg_path)
     return ["thresholds.csv", "thresholds.svg"]

@@ -21,18 +21,28 @@ one the full sum would use; only the order of summation changes, so this adds
 no approximation.  One RK4 step is a function of (Psi, R) alone, so once a
 step returns the state it was given, bit for bit, every later step would
 too: ``integrate`` stops stepping there and repeats that sample to the end of
-the time grid, which gives exactly the samples of running every step.  At the
-end of spreading the final rumor size follows from the largest root of the
-self-consistent fixed-point equation for Psi(infinity).
+the time grid, which gives exactly the samples of running every step.  A
+stage is a function of Psi alone too, so a stage at the same Psi, bit for bit,
+as the one before reuses its sums.  At the end of spreading the final rumor
+size follows from the largest root of the self-consistent fixed-point
+equation for Psi(infinity).
 With a general stifling rate sigma the dynamics are the sigma=1 dynamics on
 the rescaled clock tau = sigma * t, so the fixed-point equation picks up a
 single factor of sigma and all sigma = 1 formulas are recovered verbatim.
+
+The per-class terms have three lifetimes.  Per distribution and alpha: the
+weights w_k = k**alpha P(k) and <k**alpha>.  Per distribution and plan: g_k,
+1 - g_k, P(k) (1 - g_k) and the sums of P(k) (1 - g_k) and P(k) g_k.  Both
+are built once and kept, read-only, by ``DegreeDistribution.memo``, so they
+live as long as the distribution.  Only the rates a_k depend on lam, so they
+alone are computed per grid point; the last point's are kept for the next
+call on the same point.  A sweep over lam therefore rebuilds nothing else.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
+import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -140,23 +150,43 @@ def uniform_seed_state(dist: DegreeDistribution, s0: float) -> DegreeClassState:
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _class_terms(dist: DegreeDistribution, params: ModelParams, plan: InoculationPlan | None):
-    """Per-class (g_k, w_k, a_k): the inoculated fraction (0.0 without a plan),
-    the weight k**alpha P(k) and the rate a_k = lam (1 - g_k) k**(1+beta) / <k**(1+beta)>.
+def _plan_terms(dist: DegreeDistribution, plan: InoculationPlan | None):
+    """Terms per (distribution, plan): 1 - g_k, P(k) (1 - g_k), and the masses
+    sum_k P(k) (1 - g_k) and sum_k P(k) g_k.
 
-    The arrays are read-only, and the last result is cached: one grid point
-    asks for the same terms in final_rumor_size, psi_fixed_point and
-    integrate.  The key holds ``dist`` by identity and the frozen params and
-    plan by value.
+    Without a plan g_k is the scalar 0.0, so 1 - g_k is the scalar 1.0.  Built
+    once by ``dist.memo`` and read-only.
     """
-    g_k = plan.profile(dist) if plan is not None else 0.0
-    rates = params.lam * (1.0 - g_k) * dist.power(1.0 + params.beta) / dist.moment(1.0 + params.beta)
-    terms = (g_k, dist.power(params.alpha) * dist.probs, rates)
-    for array in terms:
-        if isinstance(array, np.ndarray):
-            array.setflags(write=False)
-    return terms
+    def build():
+        g_k = plan.profile(dist) if plan is not None else 0.0
+        one_minus_g = 1.0 - g_k
+        free_probs = dist.probs * one_minus_g
+        return one_minus_g, free_probs, float(free_probs.sum()), float((dist.probs * g_k).sum())
+
+    return dist.memo(("plan terms", plan), build)
+
+
+def _class_terms(dist: DegreeDistribution, params: ModelParams, plan: InoculationPlan | None):
+    """Per-class (w_k, a_k): the weight k**alpha P(k) and the rate
+    a_k = lam (1 - g_k) k**(1+beta) / <k**(1+beta)>.
+
+    w_k is a term per (distribution, alpha), built once by ``dist.memo``;
+    1 - g_k comes from _plan_terms.  Only a_k depends on lam, so it alone is
+    computed per grid point, with its products in the order written above.
+    One point asks for its terms in psi_fixed_point, final_rumor_size and
+    integrate, so the last point's pair is kept on ``dist``, keyed by the
+    frozen params and plan.  All arrays are read-only.
+    """
+    key = (params, plan)
+    last = dist.memo("last point", dict)
+    if key not in last:
+        weights = dist.memo(("weights", params.alpha), lambda: dist.power(params.alpha) * dist.probs)
+        one_minus_g = _plan_terms(dist, plan)[0]
+        rates = params.lam * one_minus_g * dist.power(1.0 + params.beta) / dist.moment(1.0 + params.beta)
+        rates.setflags(write=False)
+        last.clear()
+        last[key] = weights, rates
+    return last[key]
 
 
 @dataclass
@@ -206,7 +236,10 @@ def integrate(
     by a_k) contribute a constant, summed once before the loop, and only
     the rest are evaluated.  Each class's term is bit-identical to the full
     sum's; only the order of summation differs.  At Psi <= 0 (the start, or
-    a diverging step) or a NaN Psi every class is evaluated.
+    a diverging step) or a NaN Psi every class is evaluated.  A stage whose
+    Psi has the bits of the last one evaluated (-0.0 is not +0.0, and a NaN
+    never matches) reuses its sums: Psi often stops moving some steps
+    before R does.
 
     There are round(t_end / dt) steps, and the aggregates of Trajectory are
     recorded at the initial state, every ``sample_every`` steps and at the
@@ -220,7 +253,7 @@ def integrate(
     [-1e-6, 1 + 1e-6] or are not finite.  Each successful call logs its step
     count, the step at which the state became fixed (``frozen``; the step
     count if it never did), final Psi, final R and the number of per-class
-    exponentials evaluated (``evals``) at DEBUG level.
+    exponentials evaluated (``evals``; reused stages add none) at DEBUG level.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -249,7 +282,7 @@ def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[
     keeps full precision however small the seed fraction is.  The classes
     are sorted by a_k, so the saturated ones form a suffix (see integrate).
     """
-    _, weights, rates = _class_terms(dist, params, plan)
+    weights, rates = _class_terms(dist, params, plan)
     sigma = params.sigma
     probs = dist.probs
     classes = rates.size
@@ -271,10 +304,17 @@ def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[
     # would, at a fraction of a numpy call's fixed cost
     rate_array = array("d", rates)
     evals = 0
+    last_psi, last = math.nan, None
 
     def phi_and_gain(psi: float) -> tuple[float, float]:
-        """Phi and the gain of the informed, -(I - I(0)), at Psi."""
-        nonlocal evals
+        """Phi and the gain of the informed, -(I - I(0)), at Psi.
+
+        A pure function of Psi: a stage at the bits of the last Psi evaluated
+        (Psi often stops moving before q does) returns the last result.
+        """
+        nonlocal evals, last_psi, last
+        if _same_bits(psi, last_psi):
+            return last
         # not psi > 0 (zero, negative or NaN): every class is evaluated
         cut = bisect_right(rate_array, _EXPM1_CUT / psi) if psi > 0.0 else classes
         evals += cut
@@ -282,7 +322,8 @@ def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[
         np.multiply(neg_rates[:cut], psi, out=head)
         np.expm1(head, out=head)
         sum_phi, sum_i = (mix[:, :cut] @ head).tolist()
-        return phi0 - (sum_phi - tail_phi[cut]) - sigma * psi, -(sum_i - tail_i[cut])
+        last_psi, last = psi, (phi0 - (sum_phi - tail_phi[cut]) - sigma * psi, -(sum_i - tail_i[cut]))
+        return last
 
     half = 0.5 * dt
     psi = q = 0.0
@@ -320,6 +361,12 @@ def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[
             psi, q = psi_next, q_next
 
 
+def _same_bits(a: float, b: float) -> bool:
+    """Whether two floats have the same bits: -0.0 is not 0.0, and a NaN
+    matches nothing."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def psi_fixed_point(
     dist: DegreeDistribution,
     params: ModelParams,
@@ -344,20 +391,22 @@ def psi_fixed_point(
     the bracket is narrower than tol times its upper end.  Each call logs its
     path (zero, newton or bisection) and step count at DEBUG level.
     """
-    _, weights, rates = _class_terms(dist, params, plan)
+    weights, rates = _class_terms(dist, params, plan)
     sigma = params.sigma
-    kalpha_mean = float(weights.sum())
+    # <k**alpha> is sum_k w_k, summed as the moment sums it
+    kalpha_mean = dist.moment(params.alpha)
     weighted_rates = weights * rates
     slope_sum = float(weighted_rates.sum())
     if slope_sum / sigma <= 1.0:
         _log.debug("psi_fixed_point: path=zero steps=0")
         return 0.0
 
-    neg_rates = -rates
+    em = np.empty_like(rates)
 
     def h(x: float) -> tuple[float, float]:
         """h(x) = x + sum_k w_k expm1(-a_k x) / sigma and its derivative."""
-        em = np.expm1(neg_rates * x)
+        np.multiply(rates, -x, out=em)
+        np.expm1(em, out=em)
         return x + float(weights @ em) / sigma, 1.0 - (slope_sum + float(weighted_rates @ em)) / sigma
 
     x = kalpha_mean / sigma
@@ -406,11 +455,22 @@ def final_rumor_size(
 
     so inoculated nodes count neither as informed nor as reachable.  Reduces
     to 1 - sum_k P(k) exp(...) without inoculation.
+
+    P(k) (1 - g_k) and both sums over the classes are terms per
+    (distribution, plan) (see _plan_terms); only Psi* and a_k are computed
+    per point.  Below the threshold Psi* = 0 and exp(-a_k * 0) is exactly 1
+    for every class (a_k is finite there), so the sum of P(k) (1 - g_k)
+    exp(...) is the cached sum of P(k) (1 - g_k), bit for bit, and no
+    exponential is evaluated.
     """
-    g_k, _, rates = _class_terms(dist, params, plan)
+    # the point's rates; psi_fixed_point finds them kept and reuses them
+    rates = _class_terms(dist, params, plan)[1]
     psi_star = psi_fixed_point(dist, params, plan)
-    ignorant = np.exp(np.maximum(-rates * psi_star, _EXP_FLOOR))
-    still_ignorant = float((dist.probs * (1.0 - g_k) * ignorant).sum())
-    inoculated = float((dist.probs * g_k).sum())
+    _, free_probs, free_mass, inoculated = _plan_terms(dist, plan)
+    if psi_star == 0.0:
+        still_ignorant = free_mass
+    else:
+        ignorant = np.exp(np.maximum(rates * -psi_star, _EXP_FLOOR))
+        still_ignorant = float((free_probs * ignorant).sum())
     r = 1.0 - still_ignorant - inoculated
     return min(max(r, 0.0), 1.0)

@@ -43,8 +43,9 @@ class DegreeSequenceError(RuntimeError):
 class DegreeDistribution:
     """Normalized degree distribution on a finite, strictly increasing support.
 
-    Powers k**q of the support and moments <k**q> are computed on demand and
-    cached.
+    Terms derived from the distribution alone (the powers k**q, the moments
+    <k**q>, and the per-exponent and per-plan terms of the other modules) are
+    built on first use by ``memo`` and kept as long as the distribution.
     """
 
     def __init__(self, support, probs):
@@ -67,27 +68,43 @@ class DegreeDistribution:
         self.probs = probs
         self.k_min = int(support[0])
         self.k_max = int(support[-1])
-        self._powers: dict[float, np.ndarray] = {}
-        self._moments: dict[float, float] = {}
+        self._memo: dict = {}
 
     def __repr__(self) -> str:
         return f"DegreeDistribution(k_min={self.k_min}, k_max={self.k_max}, classes={self.support.size})"
 
+    def __reduce__(self):
+        # pickled (for a worker process) as its support and probabilities: the
+        # copy is rebuilt through __init__, so its arrays are read-only again
+        # and its terms are built afresh
+        return DegreeDistribution, (self.support, self.probs)
+
+    def memo(self, key, build):
+        """Return ``build()``, built on the first call with ``key`` and kept
+        as long as this distribution.
+
+        A key must be hashable and name the value by content, never by
+        identity.  Arrays in the value (the value itself, or the items of a
+        tuple value) are made read-only, so no caller can alter a term
+        another caller shares.
+        """
+        if key not in self._memo:
+            value = build()
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    item.setflags(write=False)
+            self._memo[key] = value
+        return self._memo[key]
+
     def power(self, q: float) -> np.ndarray:
         """Return k**q over the support as a read-only float array."""
         q = float(q)
-        if q not in self._powers:
-            kq = self.support.astype(np.float64) ** q
-            kq.setflags(write=False)
-            self._powers[q] = kq
-        return self._powers[q]
+        return self.memo(("power", q), lambda: self.support.astype(np.float64) ** q)
 
     def moment(self, q: float) -> float:
         """Return <k**q> = sum_k k**q P(k)."""
         q = float(q)
-        if q not in self._moments:
-            self._moments[q] = float((self.power(q) * self.probs).sum())
-        return self._moments[q]
+        return self.memo(("moment", q), lambda: float((self.power(q) * self.probs).sum()))
 
 
 def sample_powerlaw_distribution(gamma: float, k_min: int, n_nodes: int) -> DegreeDistribution:

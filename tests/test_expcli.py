@@ -22,8 +22,9 @@ from rumornet.expcli.scenario import (
     threshold_table,
 )
 from rumornet.expcli.svg import line_plot
+from rumornet.inoculation import InoculationPlan
 from rumornet.meanfield import ModelParams, final_rumor_size
-from rumornet.netgen import Network, read_edge_list
+from rumornet.netgen import DegreeDistribution, Network, read_edge_list
 from rumornet.thresholds import threshold_classic_bounded
 
 MINIMAL = """\
@@ -197,6 +198,45 @@ class TestRunScenario:
         rs = [float(row[-1]) for row in rows]
         assert rs == sorted(rs)
 
+    def test_terms_built_once_per_plan_and_alpha(self, tmp_path, monkeypatch):
+        rules, builds = [], []
+        rule, memo = InoculationPlan._rule, DegreeDistribution.memo
+
+        def counting_rule(plan, dist):
+            rules.append((dist, plan))
+            return rule(plan, dist)
+
+        def counting_memo(dist, key, build):
+            def counted():
+                builds.append((dist, key))
+                return build()
+            return memo(dist, key, counted)
+
+        monkeypatch.setattr(InoculationPlan, "_rule", counting_rule)
+        monkeypatch.setattr(DegreeDistribution, "memo", counting_memo)
+        lambdas = ",".join(f"{0.05 * i:g}" for i in range(1, 25))
+        config = MINIMAL.replace("engine = meanfield", "engine = meanfield\ntimeseries = false").replace(
+            "lambda = 0.2,0.5,0.9", f"lambda = {lambdas}").replace("alpha = 0.5", "alpha = 0.5,0.8") + """
+[inoculation]
+kind = targeted
+g = 0,0.05,0.1
+"""
+        scenario = parse_scenario(write_config(tmp_path, config))
+        assert len(scenario.grid()) == 24 * 2 * 3
+        run_scenario(scenario, out_dir=str(tmp_path / "out"))
+        threshold_table(scenario)
+        # simulate and threshold each build their distribution; on each, every
+        # plan's profile and every alpha's weights are built once
+        dists = list({id(dist): dist for dist, _ in rules}.values())
+        assert len(dists) == 2
+        for dist in dists:
+            plans = scenario.plans(dist)
+            assert [plan for owner, plan in rules if owner is dist] == [plans[0.05], plans[0.1]]
+            keys = [key for owner, key in builds if owner is dist]
+            assert len(keys) == len(set(keys))
+        weights = [key for dist, key in builds if key[0] == "weights"]
+        assert weights == [("weights", 0.5), ("weights", 0.8)]
+
 
 class TestThresholdTable:
     def test_lambda_c_decreasing_in_alpha_per_size(self, tmp_path):
@@ -218,7 +258,8 @@ beta = 0.0
 """
             scenario = parse_scenario(write_config(tmp_path, config, f"thr{n}.cfg"))
             rows = threshold_table(scenario)
-            assert [row["param"] for row in rows] == ["alpha"] * 6
+            assert [row["alpha"] for row in rows] == [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+            assert {(row["beta"], row["sigma"], row["g"]) for row in rows} == {(0.0, 1.0, 0.0)}
             values = [row["lambda_c"] for row in rows]
             assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -266,6 +307,24 @@ g = 0.0,0.05
             assert final_rumor_size(dist, below, plan) < 1e-12
             assert final_rumor_size(dist, above, plan) > 1e-5
 
+    def test_one_series_per_combination(self, tmp_path):
+        config = MINIMAL.replace("beta = -0.5", "beta = -0.5\nsigma = 0.5,1,2") + """
+[inoculation]
+kind = targeted
+g = 0,0.05
+"""
+        path = write_config(tmp_path, config)
+        assert main(["threshold", "--config", str(path), "--out", str(tmp_path / "t")]) == 0
+        lines = (tmp_path / "t" / "thresholds.csv").read_text().splitlines()
+        data = [line.split(",") for line in lines if not line.startswith("#")]
+        assert [(float(row[2]), float(row[3])) for row in data[1:]] == [
+            (sigma, g) for sigma in (0.5, 1.0, 2.0) for g in (0.0, 0.05)]
+        svg = (tmp_path / "t" / "thresholds.svg").read_text()
+        # x is g; one line per sigma, each through its two g values
+        assert svg.count("<polyline") == 3
+        assert [svg.count(f">s={sigma}</text>") for sigma in ("0.5", "1", "2")] == [1, 1, 1]
+        assert ">g</text>" in svg
+
     @pytest.mark.parametrize("network, gamma, k_min", [
         ("kind = configuration\ngamma = 2.6\nk_min = 3\nn = 2000", 2.6, 3),
         ("kind = ba\nm = 2\nm0 = 3\nn = 2000", 3.0, 2),
@@ -288,16 +347,17 @@ g = 0.0,1.0
         assert main(["threshold", "--config", str(path), "--out", str(tmp_path / "t")]) == 0
         lines = (tmp_path / "t" / "thresholds.csv").read_text().splitlines()
         data = [line.split(",") for line in lines if not line.startswith("#")]
-        assert data[0] == ["param", "value", "lambda_c", "lambda_c_classic", "regime"]
+        assert data[0] == ["alpha", "beta", "sigma", "g", "lambda_c", "lambda_c_classic", "regime"]
         classic = threshold_classic_bounded(gamma, k_min, 2000)
         assert len(data) == 1 + 4
-        for row, g in zip(data[1:], (0.0, 1.0, 0.0, 1.0)):
-            assert float(row[3]) == classic
+        for row, alpha, g in zip(data[1:], (0.5, 0.5, 0.8, 0.8), (0.0, 1.0, 0.0, 1.0)):
+            assert [float(cell) for cell in row[:4]] == [alpha, -0.5, 1.0, g]
+            assert float(row[5]) == classic
             if g == 1.0:
-                assert row[2] == "no-outbreak"
+                assert row[4] == "no-outbreak"
             else:
                 # the paper's claim: the modified threshold exceeds the classic one
-                assert float(row[2]) > classic
+                assert float(row[4]) > classic
         assert [row["lambda_c_classic"] for row in threshold_table(parse_scenario(path))] == [classic] * 4
 
 

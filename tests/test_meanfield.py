@@ -1,7 +1,10 @@
+import gc
 import logging
 import math
+import pickle
 import re
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +24,7 @@ from rumornet.meanfield import (
     uniform_seed_state,
 )
 from rumornet.netgen import DegreeDistribution, sample_powerlaw_distribution
-from rumornet.thresholds import threshold_modified
+from rumornet.thresholds import threshold_modified, threshold_targeted_inoc
 
 POINT_MASS_1 = DegreeDistribution([1], [1.0])
 TWO_FOUR = DegreeDistribution([2, 4], [2 / 3, 1 / 3])
@@ -89,7 +92,7 @@ def full_reduced_rk4(initial, dist, params, plan=None, t_end=10.0, dt=0.01, samp
 
     Returns the aggregates t, R, S, I, Phi and Psi at the sample times.
     """
-    _, weights, rates = meanfield._class_terms(dist, params, plan)
+    weights, rates = meanfield._class_terms(dist, params, plan)
     sigma, probs, classes = params.sigma, dist.probs, rates.size
     order = np.argsort(rates, kind="stable")
     rates = rates[order]
@@ -126,6 +129,60 @@ def full_reduced_rk4(initial, dist, params, plan=None, t_end=10.0, dt=0.01, samp
         q += dt / 6.0 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
     times, r, s, i, phi, psi = np.array(samples).T
     return SimpleNamespace(times=times, r=r, s=s, i=i, phi=phi, psi=psi)
+
+
+def per_point_final_size(dist, params, plan=None, tol=1e-10, max_iter=100_000):
+    """Psi* and R as psi_fixed_point and final_rumor_size define them, with
+    every term built afresh at the point, in the association the formulas
+    are written in; kept independent of the terms the module caches.
+
+    Returns (Psi*, R).
+    """
+    k = dist.support.astype(np.float64)
+    probs = dist.probs
+    if plan is None:
+        g = 0.0
+    elif plan.kind == "random":
+        g = np.full_like(probs, plan.g)
+    else:
+        g = np.where(dist.support > plan.k_t, 1.0, np.where(dist.support == plan.k_t, plan.f, 0.0))
+    kb = k ** (1.0 + params.beta)
+    rates = params.lam * (1.0 - g) * kb / float((kb * probs).sum())
+    weights = k ** params.alpha * probs
+    weighted = weights * rates
+    sigma, slope_sum, upper = params.sigma, float(weighted.sum()), float(weights.sum()) / params.sigma
+
+    def h(x):
+        em = np.expm1(-rates * x)
+        return x + float(weights @ em) / sigma, 1.0 - (slope_sum + float(weighted @ em)) / sigma
+
+    psi = 0.0 if slope_sum / sigma <= 1.0 else None
+    x = upper
+    for _ in range(max_iter if psi is None else 0):
+        hx, slope = h(x)
+        if slope <= 0.0:
+            break
+        x_next = x - hx / slope
+        if abs(x_next - x) < tol * max(1.0, x):
+            psi = x_next
+            break
+        if not 0.0 < x_next < x:
+            break
+        x = x_next
+    if psi is None:  # the bisection fallback
+        lo = hi = upper
+        for _ in range(200):
+            lo *= 0.5
+            if h(lo)[0] < 0.0:
+                break
+        while psi is None:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if h(mid)[0] < 0.0 else (lo, mid)
+            if hi - lo < tol * hi:
+                psi = 0.5 * (lo + hi)
+    ignorant = np.exp(np.maximum(-rates * psi, meanfield._EXP_FLOOR))
+    r = 1.0 - float((probs * (1.0 - g) * ignorant).sum()) - float((probs * g).sum())
+    return psi, min(max(r, 0.0), 1.0)
 
 
 TRAJECTORY_ARRAYS = ("times", "r", "s", "i", "phi", "psi")
@@ -292,10 +349,11 @@ class TestIntegrate:
         params = ModelParams(lam=80.0, alpha=1.0, beta=2.0)
         traj = integrate(uniform_seed_state(TWO_FOUR, 0.0), TWO_FOUR, params, t_end=1.0, dt=0.1)
         assert np.all(traj.i == 1.0) and np.all(traj.psi == 0.0)
-        # the state is fixed from step 0, so only its 4 stages run, each on
-        # both classes
+        # the state is fixed from step 0, so only its 4 stages run; all sit at
+        # Psi = 0, so the first is evaluated on both classes and the other
+        # three reuse its result
         message = caplog.records[-1].getMessage()
-        assert " frozen=0 " in message and message.endswith(" evals=8")
+        assert " frozen=0 " in message and message.endswith(" evals=2")
 
     def test_negative_psi_evaluates_every_class(self):
         # the state of test_negative_psi_reported: the reported I must be the
@@ -423,7 +481,7 @@ class TestFixedPointExit:
         plan = {"targeted": make_targeted_plan(dist, 0.05), "random": make_random_plan(0.3)}.get(case)
         if case == "targeted":
             # the hubs are inoculated, so their rates are zero
-            assert meanfield._class_terms(dist, params, plan)[2][-1] == 0.0
+            assert meanfield._class_terms(dist, params, plan)[1][-1] == 0.0
         # 7000 steps: 70 divides them, 65 does not
         sample_every = 65 if case == "uneven_sampling" else 70
         initial = uniform_seed_state(dist, 1e-3)
@@ -608,7 +666,6 @@ class TestFinalRumorSize:
             return profile(plan, dist)
 
         monkeypatch.setattr(InoculationPlan, "profile", counting_profile)
-        meanfield._class_terms.cache_clear()
         dist = sample_powerlaw_distribution(2.4, 2, 1000)
         params = ModelParams(lam=1.0, alpha=0.8)
         plan, other = make_targeted_plan(dist, 0.05), make_targeted_plan(dist, 0.1)
@@ -659,3 +716,109 @@ class TestFinalRumorSize:
             finals.append(traj.final_r)
         assert finals[0] / finals[1] >= 5.0
 
+
+def _plan(dist, kind, g):
+    if kind == "random":
+        return make_random_plan(g)
+    return make_targeted_plan(dist, g) if kind == "targeted" else None
+
+
+def _lambdas(dist, alpha, beta, sigma, plan, overs):
+    """0 and lam at each multiple ``over`` of the threshold on dist."""
+    lambda_c = sigma * (threshold_modified(dist, alpha, beta) if plan is None
+                        else threshold_targeted_inoc(dist, alpha, beta, plan))
+    return [0.0] + ([over * lambda_c for over in overs] if math.isfinite(lambda_c) else [1.0])
+
+
+class TestTermLifetimes:
+    """final_rumor_size keeps w_k per (distribution, alpha) and the g_k terms
+    per (distribution, plan); only a_k is per point.  The numbers must be
+    those of the formulas evaluated afresh at each point, bit for bit."""
+
+    POWERLAW = sample_powerlaw_distribution(2.4, 2, 1000)
+
+    @pytest.mark.parametrize("kind, g", [("none", 0.0), ("random", 0.3), ("targeted", 0.05)])
+    def test_lambda_sweep_equals_the_per_point_formulas(self, kind, g):
+        dist = sample_powerlaw_distribution(2.4, 2, 1000)
+        plan = _plan(dist, kind, g)
+        roots = []
+        for alpha, sigma in ((0.8, 1.0), (0.5, 2.0), (0.8, 0.5)):
+            # 24 lam values across the threshold, as in a phase diagram
+            for lam in _lambdas(dist, alpha, -0.5, sigma, plan, np.geomspace(0.3, 8.0, 23)):
+                params = ModelParams(lam=lam, alpha=alpha, beta=-0.5, sigma=sigma)
+                r = final_rumor_size(dist, params, plan)
+                psi = psi_fixed_point(dist, params, plan)
+                assert (psi, r) == per_point_final_size(dist, params, plan)
+                roots.append(psi)
+        assert 0.0 in roots and max(roots) > 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        degrees=st.lists(st.integers(1, 60), min_size=1, max_size=8, unique=True),
+        raw_probs=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+        alpha=st.floats(0.1, 1.0),
+        beta=st.floats(-1.0, 1.0),
+        sigma=st.floats(0.2, 3.0),
+        kind=st.sampled_from(["none", "random", "targeted"]),
+        g=st.floats(0.0, 0.6),
+    )
+    def test_equals_the_per_point_formulas(self, degrees, raw_probs, alpha, beta, sigma, kind, g):
+        support = np.array(sorted(degrees))
+        probs = np.array(raw_probs[:support.size])
+        dist = DegreeDistribution(support, probs / probs.sum())
+        plan = _plan(dist, kind, g)
+        for lam in _lambdas(dist, alpha, beta, sigma, plan, (0.5, 0.999, 1.001, 1.5, 6.0)):
+            params = ModelParams(lam=lam, alpha=alpha, beta=beta, sigma=sigma)
+            expected = per_point_final_size(dist, params, plan)
+            assert (psi_fixed_point(dist, params, plan), final_rumor_size(dist, params, plan)) == expected
+
+    def test_bisection_path_equals_the_per_point_formulas(self):
+        dist = self.POWERLAW
+        plan = make_targeted_plan(dist, 0.05)
+        params = ModelParams(lam=1.0, alpha=0.8, beta=-0.5, sigma=2.0)
+        expected = per_point_final_size(dist, params, plan, max_iter=1)
+        assert psi_fixed_point(dist, params, plan, max_iter=1) == expected[0] > 0.0
+
+    def test_distribution_dies_with_its_terms(self):
+        dist = sample_powerlaw_distribution(2.4, 2, 1000)
+        plan = make_targeted_plan(dist, 0.05)
+        params = ModelParams(lam=1.0, alpha=0.8, beta=-0.5)
+        final_rumor_size(dist, params, plan)
+        integrate(uniform_seed_state(dist, 1e-3), dist, params, plan, t_end=1.0, dt=0.1)
+        threshold_targeted_inoc(dist, 0.8, -0.5, plan)
+        ref = weakref.ref(dist)
+        del dist
+        gc.collect()
+        assert ref() is None
+
+    def test_every_cached_array_is_read_only(self):
+        dist = sample_powerlaw_distribution(2.4, 2, 1000)
+        for kind, g in (("none", 0.0), ("random", 0.3), ("targeted", 0.05)):
+            plan = _plan(dist, kind, g)
+            for alpha in (0.5, 1.0):
+                params = ModelParams(lam=1.0, alpha=alpha, beta=0.5)
+                final_rumor_size(dist, params, plan)
+                threshold_targeted_inoc(dist, alpha, 0.5, plan or make_random_plan(0.0))
+        arrays = []
+        for value in dist._memo.values():
+            for item in (value.values() if isinstance(value, dict) else [value]):
+                arrays += [x for x in (item if isinstance(item, tuple) else (item,)) if isinstance(x, np.ndarray)]
+        # powers, weights, profiles, the plan terms and the last point's pair
+        assert len(arrays) > 10
+        assert not any(array.flags.writeable for array in arrays)
+
+    def test_pickled_copy_rebuilds_its_terms(self):
+        dist = sample_powerlaw_distribution(2.4, 2, 1000)
+        plan = make_targeted_plan(dist, 0.05)
+        params = ModelParams(lam=1.0, alpha=0.8)
+        expected = final_rumor_size(dist, params, plan)
+        copy = pickle.loads(pickle.dumps(dist))
+        assert copy._memo == {}
+        assert not copy.support.flags.writeable and not copy.probs.flags.writeable
+        assert final_rumor_size(copy, params, plan) == expected
+
+    def test_same_bits(self):
+        assert meanfield._same_bits(0.5, 0.5) and meanfield._same_bits(0.0, 0.0)
+        assert not meanfield._same_bits(0.0, -0.0) and not meanfield._same_bits(-0.0, 0.0)
+        assert not meanfield._same_bits(math.nan, math.nan)
+        assert not meanfield._same_bits(1.0, math.nextafter(1.0, 2.0))
