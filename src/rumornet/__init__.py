@@ -27,7 +27,6 @@ from .netgen import (
 from .thresholds import (
     NO_OUTBREAK,
     ThresholdReport,
-    threshold_classic_bounded,
     threshold_modified,
     threshold_modified_bounded,
     threshold_random_inoc,
@@ -58,7 +57,6 @@ __all__ = [
     "psi_fixed_point",
     "run",
     "sample_powerlaw_distribution",
-    "threshold_classic_bounded",
     "threshold_modified",
     "threshold_modified_bounded",
     "threshold_random_inoc",

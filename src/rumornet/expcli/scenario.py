@@ -8,6 +8,17 @@ content hashes; re-running with the same master seed reproduces identical
 bytes.  Every random stream is keyed to (master seed, grid-point index,
 run index), never to execution order, so grid points can run in any order or
 in parallel without changing the output.
+
+The benchmark in ``perfbench/`` binds names of this module from outside the
+package, so they keep their names and every call goes through them:
+
+* its tracer wraps the module globals ``build_ba_network``,
+  ``build_configuration_network``, ``sample_powerlaw_distribution``,
+  ``integrate``, ``final_rumor_size``, ``make_random_plan``,
+  ``make_targeted_plan`` and ``line_plot``;
+* its output checks import ``make_targeted_plan`` from here and read the
+  Scenario fields ``name``, ``engine``, ``timeseries``, ``net_kind``,
+  ``gamma``, ``k_min``, ``n_nodes``, ``lam_grid`` and ``inoc_kind``.
 """
 
 from __future__ import annotations
@@ -15,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -34,7 +44,6 @@ from ..netgen import (
     sample_powerlaw_distribution,
 )
 from ..thresholds import (
-    threshold_classic_bounded,
     threshold_modified,
     threshold_modified_bounded,
     threshold_random_inoc,
@@ -62,6 +71,11 @@ INOC_KINDS = ("none", "random", "targeted")
 
 class ScenarioError(ValueError):
     """Malformed or invalid scenario configuration."""
+
+
+# each sweep axis, by its name in a grid point and a CSV column, to the
+# Scenario field that holds its grid; in grid order, which numbers the points
+_AXES = {"lambda": "lam_grid", "alpha": "alpha_grid", "beta": "beta_grid", "sigma": "sigma_grid", "g": "g_grid"}
 
 
 @dataclass
@@ -94,13 +108,8 @@ class Scenario:
     tolerance: float
 
     def grid(self) -> list[dict]:
-        """Cartesian product of the parameter grids, in declaration order."""
-        points = []
-        for lam, alpha, beta, sigma, g in product(
-            self.lam_grid, self.alpha_grid, self.beta_grid, self.sigma_grid, self.g_grid
-        ):
-            points.append({"lambda": lam, "alpha": alpha, "beta": beta, "sigma": sigma, "g": g})
-        return points
+        """Cartesian product of the parameter grids, in ``_AXES`` order."""
+        return [dict(zip(_AXES, values)) for values in product(*(getattr(self, f) for f in _AXES.values()))]
 
     def plan_for(self, dist: DegreeDistribution, g: float) -> InoculationPlan | None:
         if self.inoc_kind == "none" or g == 0.0:
@@ -380,7 +389,6 @@ def _collect_results(scenario: Scenario) -> tuple[list[dict], list[dict]]:
         outcomes = [_point_job(assets, job) for job in jobs]
     results = [payload for status, payload in outcomes if status == "ok"]
     failures = [payload for status, payload in outcomes if status == "err"]
-    results.sort(key=lambda res: res["point"])
     return results, failures
 
 
@@ -401,7 +409,7 @@ def _audit_header(scenario: Scenario) -> list[str]:
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, numbers.Integral):  # bool, int, numpy integer
+    if isinstance(value, (int, np.integer)):  # bool, int, numpy integer
         return str(int(value))
     return repr(float(value))
 
@@ -425,11 +433,14 @@ def write_distribution_csv(dist: DegreeDistribution, path) -> None:
     _write_csv(path, ["k", "p"], zip(dist.support, dist.probs))
 
 
-def _sweep_axis(scenario: Scenario, axes=("lambda", "beta", "alpha", "g", "sigma")) -> str:
+# the order in which a plot picks its x axis, the first axis that varies; the
+# pick is in the hashed SVG bytes
+_X_ORDER = ("lambda", "beta", "alpha", "g", "sigma")
+
+
+def _sweep_axis(scenario: Scenario, axes=_X_ORDER) -> str:
     """The first of ``axes`` whose grid holds more than one value, else the first of ``axes``."""
-    grids = {"lambda": scenario.lam_grid, "beta": scenario.beta_grid, "alpha": scenario.alpha_grid,
-             "g": scenario.g_grid, "sigma": scenario.sigma_grid}
-    return next((axis for axis in axes if len(grids[axis]) > 1), axes[0])
+    return next((axis for axis in axes if len(getattr(scenario, _AXES[axis])) > 1), axes[0])
 
 
 # each axis's short name in a series label, in label order
@@ -441,7 +452,7 @@ def _series_label(point: dict, axis: str) -> str:
 
 
 def _write_final_size(scenario: Scenario, results: list[dict], out_dir: str) -> list[str]:
-    columns = ["point", "lambda", "alpha", "beta", "sigma", "g"]
+    columns = ["point", *_AXES]
     if scenario.engine in ("meanfield", "both"):
         columns.append("R_mf")
     if scenario.engine in ("montecarlo", "both"):
@@ -529,20 +540,7 @@ def compare_engines(scenario: Scenario) -> dict:
     rows = []
     for res in results:
         deviation = abs(res["r_mc_mean"] - res["r_mf"])
-        rows.append(
-            {
-                "point": res["point"],
-                "lambda": res["lambda"],
-                "alpha": res["alpha"],
-                "beta": res["beta"],
-                "sigma": res["sigma"],
-                "g": res["g"],
-                "r_mf": res["r_mf"],
-                "r_mc_mean": res["r_mc_mean"],
-                "deviation": deviation,
-                "passed": deviation < scenario.tolerance,
-            }
-        )
+        rows.append({**res, "deviation": deviation, "passed": deviation < scenario.tolerance})
     return {
         "tolerance": scenario.tolerance,
         "rows": rows,
@@ -553,7 +551,7 @@ def compare_engines(scenario: Scenario) -> dict:
 
 def write_comparison(scenario: Scenario, report: dict, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
-    columns = ["point", "lambda", "alpha", "beta", "sigma", "g", "R_mf", "R_mc_mean", "deviation", "passed"]
+    columns = ["point", *_AXES, "R_mf", "R_mc_mean", "deviation", "passed"]
     _write_csv(
         os.path.join(out_dir, "comparison.csv"), columns,
         ([row[column.lower()] for column in columns] for row in report["rows"]),
@@ -570,53 +568,46 @@ def write_comparison(scenario: Scenario, report: dict, out_dir: str) -> list[str
 
 
 # the axes that key a threshold row; lambda moves no threshold
-_THRESHOLD_AXES = ("alpha", "beta", "sigma", "g")
+_THRESHOLD_AXES = tuple(axis for axis in _AXES if axis != "lambda")
 
 
 def threshold_table(scenario: Scenario) -> list[dict]:
     """Analytic threshold rows ``alpha,beta,sigma,g,lambda_c,lambda_c_classic,regime``,
-    one per (alpha, beta, sigma, g) of the grid.
+    one per distinct (alpha, beta, sigma, g) of the grids, in grid order.
 
     lambda_c and a targeted plan use the distribution ``simulate`` uses: a
     configuration scenario's power law, a BA scenario's empirical degree
-    distribution.  lambda_c_classic, the classic model's threshold on the
-    bounded network (threshold_classic_bounded), and the size regime of
-    threshold_modified_bounded are analytic; for a BA network they take
-    gamma=3 and k_min=m.  Random inoculation rescales lambda_c by 1/(1-g); a
-    targeted plan uses the profile-weighted moment ratio.  The outbreak
-    condition compares the growth rate with the stifling rate sigma, so both
-    thresholds of a row are its sigma times their sigma = 1 values.
+    distribution.  lambda_c_classic and regime come from
+    threshold_modified_bounded on the bounded network, for a BA network with
+    gamma=3 and k_min=m: lambda_c_classic is its value for the classic model
+    (alpha=1, beta=0), regime its size regime at the row's alpha and beta.
+    Random inoculation rescales lambda_c by 1/(1-g); a targeted plan uses the
+    profile-weighted moment ratio.  The outbreak condition compares the
+    growth rate with the stifling rate sigma, so both thresholds of a row are
+    its sigma times their sigma = 1 values.
     """
     dist = _build_assets(scenario, graph=False)[0]
     gamma, k_min = (3.0, scenario.m) if scenario.net_kind == "ba" else (scenario.gamma, scenario.k_min)
-    classic = threshold_classic_bounded(gamma, k_min, scenario.n_nodes)
+    classic = threshold_modified_bounded(gamma, k_min, scenario.n_nodes, 1.0, 0.0).value
     plans = scenario.plans(dist)
     rows = []
-    seen = set()
-    for point in scenario.grid():
-        key = tuple(point[axis] for axis in _THRESHOLD_AXES)
-        if key in seen:
-            continue
-        seen.add(key)
-        bare = threshold_modified(dist, point["alpha"], point["beta"])
-        plan = plans[point["g"]]
+    grids = (getattr(scenario, _AXES[axis]) for axis in _THRESHOLD_AXES)
+    for key in dict.fromkeys(product(*grids)):
+        alpha, beta, sigma, g = key
+        bare = threshold_modified(dist, alpha, beta)
+        plan = plans[g]
         if plan is None:
             lambda_c = bare
         elif plan.kind == KIND_RANDOM:
             lambda_c = threshold_random_inoc(bare, plan.g)
         else:
-            lambda_c = threshold_targeted_inoc(dist, point["alpha"], point["beta"], plan)
-        report = threshold_modified_bounded(
-            gamma, k_min, scenario.n_nodes, point["alpha"], point["beta"]
-        )
-        rows.append(
-            {
-                **dict(zip(_THRESHOLD_AXES, key)),
-                "lambda_c": point["sigma"] * lambda_c,
-                "lambda_c_classic": point["sigma"] * classic,
-                "regime": report.regime,
-            }
-        )
+            lambda_c = threshold_targeted_inoc(dist, alpha, beta, plan)
+        rows.append({
+            **dict(zip(_THRESHOLD_AXES, key)),
+            "lambda_c": sigma * lambda_c,
+            "lambda_c_classic": sigma * classic,
+            "regime": threshold_modified_bounded(gamma, k_min, scenario.n_nodes, alpha, beta).regime,
+        })
     return rows
 
 
@@ -637,7 +628,7 @@ def write_threshold_table(scenario: Scenario, rows: list[dict], out_dir: str) ->
           row["lambda_c_classic"], row["regime"]] for row in rows),
         _audit_header(scenario),
     )
-    axis = _sweep_axis(scenario, ("beta", "alpha", "g", "sigma"))
+    axis = _sweep_axis(scenario, _X_ORDER[1:])
     varying = [other for other in _THRESHOLD_AXES if other != axis and len({row[other] for row in rows}) > 1]
     series: dict[str, list[tuple[float, float]]] = {}
     for row in rows:

@@ -13,19 +13,10 @@ Everything in the modified model is carried by Psi(t), the integral of Phi.
 Ignorants obey the closed form rho_i(k, t) = rho_i(k, 0) exp(-a_k Psi(t)), so
 the block ODEs reduce exactly to two scalar ODEs for Psi and R, which
 ``integrate`` solves by RK4 (the edge-based reduction of Miller, J. Math.
-Biol. 2011).  Each RK4 stage sums expm1(-a_k Psi) over the degree classes.
-In double precision expm1(-x) is exactly -1.0 once x > 54 ln 2, so the
-classes with a_k Psi beyond that contribute a constant, summed once before
-the loop, and a stage evaluates only the others.  Every class's term is the
-one the full sum would use; only the order of summation changes, so this adds
-no approximation.  One RK4 step is a function of (Psi, R) alone, so once a
-step returns the state it was given, bit for bit, every later step would
-too: ``integrate`` stops stepping there and repeats that sample to the end of
-the time grid, which gives exactly the samples of running every step.  A
-stage is a function of Psi alone too, so a stage at the same Psi, bit for bit,
-as the one before reuses its sums.  At the end of spreading the final rumor
-size follows from the largest root of the self-consistent fixed-point
-equation for Psi(infinity).
+Biol. 2011); its docstring gives the work a step skips and why skipping it
+changes no bit.  At the end of spreading the final rumor size follows from
+the largest root of the self-consistent fixed-point equation for
+Psi(infinity).
 With a general stifling rate sigma the dynamics are the sigma=1 dynamics on
 the rescaled clock tau = sigma * t, so the fixed-point equation picks up a
 single factor of sigma and all sigma = 1 formulas are recovered verbatim.
@@ -254,6 +245,10 @@ def integrate(
     count, the step at which the state became fixed (``frozen``; the step
     count if it never did), final Psi, final R and the number of per-class
     exponentials evaluated (``evals``; reused stages add none) at DEBUG level.
+
+    The benchmark's tracer binds this signature from outside the package: it
+    reads the arguments ``initial``, ``t_end`` and ``dt`` by name, and
+    ``initial.rho_i``, so those keep their names.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

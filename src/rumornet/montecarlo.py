@@ -119,7 +119,7 @@ def run(
     network: Network,
     params: ModelParams,
     plan: InoculationPlan | None = None,
-    seeds: int | float = 1,
+    seeds: int = 1,
     dt: float = 0.1,
     t_max: float = 200.0,
     rng: int = 0,
@@ -127,24 +127,20 @@ def run(
 ) -> SimTrace:
     """Simulate one outbreak; returns the sampled trace.
 
-    ``seeds`` is an initial spreader count (int) or population fraction
-    (float < 1).  Seed nodes are drawn first, uniformly over all nodes, and
-    are excluded from inoculation, so a full-coverage plan still leaves the
-    seeds active.  The loop stops when no spreaders remain or t reaches t_max.
-    ``rng`` seeds the run's generator and is recorded as the trace's seed.
+    ``seeds`` is the initial spreader count.  Seed nodes are drawn first,
+    uniformly over all nodes, and are excluded from inoculation, so a
+    full-coverage plan still leaves the seeds active.  The loop stops when
+    no spreaders remain or t reaches t_max.  ``rng`` seeds the run's
+    generator and is recorded as the trace's seed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     gen = np.random.default_rng(rng)
     n = network.n
-    if isinstance(seeds, float) and 0 < seeds < 1:
-        n_seeds = max(1, int(round(seeds * n)))
-    else:
-        n_seeds = int(seeds)
-    if not 1 <= n_seeds <= n:
-        raise ValueError(f"need between 1 and {n} seed spreaders, got {n_seeds}")
+    if not 1 <= seeds <= n:
+        raise ValueError(f"need between 1 and {n} seed spreaders, got {seeds}")
 
-    seed_ids = gen.choice(n, size=n_seeds, replace=False)
+    seed_ids = gen.choice(n, size=seeds, replace=False)
     inoculated = np.setdiff1d(apply_plan(network, plan, gen), seed_ids)
 
     kernel = _Kernel(network, params, dt)
@@ -161,7 +157,7 @@ def run(
     spreaders = seed_ids.astype(np.int64)
     n_stiflers = 0
     times = [0.0]
-    spr_counts = [n_seeds]
+    spr_counts = [seeds]
     sti_counts = [0]
     t = 0.0
     while t < t_max and spreaders.size:
@@ -206,7 +202,6 @@ class EnsembleSummary:
     std_final_r: float
     mean_peak_s: float
     finals: np.ndarray
-    peaks: np.ndarray
     seeds: np.ndarray
     traces: list[SimTrace] | None = field(default=None, repr=False)
 
@@ -221,7 +216,7 @@ def ensemble(
     params: ModelParams,
     plan: InoculationPlan | None = None,
     runs: int = 50,
-    seeds: int | float = 1,
+    seeds: int = 1,
     dt: float = 0.1,
     t_max: float = 200.0,
     master_seed: int = 0,
@@ -247,7 +242,6 @@ def ensemble(
         std_final_r=float(finals.std()),
         mean_peak_s=float(peaks.mean()),
         finals=finals,
-        peaks=peaks,
         seeds=run_seeds,
         traces=traces,
     )

@@ -24,7 +24,6 @@ __all__ = [
     "Network",
     "build_ba_network",
     "build_configuration_network",
-    "read_edge_list",
     "sample_powerlaw_distribution",
     "write_edge_list",
 ]
@@ -308,22 +307,3 @@ def write_edge_list(network: Network, path) -> None:
         fh.write(f"# nodes={network.n}\n")
         for u, v in network.edges():
             fh.write(f"{u} {v}\n")
-
-
-def read_edge_list(path) -> Network:
-    n = None
-    edges = []
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if n is None and "nodes=" in line:
-                    n = int(line.split("nodes=")[1])
-                continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
-    if n is None:
-        raise ValueError(f"{path}: missing '# nodes=<N>' header")
-    return Network(n, edges)

@@ -2,8 +2,8 @@
 
 The primary threshold is the discrete moment ratio
 lambda_c = <k**(beta+1)> / <k**(alpha+beta+1)> evaluated on the finite
-support; the bounded variants evaluate the same ratio in the continuum with
-the hard cutoff k_max = k_min * n**(1/(gamma-1)) and report its leading
+support; the bounded variant evaluates the same ratio in the continuum with
+the hard cutoff k_max = k_min * n**(1/(gamma-1)) and reports its leading
 large-n behavior, which is what exposes the size-(in)dependence regimes:
 the threshold stays finite and size-independent when alpha + beta + 2 < gamma,
 vanishes as a power of n when alpha + beta + 2 > gamma, and decays
@@ -27,7 +27,6 @@ __all__ = [
     "REGIME_LOG",
     "REGIME_VANISHING",
     "ThresholdReport",
-    "threshold_classic_bounded",
     "threshold_modified",
     "threshold_modified_bounded",
     "threshold_random_inoc",
@@ -63,28 +62,6 @@ def threshold_modified(dist: DegreeDistribution, alpha: float, beta: float) -> f
     return dist.moment(beta + 1.0) / dist.moment(alpha + beta + 1.0)
 
 
-def _check_gamma(gamma: float) -> None:
-    if not 2.0 < gamma <= 3.0:
-        raise ValueError(f"gamma must lie in (2, 3], got {gamma}")
-
-
-def threshold_classic_bounded(gamma: float, k_min: int, n_nodes: int) -> float:
-    """Classical (all-neighbor) threshold on a size-n bounded scale-free network.
-
-    ((3-gamma) / ((gamma-2) k_min)) * n**((gamma-3)/(gamma-1)) for gamma < 3,
-    and 2 / (k_min ln n) at gamma = 3.  Vanishes as n grows for every gamma
-    in (2, 3].
-    """
-    _check_gamma(gamma)
-    if k_min < 1:
-        raise ValueError("k_min must be >= 1")
-    if n_nodes < 2:
-        raise ValueError("n_nodes must be >= 2")
-    if abs(gamma - 3.0) <= _BOUNDARY_EPS:
-        return 2.0 / (k_min * math.log(n_nodes))
-    return (3.0 - gamma) / ((gamma - 2.0) * k_min) * n_nodes ** ((gamma - 3.0) / (gamma - 1.0))
-
-
 def threshold_modified_bounded(
     gamma: float, k_min: int, n_nodes: int, alpha: float, beta: float
 ) -> ThresholdReport:
@@ -102,8 +79,12 @@ def threshold_modified_bounded(
       a2 > 0, a1 > 0:  (a2 / a1) * k_max**-alpha
 
     The regime label follows the sign of a2 = alpha + beta + 2 - gamma alone.
+    At alpha=1, beta=0 this is the classic model's threshold,
+    ((3-gamma) / ((gamma-2) k_min)) * n**((gamma-3)/(gamma-1)) for gamma < 3
+    and 2 / (k_min ln n) at gamma = 3.
     """
-    _check_gamma(gamma)
+    if not 2.0 < gamma <= 3.0:
+        raise ValueError(f"gamma must lie in (2, 3], got {gamma}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if k_min < 1:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumornet import montecarlo
+from rumornet.expcli.scenario import parse_scenario
 from rumornet.inoculation import make_random_plan, make_targeted_plan
 from rumornet.meanfield import ModelParams, final_rumor_size
 from rumornet.montecarlo import (
@@ -89,9 +90,13 @@ class TestRunBasics:
         with pytest.raises(ValueError):
             run(net, params, seeds=6)
 
-    def test_fraction_seeding(self):
-        net = complete_graph(50)
-        trace = run(net, ModelParams(lam=0.0, alpha=1.0), seeds=0.1, rng=7)
+    def test_fraction_seeding(self, tmp_path):
+        # a seed fraction s0 becomes a spreader count when the scenario is parsed
+        path = tmp_path / "fraction.cfg"
+        path.write_text("[network]\nn = 50\n\n[model]\nlambda = 0.0\ns0 = 0.1\n")
+        seeds = parse_scenario(path).mc_seeds
+        assert seeds == 5
+        trace = run(complete_graph(50), ModelParams(lam=0.0, alpha=1.0), seeds=seeds, rng=7)
         assert trace.final_r == pytest.approx(5 / 50)
 
     def test_fractions_sum_to_one(self):

@@ -11,7 +11,6 @@ from rumornet.thresholds import (
     REGIME_FINITE,
     REGIME_LOG,
     REGIME_VANISHING,
-    threshold_classic_bounded,
     threshold_modified,
     threshold_modified_bounded,
     threshold_random_inoc,
@@ -62,25 +61,30 @@ class TestThresholdModified:
             assert all(b < a for a, b in zip(values, values[1:]))
 
 
+def classic_bounded(gamma, k_min, n_nodes):
+    """The classic model's bounded threshold: the modified one at alpha=1, beta=0."""
+    return threshold_modified_bounded(gamma, k_min, n_nodes, 1.0, 0.0).value
+
+
 class TestClassicBounded:
     def test_gamma3_log_form(self):
         n = int(round(math.e**10))
-        assert threshold_classic_bounded(3.0, 2, n) == pytest.approx(0.1, rel=1e-4)
+        assert classic_bounded(3.0, 2, n) == pytest.approx(0.1, rel=1e-4)
 
     def test_strictly_decreasing_in_n(self):
-        values = [threshold_classic_bounded(2.5, 1, n) for n in (10**3, 10**4, 10**5)]
+        values = [classic_bounded(2.5, 1, n) for n in (10**3, 10**4, 10**5)]
         assert values[0] > values[1] > values[2]
 
     def test_frozen_value(self):
         expected = 0.75 * (10**5) ** (-0.6 / 1.4)  # recomputed from the power law directly
         assert expected == pytest.approx(5.3976425e-3, rel=1e-6)
-        assert threshold_classic_bounded(2.4, 2, 10**5) == pytest.approx(expected, rel=1e-12)
+        assert classic_bounded(2.4, 2, 10**5) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_gamma_out_of_range(self):
         with pytest.raises(ValueError):
-            threshold_classic_bounded(2.0, 2, 100)
+            classic_bounded(2.0, 2, 100)
         with pytest.raises(ValueError):
-            threshold_classic_bounded(3.5, 2, 100)
+            classic_bounded(3.5, 2, 100)
 
 
 class TestModifiedBounded:
@@ -98,12 +102,6 @@ class TestModifiedBounded:
         expected = k_min**-0.4 / (0.4 * math.log(k_max / k_min))
         assert report.regime == REGIME_LOG
         assert report.value == pytest.approx(expected, rel=1e-12)
-
-    def test_matches_classic_at_reduction_point(self):
-        report = threshold_modified_bounded(2.4, 2, 10**4, 1.0, 0.0)
-        classic = threshold_classic_bounded(2.4, 2, 10**4)
-        assert report.regime == REGIME_VANISHING
-        assert report.value == pytest.approx(classic, rel=0.15)
 
     def test_close_to_exact_integrals_deep_in_each_regime(self):
         # the reported value is the leading large-n behavior of the integral ratio
@@ -139,7 +137,7 @@ class TestModifiedBounded:
             for alpha in (0.3, 0.6, 0.9):
                 for beta in (-0.3, -0.1):
                     for n in (10**3, 10**5):
-                        classic = threshold_classic_bounded(gamma, 2, n)
+                        classic = classic_bounded(gamma, 2, n)
                         modified = threshold_modified_bounded(gamma, 2, n, alpha, beta).value
                         assert classic < modified
 

@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 
+from rumornet.netgen import sample_powerlaw_distribution
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCENARIO = """\
@@ -33,6 +35,7 @@ kind = targeted
 g = 0.05, 0.2
 """
 POINTS = 6
+STEPS = 20  # t_end / dt_meanfield
 
 CHILD = """\
 import json, sys
@@ -57,10 +60,16 @@ def test_traced_solver_metrics_count_every_point(tmp_path):
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0
+    # a traced name whose wrapper raises fails its point, not the run
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["failures"] == []
+    assert manifest["completed"] == POINTS
     spans, metrics = result["spans"], result["metrics"]
     assert metrics["expcli.points"] == POINTS
     assert metrics["meanfield.fixed_point_calls"] == POINTS
     assert metrics["meanfield.integrate_calls"] == POINTS
+    classes = sample_powerlaw_distribution(2.4, 2, 1000).support.size
+    assert metrics["meanfield.class_steps"] == POINTS * STEPS * classes
     final_size = [i for i, span in enumerate(spans) if span["name"] == "meanfield.final_size"]
     assert len(final_size) == POINTS
     # each fixed point is solved inside a final-size call, through the traced name
