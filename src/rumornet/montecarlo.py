@@ -11,13 +11,30 @@ node informed in this step starts spreading in the next one.  Inoculated
 nodes are frozen; they are skipped both as sources and as targets.
 
 A step is whole-array work on the network's CSR adjacency, with no loop over
-spreaders: all contact counts are drawn at once; the neighbor samples come
-from giving every adjacency slot of the spreaders that contact fewer
-neighbors than they have a random key, sorting on row + key, and keeping
-each row's first ``count`` slots; then one Bernoulli per contacted ignorant
-and one per spreader.  This samples exactly the law stated above.  S_i is
-one ``np.bincount`` over the adjacency slots, and the spreader and stifler
-counts are updated per step rather than recounted.
+spreaders, and it draws only the contacts that can transmit (thinning; Lewis
+& Shedler, Naval Res. Logistics Q. 26, 1979), so it reads the adjacency
+slots it draws, not every slot of every spreader's row.  With
+p_ij = min(1, lam * k_i * (w_ij / S_i) * dt), let pi_i = max_{j in N(i)} p_ij
+be the largest chance in row i (0 for an isolated node).  The coin
+Bern(p_ij) of a contacted ignorant is the product of two independent coins,
+Bern(pi_i) and Bern(p_ij / pi_i), and the first is the same for every slot
+of the row.  Among a uniform c-subset of the row, the slots whose first coin
+comes up heads are therefore a uniform b-subset with b ~ Binomial(c, pi_i).
+So a spreader draws c as before, then b, then a uniform b-subset of its row,
+and keeps each drawn slot whose target is ignorant and whose second coin
+comes up heads.  b = 0 takes one uniform: the first success J of
+Bernoulli(pi_i) trials is geometric, J = 1 + floor(log(1 - u) / log(1 - pi_i)),
+and b >= 1 iff J <= c; then b = 1 + Binomial(c - J, pi_i).  The b-subset is
+b independent uniform positions in the row, which are a uniform b-subset
+given that no two are equal; a row whose positions repeat, or with
+2b > k_i + 1, instead gives each of its slots a random key, sorts on
+row + key and keeps its first b slots.  Which of the two a row takes depends
+on b and on whether its positions repeat, never on which subset they form,
+so either way the subset is uniform and the step samples exactly the law
+above.  S_i is one ``np.bincount`` over the adjacency slots and the row
+maxima one ``np.maximum.reduceat``; ``ensemble`` builds these per-node
+constants once for all its runs.  The spreader and stifler counts are
+updated per step rather than recounted.
 
 The per-pair transmission rate this realizes, lam * k_i**alpha * w_ij / S_i,
 is invariant under dt, so halving dt only tightens the discretization
@@ -66,53 +83,113 @@ class SimTrace:
 
 
 class _Kernel:
-    """Per-node constants of one run's dynamics and the whole-array step."""
+    """Per-node constants of one network, parameter set and dt, and the
+    whole-array step; ``ensemble`` builds one for all its runs."""
 
     def __init__(self, network: Network, params: ModelParams, dt: float):
         deg = network.degrees.astype(np.float64)
+        linked = network.degrees > 0
         # w_ij / S_i = k_j**beta / sum_{l in N(i)} k_l**beta  (the k_i**beta factors cancel)
-        kbeta = np.power(deg, params.beta, out=np.zeros(network.n), where=deg > 0)
-        strength = np.bincount(network.slot_rows(), weights=kbeta[network.indices], minlength=network.n)
-        c_mean = np.where(deg > 0, deg ** params.alpha, 0.0)
+        kbeta = np.power(deg, params.beta, out=np.zeros(network.n), where=linked)
+        slot_kbeta = kbeta[network.indices]
+        strength = np.bincount(network.slot_rows(), weights=slot_kbeta, minlength=network.n)
+        # pfac * k_j**beta = lam * k_i * dt * w_ij / S_i, the per-contact probability
+        pfac = np.where(strength > 0, params.lam * deg * dt / np.where(strength > 0, strength, 1.0), 0.0)
+        # the largest k_j**beta of each row: reduceat reduces from one start
+        # to the next and reads the wrong row at an empty one, so only the
+        # starts of nonempty rows go in
+        row_max = np.zeros(network.n)
+        row_max[linked] = np.maximum.reduceat(slot_kbeta, network.indptr[:-1][linked])
+        pi = np.minimum(1.0, pfac * row_max)
+        c_mean = np.where(linked, deg**params.alpha, 0.0)
+        c_floor = np.floor(c_mean)
         self.network = network
         self.kbeta = kbeta
-        # pfac * k_j**beta = lam * k_i * dt * w_ij / S_i, the per-contact probability
-        self.pfac = np.where(strength > 0, params.lam * deg * dt / np.where(strength > 0, strength, 1.0), 0.0)
-        self.c_floor = np.floor(c_mean).astype(np.int64)
-        self.c_frac = c_mean - self.c_floor
+        self.pi = pi
+        with np.errstate(divide="ignore"):
+            self.log_miss = np.log1p(-pi)  # -inf where pi = 1
+        self.c_floor = c_floor.astype(np.int64)
+        self.c_frac = c_mean - c_floor
+        # pfac / pi * k_j**beta = p_ij / pi, the second coin of a thinned contact
+        self.accept = np.divide(pfac, pi, out=np.zeros(network.n), where=pi > 0)
         self.stifle_p = 1.0 - np.exp(-params.sigma * dt)
 
     def step(self, status: np.ndarray, spreaders: np.ndarray, gen: np.random.Generator):
         """One synchronous step from ``status``, which it leaves unchanged.
 
         Returns a mask over ``spreaders`` of those that stifle and the sorted
-        ids of the ignorants they inform.  Random draws, in order: one contact
-        rounding per spreader, one sort key per adjacency slot of every
-        spreader that contacts fewer neighbors than it has, one transmission
-        per contacted ignorant, one stifling per spreader.
+        ids of the ignorants they inform.  Random draws, in order:
+
+        1. three uniforms per spreader: contact rounding, first thinned
+           contact, stifling;
+        2. one uniform per contact after the first thinned one;
+        3. one position per thinned contact of a row with 2b <= k + 1;
+        4. one sort key per slot of the rows with 2b > k + 1 or a repeated
+           position, unless each of them takes all its slots;
+        5. one acceptance per thinned contact that reaches an ignorant.
         """
-        degree = self.network.degrees[spreaders]
-        count = self.c_floor[spreaders] + (gen.random(spreaders.size) < self.c_frac[spreaders])
-        # every adjacency slot of every spreader, row after row, with its
-        # spreader's position in ``spreaders`` and its rank within the row
-        owner = np.repeat(np.arange(spreaders.size), degree)
-        rank = np.arange(owner.size) - (np.cumsum(degree) - degree)[owner]
-        slots = self.network.indptr[spreaders][owner] + rank
-        partial = (count < degree)[owner]
-        if partial.any():
-            # shuffle the slots of each partial row by sorting on row + key,
-            # then keep the first ``count`` of each row: a uniform sample
-            # without replacement
-            where = np.flatnonzero(partial)
-            slots[where] = slots[where[np.argsort(owner[where] + gen.random(where.size))]]
-            kept = rank < count[owner]
-            slots, owner = slots[kept], owner[kept]
-        targets = self.network.indices[slots]
+        net = self.network
+        u = gen.random((3, spreaders.size))
+        stifle = u[2] < self.stifle_p
+        count = self.c_floor[spreaders] + (u[0] < self.c_frac[spreaders])
+        # floor(log(1 - u) / log(1 - pi)) failures come before the first
+        # success, which is within ``count`` trials iff log(1 - u) > count *
+        # log(1 - pi)
+        lead = np.log1p(-u[1])
+        log_miss = self.log_miss[spreaders]
+        some = (lead > count * log_miss).nonzero()[0]
+        if not some.size:
+            return stifle, spreaders[:0]
+        rows, count = spreaders[some], count[some]
+        # the count - J + 1 trials from the first success J on (at least
+        # one, against rounding at the edge); those after J are Bernoulli(pi)
+        # and summed one by one, as a binomial call costs over 10 us however
+        # few rows it gets
+        thin = count - np.minimum(lead[some] / log_miss[some], count - 1).astype(np.int64)
+        trial = np.arange(rows.size).repeat(thin - 1)
+        if trial.size:
+            thin = 1 + np.bincount(trial[gen.random(trial.size) < self.pi[rows][trial]], minlength=rows.size)
+        degree = net.degrees[rows]
+        # a row with 2 * thin > k + 1 is sampled from its whole slot list,
+        # as is a row whose positions repeat; the others draw positions
+        # floor(u * k), which lie in [0, k): u <= 1 - 2**-53, and that times
+        # any k below 2**53 rounds to below k
+        whole = 2 * thin > degree + 1
+        owner = np.arange(rows.size).repeat(thin * ~whole)
+        slots = net.indptr[rows][owner] + (gen.random(owner.size) * degree[owner]).astype(np.int64)
+        if owner.size > 1:
+            # rows own disjoint slot ranges, so a slot drawn twice is a
+            # position repeated within its row
+            order = slots.argsort()
+            repeat = owner[order[1:][slots[order[1:]] == slots[order[:-1]]]]
+            if repeat.size:
+                whole[repeat] = True
+                kept = ~whole[owner]
+                slots, owner = slots[kept], owner[kept]
+        if np.count_nonzero(whole):
+            again = whole.nonzero()[0]
+            size = degree[again]
+            member = np.arange(again.size).repeat(size)
+            rank = np.arange(member.size) - (size.cumsum() - size)[member]
+            every = net.indptr[rows[again]][member] + rank
+            if np.count_nonzero(thin[again] < size):
+                # each of these rows in random order (sorted on row + key),
+                # cut to its first ``thin`` slots
+                every = every[(member + gen.random(member.size)).argsort()]
+                cut = rank < thin[again][member]
+                every, member = every[cut], member[cut]
+            slots = np.concatenate((slots, every))
+            owner = np.concatenate((owner, again[member]))
+        targets = net.indices[slots]
         ignorant = status[targets] == IGNORANT
-        targets, sources = targets[ignorant], spreaders[owner[ignorant]]
-        # u < min(1, p) is u < p for u in [0, 1)
-        hit = gen.random(targets.size) < self.pfac[sources] * self.kbeta[targets]
-        return gen.random(spreaders.size) < self.stifle_p, np.unique(targets[hit])
+        targets, sources = targets[ignorant], rows[owner[ignorant]]
+        hit = gen.random(targets.size) < self.accept[sources] * self.kbeta[targets]
+        informed = targets[hit]
+        if informed.size > 1:
+            # sorted, each id once (np.unique is ten times slower at 1000 ids)
+            informed.sort()
+            informed = informed[np.concatenate(([True], informed[1:] != informed[:-1]))]
+        return stifle, informed
 
 
 def run(
@@ -124,14 +201,18 @@ def run(
     t_max: float = 200.0,
     rng: int = 0,
     record_events: bool = False,
+    kernel: _Kernel | None = None,
 ) -> SimTrace:
     """Simulate one outbreak; returns the sampled trace.
 
     ``seeds`` is the initial spreader count.  Seed nodes are drawn first,
     uniformly over all nodes, and are excluded from inoculation, so a
-    full-coverage plan still leaves the seeds active.  The loop stops when
-    no spreaders remain or t reaches t_max.  ``rng`` seeds the run's
-    generator and is recorded as the trace's seed.
+    full-coverage plan still leaves the seeds active.  Step s ends at
+    t = s * dt; the loop stops when no spreaders remain or after
+    round(t_max / dt) steps.  ``rng`` seeds the run's generator and is
+    recorded as the trace's seed.  ``kernel`` is the step kernel of
+    (network, params, dt), which ``ensemble`` builds once for all its runs;
+    it is built here when omitted.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -141,14 +222,13 @@ def run(
         raise ValueError(f"need between 1 and {n} seed spreaders, got {seeds}")
 
     seed_ids = gen.choice(n, size=seeds, replace=False)
-    inoculated = np.setdiff1d(apply_plan(network, plan, gen), seed_ids)
-
-    kernel = _Kernel(network, params, dt)
-
     status = np.zeros(n, dtype=np.int8)
-    status[inoculated] = INOCULATED
-    status[seed_ids] = SPREADER
-    inoc_frac = inoculated.size / n
+    status[apply_plan(network, plan, gen)] = INOCULATED
+    status[seed_ids] = SPREADER  # a seed picked by the plan stays a seed
+    inoc_frac = np.count_nonzero(status == INOCULATED) / n
+    if kernel is None:
+        kernel = _Kernel(network, params, dt)
+
     events: list[tuple[float, int, int, int]] | None = [] if record_events else None
     if record_events:
         for node in seed_ids:
@@ -156,14 +236,14 @@ def run(
 
     spreaders = seed_ids.astype(np.int64)
     n_stiflers = 0
-    times = [0.0]
     spr_counts = [seeds]
     sti_counts = [0]
-    t = 0.0
-    while t < t_max and spreaders.size:
+    for step in range(1, round(t_max / dt) + 1):
+        if not spreaders.size:
+            break
         stifle, new_ids = kernel.step(status, spreaders, gen)
         stifled = spreaders[stifle]
-        t += dt
+        t = step * dt
         status[stifled] = STIFLER
         status[new_ids] = SPREADER
         spreaders = np.concatenate((spreaders[~stifle], new_ids))
@@ -173,16 +253,14 @@ def run(
                 events.append((t, int(node), SPREADER, STIFLER))
             for node in new_ids:
                 events.append((t, int(node), IGNORANT, SPREADER))
-        times.append(t)
         spr_counts.append(spreaders.size)
         sti_counts.append(n_stiflers)
 
-    times_arr = np.array(times)
     spr = np.array(spr_counts, dtype=np.float64) / n
     sti = np.array(sti_counts, dtype=np.float64) / n
     ign = 1.0 - spr - sti - inoc_frac
     return SimTrace(
-        times=times_arr,
+        times=np.arange(len(spr_counts)) * dt,
         ignorant=ign,
         spreader=spr,
         stifler=sti,
@@ -229,9 +307,11 @@ def ensemble(
     peaks = np.empty(runs)
     run_seeds = np.empty(runs, dtype=np.int64)
     traces: list[SimTrace] | None = [] if keep_traces else None
+    kernel = _Kernel(network, params, dt)
     for idx in range(runs):
         seed = _run_seed(master_seed, idx)
-        trace = run(network, params, plan=plan, seeds=seeds, dt=dt, t_max=t_max, rng=seed)
+        # through the module global, where a caller may wrap ``run``
+        trace = run(network, params, plan=plan, seeds=seeds, dt=dt, t_max=t_max, rng=seed, kernel=kernel)
         finals[idx] = trace.final_r
         peaks[idx] = trace.peak_s
         run_seeds[idx] = seed

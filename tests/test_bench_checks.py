@@ -1,4 +1,5 @@
-"""The benchmark's output checks pass on a mean-field sweep across the thresholds.
+"""The benchmark's output checks pass on a mean-field sweep across the
+thresholds, and on the Monte Carlo workload with its reference bands.
 
 ``perfbench/checks.py`` imports from ``rumornet.expcli.scenario`` and
 ``rumornet.thresholds`` and reads Scenario fields; a rename there breaks the
@@ -9,10 +10,14 @@ ties the two together.
 """
 
 import importlib.util
+import json
 import os
 from itertools import groupby
 from operator import itemgetter
 
+import pytest
+
+from rumornet.expcli import cli
 from rumornet.expcli.scenario import parse_scenario, run_scenario
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -65,3 +70,19 @@ def test_check_run_passes_a_sweep_across_the_thresholds(tmp_path):
         # every series crosses its threshold inside the lambda grid
         assert any(row["R_mf"] <= checks.ZERO_TOL for row in group)
         assert any(row["R_mf"] > checks.ZERO_TOL for row in group)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_check_run_passes_the_monte_carlo_workload(tmp_path, seed):
+    # the benchmark's own scenario and reference: every Monte Carlo mean stays
+    # inside its reference band
+    checks = load_checks()
+    config = os.path.join(ROOT, "perfbench", "scenarios", "mc_outbreak.ini")
+    with open(os.path.join(ROOT, "perfbench", "reference.json"), encoding="ascii") as fh:
+        reference = json.load(fh)
+    out_dir = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", config, "--seed", str(seed), "--out", out_dir]) == 0
+
+    reasons = checks.check_run(parse_scenario(config), out_dir, reference)
+    assert len(reasons) == len(reference["r_mc"]["mc_outbreak"])
+    assert {point: why for point, why in reasons.items() if why} == {}

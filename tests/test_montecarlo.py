@@ -111,6 +111,14 @@ class TestRunBasics:
         trace = run(net, ModelParams(lam=2.0, alpha=1.0), seeds=1, rng=9)
         assert np.all(np.diff(trace.stifler) >= 0.0)
 
+    def test_time_grid_is_step_times(self):
+        # a run that never dies out takes round(t_max / dt) steps, the
+        # k-th sample at k * dt
+        trace = run(complete_graph(10), ModelParams(lam=1.0, alpha=1.0, sigma=1e-9), seeds=1,
+                    dt=0.1, t_max=200.0, rng=12)
+        assert trace.spreader[-1] > 0.0
+        assert np.array_equal(trace.times, np.arange(round(200.0 / 0.1) + 1) * 0.1)
+
     def test_determinism_bitwise(self):
         dist = sample_powerlaw_distribution(2.4, 2, 500)
         net = build_configuration_network(dist, 500, np.random.default_rng(10))
@@ -170,6 +178,158 @@ class TestStepKernel:
             se = math.sqrt(p * (1 - p) / trials)
             assert np.all(np.abs(hits[own] / trials - p) <= 5 * se)
         assert np.all(status[hubs] == SPREADER) and status.sum() == len(sizes)  # left unchanged
+
+
+def hubs_with_leaves(leaf_degrees, copies):
+    """``copies`` disjoint stars: a hub whose leaves have ``leaf_degrees``.
+
+    A leaf of degree d gets d - 1 pendant nodes of its own.  Returns the
+    network, the hub ids and a (copies, leaves) array of leaf ids.
+    """
+    edges, hubs, leaves = [], [], []
+    node = 0
+    for _ in range(copies):
+        hub, node = node, node + 1
+        hubs.append(hub)
+        own = []
+        for d in leaf_degrees:
+            leaf, node = node, node + 1
+            own.append(leaf)
+            edges.append((hub, leaf))
+            for _ in range(d - 1):
+                edges.append((leaf, node))
+                node += 1
+        leaves.append(own)
+    return Network(node, edges), np.array(hubs), np.array(leaves)
+
+
+def transmission_probs(leaf_degrees, params, dt):
+    """min(1, p_ij) from a hub to each of its leaves, straight from the model."""
+    k_i = len(leaf_degrees)
+    kbeta = np.asarray(leaf_degrees, dtype=float) ** params.beta
+    return np.minimum(1.0, params.lam * k_i * dt * kbeta / kbeta.sum())
+
+
+def informed_leaves(leaf_degrees, params, copies, steps, seed, stifled=None, dt=0.1):
+    """Per step and star, which leaves ``_Kernel.step`` informs, as a bool
+    array (steps, copies, leaves); leaf ``stifled`` of every star is no
+    ignorant."""
+    net, hubs, leaves = hubs_with_leaves(leaf_degrees, copies)
+    kernel = _Kernel(net, params, dt)
+    status = np.zeros(net.n, dtype=np.int8)
+    status[hubs] = SPREADER
+    if stifled is not None:
+        status[leaves[:, stifled]] = STIFLER
+    gen = np.random.default_rng(seed)
+    out = np.empty((steps, *leaves.shape), dtype=bool)
+    for j in range(steps):
+        informed = kernel.step(status, hubs, gen)[1]
+        out[j] = np.isin(leaves, informed)
+        assert np.isin(informed, leaves).all()
+    return out
+
+
+class TestThinnedStep:
+    """The thinned step samples the law of the model: a uniform c-subset of
+    the row, each ignorant in it informed with probability min(1, p_ij)."""
+
+    def test_leaf_frequencies_at_unequal_tie_strengths(self):
+        degrees = (1, 2, 3, 5, 8, 13)
+        params = ModelParams(lam=0.9, alpha=0.7, beta=-0.6)
+        hits = informed_leaves(degrees, params, copies=500, steps=200, seed=21, stifled=2)
+        trials = hits.shape[0] * hits.shape[1]
+        p = transmission_probs(degrees, params, 0.1)
+        assert 0.0 < p.min() and p.max() < 1.0
+        expected = len(degrees) ** params.alpha / len(degrees) * p
+        expected[2] = 0.0
+        freq = hits.mean(axis=(0, 1))
+        se = np.sqrt(np.maximum(expected * (1 - expected), 1e-12) / trials)
+        assert np.all(np.abs(freq - expected) <= 5 * se)
+
+    def test_pair_frequency_is_without_replacement(self):
+        degrees = (1, 2, 3, 4, 5, 6, 7, 8, 9)
+        params = ModelParams(lam=5.0, alpha=0.5, beta=0.8)  # c = 9**0.5 = 3 exactly
+        hits = informed_leaves(degrees, params, copies=500, steps=200, seed=22)
+        trials = hits.shape[0] * hits.shape[1]
+        p = transmission_probs(degrees, params, 0.1)
+        assert p.max() < 1.0
+        for a, b in ((0, 8), (7, 8), (3, 5)):
+            expected = 3 * 2 / (9 * 8) * p[a] * p[b]
+            freq = (hits[..., a] & hits[..., b]).mean()
+            assert abs(freq - expected) <= 5 * math.sqrt(expected * (1 - expected) / trials)
+
+    @pytest.mark.parametrize("k, alpha", [(4, 0.5), (16, 0.75)])
+    def test_half_the_row_at_certain_transmission(self, k, alpha):
+        # pi = 1 and c = k / 2: positions repeat often, and those rows are
+        # sampled again by shuffling
+        c = k // 2
+        assert k**alpha == c
+        params = ModelParams(lam=20.0, alpha=alpha)
+        hits = informed_leaves((1,) * k, params, copies=200, steps=100, seed=23)
+        assert np.all(hits.sum(axis=2) == c)
+        trials = hits.shape[0] * hits.shape[1]
+        se = math.sqrt(0.25 / trials)
+        assert np.all(np.abs(hits.mean(axis=(0, 1)) - c / k) <= 5 * se)
+
+
+class _TopUniforms:
+    """A generator whose uniforms are all the largest, 1 - 2**-53."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+class TestKernelEdges:
+    def test_row_maxima_skip_empty_rows(self):
+        # isolated nodes first, in a run in the middle and last, where
+        # consecutive indptr entries are equal
+        net = Network(10, [(1, 2), (1, 3), (2, 3), (3, 4), (7, 8), (7, 5)])
+        params = ModelParams(lam=0.7, alpha=0.8, beta=-0.5)
+        kernel = _Kernel(net, params, 0.1)
+        for i in range(net.n):
+            row = net.indices[net.indptr[i]:net.indptr[i + 1]]
+            if not row.size:
+                assert kernel.pi[i] == 0.0
+                continue
+            kbeta = net.degrees[row].astype(float) ** params.beta
+            p = params.lam * row.size * 0.1 * kbeta / kbeta.sum()
+            assert kernel.pi[i] == pytest.approx(min(1.0, p.max()), rel=1e-12)
+
+    def test_isolated_seed_informs_nobody(self):
+        net = Network(5, [(u, v) for u in range(4) for v in range(u + 1, 4)])  # node 4 is isolated
+        params = ModelParams(lam=50.0, alpha=1.0)
+        seeded = 0
+        for rng in range(40):
+            trace = run(net, params, seeds=1, rng=rng, record_events=True)
+            if trace.events[0][1] == 4:
+                seeded += 1
+                assert trace.final_r == pytest.approx(1 / 5)
+                assert [(old, new) for _, _, old, new in trace.events] == [(IGNORANT, SPREADER), (SPREADER, STIFLER)]
+        assert seeded
+
+    def test_position_draw_stays_below_degree(self):
+        # with every uniform at its largest, each hub draws one contact, at
+        # position floor(u * k) = k - 1: its last leaf
+        sizes = list(range(1, 70)) + [127, 128, 129, 1023, 1024, 1025]
+        edges, hubs, last = [], [], []
+        node = 0
+        for k in sizes:
+            hubs.append(node)
+            edges += [(node, node + 1 + j) for j in range(k)]
+            last.append(node + k)
+            node += k + 1
+        net = Network(node, edges)
+        kernel = _Kernel(net, ModelParams(lam=20.0, alpha=0.01), 0.1)
+        status = np.zeros(net.n, dtype=np.int8)
+        status[hubs] = SPREADER
+        _, informed = kernel.step(status, np.array(hubs), _TopUniforms(24))
+        assert informed.tolist() == last
 
 
 @st.composite
@@ -332,6 +492,28 @@ class TestEnsemble:
         total = trace.ignorant + trace.spreader + trace.stifler + trace.inoculated_fraction
         assert np.allclose(total, 1.0, atol=1e-12)
         assert trace.inoculated_fraction > 0.15
+
+    def test_one_kernel_per_ensemble(self, powerlaw_net):
+        # ``ensemble`` builds the kernel once and passes it to every ``run``,
+        # which it looks up as a module global; the results are those of
+        # runs that build their own
+        built, ran = [], []
+        real_kernel, real_run = montecarlo._Kernel, montecarlo.run
+
+        def kernel(*args):
+            built.append(args)
+            return real_kernel(*args)
+
+        def spy(network, *args, **kwargs):
+            ran.append(network)
+            return real_run(network, *args, **kwargs)
+
+        params = ModelParams(lam=0.8, alpha=0.5, beta=-0.5)
+        with mock.patch.object(montecarlo, "_Kernel", kernel), mock.patch.object(montecarlo, "run", spy):
+            summary = ensemble(powerlaw_net, params, runs=3, seeds=5, master_seed=9)
+        assert len(built) == 1 and ran == [powerlaw_net] * 3
+        alone = [run(powerlaw_net, params, seeds=5, rng=int(seed)).final_r for seed in summary.seeds]
+        assert summary.finals.tolist() == alone
 
 
 class TestExports:
