@@ -287,9 +287,10 @@ class _TopUniforms:
 
 class TestKernelEdges:
     def test_row_maxima_skip_empty_rows(self):
-        # isolated nodes first, in a run in the middle and last, where
-        # consecutive indptr entries are equal
-        net = Network(10, [(1, 2), (1, 3), (2, 3), (3, 4), (7, 8), (7, 5)])
+        # isolated nodes first, in a run in the middle and in a run last,
+        # where consecutive indptr entries are equal; the last nonempty row
+        # has its largest k**beta in its last slot
+        net = Network(12, [(1, 2), (1, 3), (2, 3), (3, 4), (5, 2), (5, 3), (5, 4), (9, 5), (9, 8)])
         params = ModelParams(lam=0.7, alpha=0.8, beta=-0.5)
         kernel = _Kernel(net, params, 0.1)
         for i in range(net.n):
