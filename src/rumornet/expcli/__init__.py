@@ -1,21 +1,1 @@
 """Experiment harness: scenario configs, sweeps, CSV/SVG export, CLI."""
-
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    compare_engines,
-    parse_scenario,
-    run_scenario,
-    threshold_table,
-)
-from .svg import line_plot
-
-__all__ = [
-    "Scenario",
-    "ScenarioError",
-    "compare_engines",
-    "line_plot",
-    "parse_scenario",
-    "run_scenario",
-    "threshold_table",
-]

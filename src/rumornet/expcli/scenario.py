@@ -99,7 +99,7 @@ class Scenario:
     sigma_grid: list[float]
     inoc_kind: str
     g_grid: list[float]
-    s0: float | None
+    s0: float
     mc_seeds: int
     dt_meanfield: float
     dt_montecarlo: float
@@ -161,8 +161,8 @@ def _float_list(text: str) -> list[float]:
 _REQUIRED = object()
 
 # (section, key) -> (Scenario field, parser, default).  A text default goes
-# through the parser as if the file held it.  None means unset; for ``name``
-# and ``seeds`` it means worked out from other fields.
+# through the parser as if the file held it.  None means unset; for ``name``,
+# ``s0`` and ``seeds`` it means worked out from other fields.
 _KEYS = {
     ("scenario", "name"): ("name", str, None),
     ("scenario", "engine"): ("engine", str, "meanfield"),
@@ -273,12 +273,21 @@ def parse_scenario(path) -> Scenario:
     if fields["inoc_kind"] == "none" and any(v != 0.0 for v in fields["g_grid"]):
         fail("g_grid", "nonzero g requires inoculation kind random or targeted")
 
-    s0 = fields["s0"]
-    if s0 is not None and not 0.0 < s0 < 1.0:
-        fail("s0", f"s0 must lie in (0, 1), got {s0}")
+    for name, check, what in (
+        ("s0", lambda v: v is None or 0.0 < v < 1.0, "s0 must lie in (0, 1)"),
+        ("mc_seeds", lambda v: v is None or 1 <= v <= n_nodes, f"seeds must lie in [1, n] = [1, {n_nodes}]"),
+        ("dt_meanfield", lambda v: v > 0, "dt_meanfield must be > 0"),
+        ("dt_montecarlo", lambda v: v > 0, "dt_montecarlo must be > 0"),
+        ("t_end", lambda v: v >= 0, "t_end must be >= 0"),
+        ("t_max", lambda v: v >= 0, "t_max must be >= 0"),
+    ):
+        if not check(fields[name]):
+            fail(name, f"{what}, got {fields[name]}")
 
+    if fields["s0"] is None:
+        fields["s0"] = 1.0 / n_nodes
     if fields["mc_seeds"] is None:
-        fields["mc_seeds"] = max(1, int(round((s0 or 1.0 / n_nodes) * n_nodes)))
+        fields["mc_seeds"] = max(1, int(round(fields["s0"] * n_nodes)))
     if fields["name"] is None:
         fields["name"] = os.path.splitext(os.path.basename(str(path)))[0]
     fields["workers"] = max(1, fields["workers"])
@@ -289,31 +298,27 @@ def parse_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------------
 # execution
 
-def build_network(scenario: Scenario) -> tuple[DegreeDistribution, Network]:
-    """Build the scenario's graph, with the distribution analytics use on it.
+def build_network(scenario: Scenario, graph: bool = True) -> tuple[DegreeDistribution, Network | None]:
+    """The degree distribution analytics use, with the scenario's graph if
+    ``graph`` is set.
 
     The graph's random stream is keyed to the master seed alone, so every verb
     that builds it gets the same graph: a BA graph comes with its empirical
-    distribution, a configuration graph with the power law it realizes.
+    distribution, a configuration graph with the power law it realizes.  A BA
+    distribution is the empirical one of its graph, so a BA scenario always
+    builds the graph; a configuration scenario without one draws no random
+    numbers.
     """
+    if scenario.net_kind == "configuration":
+        dist = sample_powerlaw_distribution(scenario.gamma, scenario.k_min, scenario.n_nodes)
+        if not graph:
+            # numpy.random is imported on first use; a mean-field-only run never loads it
+            return dist, None
     rng = np.random.default_rng(montecarlo._run_seed(scenario.seed, 0))
     if scenario.net_kind == "ba":
         network = build_ba_network(scenario.n_nodes, scenario.m0, scenario.m, rng)
         return network.empirical_distribution(), network
-    dist = sample_powerlaw_distribution(scenario.gamma, scenario.k_min, scenario.n_nodes)
     return dist, build_configuration_network(dist, scenario.n_nodes, rng)
-
-
-def _build_assets(scenario: Scenario, graph: bool) -> tuple[DegreeDistribution, Network | None]:
-    """The degree distribution for analytics, plus the graph if ``graph`` is set.
-
-    A BA distribution is the empirical one of its graph, so a BA scenario
-    always builds the graph.
-    """
-    if scenario.net_kind == "ba" or graph:
-        return build_network(scenario)
-    # numpy.random is imported on first use; a mean-field-only run never loads it
-    return sample_powerlaw_distribution(scenario.gamma, scenario.k_min, scenario.n_nodes), None
 
 
 def _point_result(scenario: Scenario, dist, network, plans, index: int, point: dict) -> dict:
@@ -325,11 +330,10 @@ def _point_result(scenario: Scenario, dist, network, plans, index: int, point: d
     if scenario.engine in ("meanfield", "both"):
         result["r_mf"] = final_rumor_size(dist, params, plan)
         if scenario.timeseries:
-            s0 = scenario.s0 if scenario.s0 is not None else 1.0 / scenario.n_nodes
             steps = int(round(scenario.t_end / scenario.dt_meanfield))
             stride = max(1, steps // 400)
             traj = integrate(
-                uniform_seed_state(dist, s0), dist, params, plan,
+                uniform_seed_state(dist, scenario.s0), dist, params, plan,
                 t_end=scenario.t_end, dt=scenario.dt_meanfield, sample_every=stride,
             )
             result["mf_curve"] = (traj.times, traj.i, traj.s, traj.r)
@@ -378,7 +382,7 @@ def _collect_results(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     workers each worker process receives them once, and a job carries only
     its point.
     """
-    dist, network = _build_assets(scenario, graph=scenario.engine in ("montecarlo", "both"))
+    dist, network = build_network(scenario, graph=scenario.engine in ("montecarlo", "both"))
     assets = (scenario, dist, network, scenario.plans(dist))
     jobs = list(enumerate(scenario.grid()))
     if scenario.workers > 1 and len(jobs) > 1:
@@ -586,7 +590,7 @@ def threshold_table(scenario: Scenario) -> list[dict]:
     growth rate with the stifling rate sigma, so both thresholds of a row are
     its sigma times their sigma = 1 values.
     """
-    dist = _build_assets(scenario, graph=False)[0]
+    dist = build_network(scenario, graph=False)[0]
     gamma, k_min = (3.0, scenario.m) if scenario.net_kind == "ba" else (scenario.gamma, scenario.k_min)
     classic = threshold_modified_bounded(gamma, k_min, scenario.n_nodes, 1.0, 0.0).value
     plans = scenario.plans(dist)

@@ -23,11 +23,11 @@ single factor of sigma and all sigma = 1 formulas are recovered verbatim.
 
 The per-class terms have three lifetimes.  Per distribution and alpha: the
 weights w_k = k**alpha P(k) and <k**alpha>.  Per distribution and plan: g_k,
-1 - g_k, P(k) (1 - g_k) and the sums of P(k) (1 - g_k) and P(k) g_k.  Both
-are built once and kept, read-only, by ``DegreeDistribution.memo``, so they
-live as long as the distribution.  Only the rates a_k depend on lam, so they
-alone are computed per grid point; the last point's are kept for the next
-call on the same point.  A sweep over lam therefore rebuilds nothing else.
+1 - g_k and P(k) (1 - g_k).  Both are built once and kept, read-only, by
+``DegreeDistribution.memo``, so they live as long as the distribution.  Only
+the rates a_k depend on lam, so they alone are computed per grid point; the
+last point's are kept for the next call on the same point.  A sweep over lam
+therefore rebuilds nothing else.
 """
 
 from __future__ import annotations
@@ -58,14 +58,15 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-# np.exp is many times slower when its results are subnormal (below about
-# e**-708); clipped here, e**x stays a normal float and the clipped terms are
-# still negligible next to any ignorant fraction that matters
-_EXP_FLOOR = -700.0
-
 # expm1(-x) rounds to exactly -1.0 once x > 54 ln 2 (about 37.43); the cut
 # sits above that with a margin for the rounding of a_k * Psi
 _EXPM1_CUT = 38.0
+
+# psi_fixed_point stops once a step, or the bisection bracket, is below this
+# fraction of the iterate, and falls back to bisection after this many
+# Newton steps
+_PSI_TOL = 1e-10
+_NEWTON_MAX_STEPS = 100_000
 
 # how far a state's compartments may stray from [0, 1] and from summing to 1
 _STATE_ATOL = 1e-9
@@ -142,8 +143,7 @@ def uniform_seed_state(dist: DegreeDistribution, s0: float) -> DegreeClassState:
 
 
 def _plan_terms(dist: DegreeDistribution, plan: InoculationPlan | None):
-    """Terms per (distribution, plan): 1 - g_k, P(k) (1 - g_k), and the masses
-    sum_k P(k) (1 - g_k) and sum_k P(k) g_k.
+    """Terms per (distribution, plan): 1 - g_k and P(k) (1 - g_k).
 
     Without a plan g_k is the scalar 0.0, so 1 - g_k is the scalar 1.0.  Built
     once by ``dist.memo`` and read-only.
@@ -151,8 +151,7 @@ def _plan_terms(dist: DegreeDistribution, plan: InoculationPlan | None):
     def build():
         g_k = plan.profile(dist) if plan is not None else 0.0
         one_minus_g = 1.0 - g_k
-        free_probs = dist.probs * one_minus_g
-        return one_minus_g, free_probs, float(free_probs.sum()), float((dist.probs * g_k).sum())
+        return one_minus_g, dist.probs * one_minus_g
 
     return dist.memo(("plan terms", plan), build)
 
@@ -366,8 +365,6 @@ def psi_fixed_point(
     dist: DegreeDistribution,
     params: ModelParams,
     plan: InoculationPlan | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
 ) -> float:
     """Largest root Psi* of the end-of-spreading self-consistency equation.
 
@@ -379,12 +376,13 @@ def psi_fixed_point(
     i.e. above the rumor threshold; below it the result is 0.  Above it,
     Newton's method on the convex h(x) = x - f(x), started from the upper
     bound <k**alpha>/sigma, descends monotonically onto the largest root and
-    stops once a step is below tol * max(1, x).  h is evaluated through expm1,
-    which is exact near x = 0 and never produces subnormals.  Falls back to
-    bisection if h' is not positive or the iterates stop descending (rounding
-    right at the critical point) or max_iter steps pass; bisection stops once
-    the bracket is narrower than tol times its upper end.  Each call logs its
-    path (zero, newton or bisection) and step count at DEBUG level.
+    stops once a step is below _PSI_TOL * max(1, x).  h is evaluated through
+    expm1, which is exact near x = 0 and never produces subnormals.  Falls
+    back to bisection if h' is not positive or the iterates stop descending
+    (rounding right at the critical point) or _NEWTON_MAX_STEPS steps pass;
+    bisection stops once the bracket is narrower than _PSI_TOL times its
+    upper end.  Each call logs its path (zero, newton or bisection) and step
+    count at DEBUG level.
     """
     weights, rates = _class_terms(dist, params, plan)
     sigma = params.sigma
@@ -405,12 +403,12 @@ def psi_fixed_point(
         return x + float(weights @ em) / sigma, 1.0 - (slope_sum + float(weighted_rates @ em)) / sigma
 
     x = kalpha_mean / sigma
-    for step in range(1, max_iter + 1):
+    for step in range(1, _NEWTON_MAX_STEPS + 1):
         hx, slope = h(x)
         if slope <= 0.0:
             break
         x_next = x - hx / slope
-        if abs(x_next - x) < tol * max(1.0, x):
+        if abs(x_next - x) < _PSI_TOL * max(1.0, x):
             _log.debug("psi_fixed_point: path=newton steps=%d", step)
             return x_next
         if not 0.0 < x_next < x:
@@ -432,7 +430,7 @@ def psi_fixed_point(
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * hi:
+        if hi - lo < _PSI_TOL * hi:
             _log.debug("psi_fixed_point: path=bisection steps=%d", halvings + step)
             return 0.5 * (lo + hi)
     raise FixedPointError("bisection failed to converge")
@@ -445,27 +443,27 @@ def final_rumor_size(
 ) -> float:
     """Final informed fraction R from the Psi fixed point.
 
-    R = 1 - sum_k P(k) (1 - g_k) exp(-lam (1 - g_k) k**(1+beta) Psi* / <k**(1+beta)>)
-        - sum_k P(k) g_k
+    R = sum_k P(k) (1 - g_k) (1 - exp(-a_k Psi*))
+      = -sum_k P(k) (1 - g_k) expm1(-a_k Psi*),
+    a_k = lam (1 - g_k) k**(1+beta) / <k**(1+beta)>,
 
     so inoculated nodes count neither as informed nor as reachable.  Reduces
-    to 1 - sum_k P(k) exp(...) without inoculation.
+    to -sum_k P(k) expm1(-a_k Psi*) without inoculation.
 
-    P(k) (1 - g_k) and both sums over the classes are terms per
-    (distribution, plan) (see _plan_terms); only Psi* and a_k are computed
-    per point.  Below the threshold Psi* = 0 and exp(-a_k * 0) is exactly 1
-    for every class (a_k is finite there), so the sum of P(k) (1 - g_k)
-    exp(...) is the cached sum of P(k) (1 - g_k), bit for bit, and no
-    exponential is evaluated.
+    The sum is of the kind psi_fixed_point and integrate evaluate: expm1 is
+    exact near zero, never produces subnormals and rounds to exactly -1.0
+    once a_k Psi* exceeds about 37.43 (see _EXPM1_CUT), so no exponent needs
+    a floor and nothing is subtracted from 1.  Each term is P(k) (1 - g_k) >= 0
+    times expm1 of a nonpositive exponent, so it is <= 0 and R >= 0 needs no
+    clamp; R is capped at 1 only because the probabilities may sum to
+    1 + 1e-12.  Below the threshold Psi* = 0 and R is exactly 0.0, with no
+    exponential evaluated.  P(k) (1 - g_k) is a term per (distribution, plan)
+    (see _plan_terms); only Psi* and a_k are computed per point.
     """
     # the point's rates; psi_fixed_point finds them kept and reuses them
     rates = _class_terms(dist, params, plan)[1]
     psi_star = psi_fixed_point(dist, params, plan)
-    _, free_probs, free_mass, inoculated = _plan_terms(dist, plan)
     if psi_star == 0.0:
-        still_ignorant = free_mass
-    else:
-        ignorant = np.exp(np.maximum(rates * -psi_star, _EXP_FLOOR))
-        still_ignorant = float((free_probs * ignorant).sum())
-    r = 1.0 - still_ignorant - inoculated
-    return min(max(r, 0.0), 1.0)
+        return 0.0
+    free_probs = _plan_terms(dist, plan)[1]
+    return min(-float(free_probs @ np.expm1(rates * -psi_star)), 1.0)

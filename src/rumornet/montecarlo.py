@@ -78,7 +78,6 @@ class SimTrace:
     inoculated_fraction: float
     final_r: float
     peak_s: float
-    seed: int
     events: list[tuple[float, int, int, int]] | None = None  # (t, node, old, new)
 
 
@@ -209,10 +208,9 @@ def run(
     uniformly over all nodes, and are excluded from inoculation, so a
     full-coverage plan still leaves the seeds active.  Step s ends at
     t = s * dt; the loop stops when no spreaders remain or after
-    round(t_max / dt) steps.  ``rng`` seeds the run's generator and is
-    recorded as the trace's seed.  ``kernel`` is the step kernel of
-    (network, params, dt), which ``ensemble`` builds once for all its runs;
-    it is built here when omitted.
+    round(t_max / dt) steps.  ``rng`` seeds the run's generator.  ``kernel``
+    is the step kernel of (network, params, dt), which ``ensemble`` builds
+    once for all its runs; it is built here when omitted.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -267,7 +265,6 @@ def run(
         inoculated_fraction=inoc_frac,
         final_r=float(sti[-1] + spr[-1]),
         peak_s=float(spr.max()),
-        seed=int(rng),
         events=events,
     )
 

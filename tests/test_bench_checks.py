@@ -18,7 +18,7 @@ from operator import itemgetter
 import pytest
 
 from rumornet.expcli import cli
-from rumornet.expcli.scenario import parse_scenario, run_scenario
+from rumornet.expcli.scenario import parse_scenario, run_scenario, threshold_table
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -86,3 +86,33 @@ def test_check_run_passes_the_monte_carlo_workload(tmp_path, seed):
     reasons = checks.check_run(parse_scenario(config), out_dir, reference)
     assert len(reasons) == len(reference["r_mc"]["mc_outbreak"])
     assert {point: why for point, why in reasons.items() if why} == {}
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_check_run_passes_the_phase_diagram_workload(tmp_path, seed):
+    # the benchmark's own sweep and reference: every point passes, and every
+    # point below its analytic threshold reads exactly 0.0, so the check that
+    # R_mf is positive above the threshold cannot pass on rounding residue
+    checks = load_checks()
+    config = os.path.join(ROOT, "perfbench", "scenarios", "phase_diagram.ini")
+    with open(os.path.join(ROOT, "perfbench", "reference.json"), encoding="ascii") as fh:
+        reference = json.load(fh)
+    out_dir = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", config, "--seed", str(seed), "--out", out_dir]) == 0
+
+    scenario = parse_scenario(config)
+    reasons = checks.check_run(scenario, out_dir, reference)
+    assert len(reasons) == len(scenario.grid())
+    assert {point: why for point, why in reasons.items() if why} == {}
+
+    axes = ("alpha", "beta", "sigma", "g")
+    thresholds = {tuple(row[axis] for axis in axes): row["lambda_c"] for row in threshold_table(scenario)}
+    with open(os.path.join(out_dir, "final_size.csv"), encoding="ascii") as fh:
+        header, *lines = [line.strip().split(",") for line in fh if not line.startswith("#")]
+    below = 0
+    for cells in lines:
+        row = dict(zip(header, cells))
+        if float(row["lambda"]) < thresholds[tuple(float(row[axis]) for axis in axes)]:
+            assert row["R_mf"] == "0.0", row
+            below += 1
+    assert below == 266

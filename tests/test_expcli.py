@@ -68,7 +68,7 @@ class TestParsing:
                          "t_end", "t_max", "inoc_kind", "g_grid", "tolerance")
         } == {
             "name": "scenario", "seed": 0, "out_dir": "out", "workers": 1, "timeseries": True,
-            "runs": None, "m": 3, "m0": 5, "sigma_grid": [1.0], "s0": None, "mc_seeds": 1,
+            "runs": None, "m": 3, "m0": 5, "sigma_grid": [1.0], "s0": 0.001, "mc_seeds": 1,
             "dt_meanfield": 0.01, "dt_montecarlo": 0.1, "t_end": 100.0, "t_max": 200.0,
             "inoc_kind": "none", "g_grid": [0.0], "tolerance": 0.1,
         }
@@ -508,6 +508,28 @@ t_max = 5
         assert main(["simulate", "--config", str(path)]) == 1
         path = write_config(tmp_path, MINIMAL.replace("n = 1000", "n = 0"), "no_nodes.cfg")
         assert main(["simulate", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("line", [
+        "seeds = 0", "seeds = 500", "dt_meanfield = 0", "dt_montecarlo = -0.1", "t_end = -1", "t_max = -1",
+    ])
+    def test_value_every_point_would_fail_on_is_a_config_error(self, tmp_path, capsys, line):
+        # each of these once parsed; then every grid point failed at run time, or
+        # (t_max) the Monte Carlo took no step and reported the seed fraction
+        config = f"""\
+[scenario]
+engine = both
+runs = 1
+
+[network]
+n = 200
+
+[model]
+lambda = 0.5, 1.0
+{line}
+"""
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"{path}:{line_of(config, line)}: " in capsys.readouterr().err
 
     def test_compare_tolerance_exit_code(self, tmp_path):
         # annealed mean field overshoots the quenched simulation at this point,

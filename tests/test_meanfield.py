@@ -180,9 +180,8 @@ def per_point_final_size(dist, params, plan=None, tol=1e-10, max_iter=100_000):
             lo, hi = (mid, hi) if h(mid)[0] < 0.0 else (lo, mid)
             if hi - lo < tol * hi:
                 psi = 0.5 * (lo + hi)
-    ignorant = np.exp(np.maximum(-rates * psi, meanfield._EXP_FLOOR))
-    r = 1.0 - float((probs * (1.0 - g) * ignorant).sum()) - float((probs * g).sum())
-    return psi, min(max(r, 0.0), 1.0)
+    r = -float((probs * (1.0 - g)) @ np.expm1(-rates * psi))
+    return psi, min(r, 1.0)
 
 
 TRAJECTORY_ARRAYS = ("times", "r", "s", "i", "phi", "psi")
@@ -577,7 +576,7 @@ class TestPsiSolver:
         assert 0.0 < expected < 0.1
         assert psi_fixed_point(dist, params, plan) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
-    def test_forced_bisection_matches_newton_near_threshold(self, caplog):
+    def test_forced_bisection_matches_newton_near_threshold(self, caplog, monkeypatch):
         # point 411 again (Psi* about 0.01): the fallback must stop on a
         # relative bracket width, as Newton's method does
         caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
@@ -585,7 +584,8 @@ class TestPsiSolver:
         params = ModelParams(lam=0.5, alpha=0.5, beta=0.0)
         plan = make_targeted_plan(dist, 0.01)
         newton = psi_fixed_point(dist, params, plan)
-        bisected = psi_fixed_point(dist, params, plan, max_iter=1)
+        monkeypatch.setattr(meanfield, "_NEWTON_MAX_STEPS", 1)
+        bisected = psi_fixed_point(dist, params, plan)
         paths = [rec.getMessage().split()[1] for rec in caplog.records if rec.name == "rumornet.meanfield"]
         assert paths == ["path=newton", "path=bisection"]
         assert bisected == pytest.approx(newton, rel=1e-9, abs=0.0)
@@ -640,11 +640,12 @@ class TestPsiSolver:
         for t in np.linspace(0.0, 1.0, 21)[1:]:
             assert h(x + t * (upper - x)) > 0.0
 
-    def test_logs_path_and_steps(self, caplog):
+    def test_logs_path_and_steps(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
         params = ModelParams(lam=2.0, alpha=0.8, beta=0.2)
         newton = psi_fixed_point(TWO_FOUR, params)
-        bisected = psi_fixed_point(TWO_FOUR, params, max_iter=1)
+        monkeypatch.setattr(meanfield, "_NEWTON_MAX_STEPS", 1)
+        bisected = psi_fixed_point(TWO_FOUR, params)
         psi_fixed_point(TWO_FOUR, ModelParams(lam=0.0, alpha=1.0))
         messages = [rec.getMessage() for rec in caplog.records if rec.name == "rumornet.meanfield"]
         assert len(messages) == 3
@@ -716,6 +717,40 @@ class TestFinalRumorSize:
             finals.append(traj.final_r)
         assert finals[0] / finals[1] >= 5.0
 
+    # the phase diagram's distribution: 7454 classes, P(k) down to about 2.5e-9
+    LARGE = sample_powerlaw_distribution(2.4, 2, 10**5)
+
+    @pytest.mark.parametrize("kind, g", [("none", 0.0), ("targeted", 0.01), ("random", 0.3)])
+    def test_exactly_zero_below_the_threshold(self, kind, g):
+        dist = self.LARGE
+        plan = _plan(dist, kind, g)
+        for alpha, beta in ((0.5, -0.5), (0.8, 0.0), (1.0, 0.5)):
+            for lam in _lambdas(dist, alpha, beta, 1.0, plan, (0.1, 0.5, 0.99)):
+                r = final_rumor_size(dist, ModelParams(lam=lam, alpha=alpha, beta=beta), plan)
+                assert r == 0.0 and math.copysign(1.0, r) == 1.0
+
+    @pytest.mark.parametrize("kind, g", [("none", 0.0), ("targeted", 0.01), ("random", 0.3)])
+    def test_matches_an_exact_sum_above_the_threshold(self, kind, g):
+        # R = sum_k P(k) (1 - g_k) (-expm1(-a_k Psi*)), summed exactly; just
+        # above the threshold R is small, where 1 minus a sum of ignorants
+        # would keep only its absolute rounding
+        dist = self.LARGE
+        plan = _plan(dist, kind, g)
+        free = dist.probs * (1.0 - (plan.profile(dist) if plan is not None else 0.0))
+        checked = 0
+        for alpha, beta in ((0.5, -0.5), (1.0, 0.5)):
+            lams = _lambdas(dist, alpha, beta, 1.0, plan, (1.01, 1.1, 1.5, 3.0, 10.0, 30.0))
+            for lam in lams[1:]:
+                params = ModelParams(lam=lam, alpha=alpha, beta=beta)
+                psi_star = psi_fixed_point(dist, params, plan)
+                rates = meanfield._class_terms(dist, params, plan)[1]
+                exact = math.fsum((free * -np.expm1(-rates * psi_star)).tolist())
+                r = final_rumor_size(dist, params, plan)
+                assert psi_star > 0.0
+                assert abs(r - exact) <= 1e-14 * exact
+                checked += 1
+        assert checked == 12
+
 
 def _plan(dist, kind, g):
     if kind == "random":
@@ -772,12 +807,13 @@ class TestTermLifetimes:
             expected = per_point_final_size(dist, params, plan)
             assert (psi_fixed_point(dist, params, plan), final_rumor_size(dist, params, plan)) == expected
 
-    def test_bisection_path_equals_the_per_point_formulas(self):
+    def test_bisection_path_equals_the_per_point_formulas(self, monkeypatch):
         dist = self.POWERLAW
         plan = make_targeted_plan(dist, 0.05)
         params = ModelParams(lam=1.0, alpha=0.8, beta=-0.5, sigma=2.0)
         expected = per_point_final_size(dist, params, plan, max_iter=1)
-        assert psi_fixed_point(dist, params, plan, max_iter=1) == expected[0] > 0.0
+        monkeypatch.setattr(meanfield, "_NEWTON_MAX_STEPS", 1)
+        assert psi_fixed_point(dist, params, plan) == expected[0] > 0.0
 
     def test_distribution_dies_with_its_terms(self):
         dist = sample_powerlaw_distribution(2.4, 2, 1000)
