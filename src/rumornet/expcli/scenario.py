@@ -183,6 +183,8 @@ _KEYS = {
     ("model", "sigma"): ("sigma_grid", _float_list, "1.0"),
     ("model", "s0"): ("s0", float, None),
     ("model", "seeds"): ("mc_seeds", int, None),
+    # the time between samples of the mean-field curve; the integrator
+    # chooses its own steps
     ("model", "dt_meanfield"): ("dt_meanfield", float, "0.01"),
     ("model", "dt_montecarlo"): ("dt_montecarlo", float, "0.1"),
     ("model", "t_end"): ("t_end", float, "100.0"),
@@ -257,9 +259,10 @@ def parse_scenario(path) -> Scenario:
 
     require("lam_grid")
     for name, check, what in (
-        ("lam_grid", lambda v: v >= 0, "lambda values must be >= 0"),
+        ("lam_grid", lambda v: 0 <= v < math.inf, "lambda values must be finite and >= 0"),
         ("alpha_grid", lambda v: 0 < v <= 1, "alpha values must lie in (0, 1]"),
-        ("sigma_grid", lambda v: v > 0, "sigma values must be > 0"),
+        ("beta_grid", math.isfinite, "beta values must be finite"),
+        ("sigma_grid", lambda v: 0 < v < math.inf, "sigma values must be finite and > 0"),
     ):
         for v in fields[name]:
             if not check(v):
@@ -276,10 +279,10 @@ def parse_scenario(path) -> Scenario:
     for name, check, what in (
         ("s0", lambda v: v is None or 0.0 < v < 1.0, "s0 must lie in (0, 1)"),
         ("mc_seeds", lambda v: v is None or 1 <= v <= n_nodes, f"seeds must lie in [1, n] = [1, {n_nodes}]"),
-        ("dt_meanfield", lambda v: v > 0, "dt_meanfield must be > 0"),
-        ("dt_montecarlo", lambda v: v > 0, "dt_montecarlo must be > 0"),
-        ("t_end", lambda v: v >= 0, "t_end must be >= 0"),
-        ("t_max", lambda v: v >= 0, "t_max must be >= 0"),
+        ("dt_meanfield", lambda v: 0 < v < math.inf, "dt_meanfield must be finite and > 0"),
+        ("dt_montecarlo", lambda v: 0 < v < math.inf, "dt_montecarlo must be finite and > 0"),
+        ("t_end", lambda v: 0 <= v < math.inf, "t_end must be finite and >= 0"),
+        ("t_max", lambda v: 0 <= v < math.inf, "t_max must be finite and >= 0"),
     ):
         if not check(fields[name]):
             fail(name, f"{what}, got {fields[name]}")

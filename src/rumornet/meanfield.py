@@ -11,12 +11,13 @@ degree with uniform tie strength, is the case alpha=1, beta=0.
 
 Everything in the modified model is carried by Psi(t), the integral of Phi.
 Ignorants obey the closed form rho_i(k, t) = rho_i(k, 0) exp(-a_k Psi(t)), so
-the block ODEs reduce exactly to two scalar ODEs for Psi and R, which
-``integrate`` solves by RK4 (the edge-based reduction of Miller, J. Math.
-Biol. 2011); its docstring gives the work a step skips and why skipping it
-changes no bit.  At the end of spreading the final rumor size follows from
-the largest root of the self-consistent fixed-point equation for
-Psi(infinity).
+the block ODEs reduce exactly to two scalar ODEs for Psi and R (the
+edge-based reduction of Miller, J. Math. Biol. 2011), which ``integrate``
+solves with the adaptive Dormand-Prince 5(4) pair to a relative error of
+about 3e-11 per step, in steps of at most 1/sigma; its docstring gives the
+error control and the work a stage skips.  At the end of spreading the final
+rumor size follows from the largest root of the self-consistent fixed-point
+equation for Psi(infinity).
 With a general stifling rate sigma the dynamics are the sigma=1 dynamics on
 the rescaled clock tau = sigma * t, so the fixed-point equation picks up a
 single factor of sigma and all sigma = 1 formulas are recovered verbatim.
@@ -37,6 +38,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -68,12 +70,45 @@ _EXPM1_CUT = 38.0
 _PSI_TOL = 1e-10
 _NEWTON_MAX_STEPS = 100_000
 
+# Dormand-Prince 5(4): the stage rows of the Butcher tableau (the nodes are
+# their sums), the last row being the 5th-order solution, so a step's last
+# stage is the next step's first; the 5th- minus 4th-order weights; and the
+# weights of Hairer's 4th-order dense output
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DP_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+         701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
+
+# integrate's step control.  A step is accepted when its error estimate is
+# within atol + _RTOL |y| for each of Psi and q, in the RMS norm over the two.
+# An early error in Psi grows with the outbreak, so Psi is held to a relative
+# error down to states of about 3e-6 (_PSI_ATOL / _RTOL); q relaxes to its
+# target at rate sigma, so its errors decay and an absolute floor suffices.
+# A step shrinks by at least _SHRINK and grows by at most _GROW, with the
+# _SAFETY margin, and may not fall below _STEP_FLOOR of the time span
+_RTOL = 3e-11
+_PSI_ATOL = 1e-16
+_Q_ATOL = 1e-12
+_SAFETY = 0.9
+_SHRINK = 0.2
+_GROW = 10.0
+_STEP_FLOOR = 1e-12
+
 # how far a state's compartments may stray from [0, 1] and from summing to 1
 _STATE_ATOL = 1e-9
 
 
 class IntegrationError(RuntimeError):
-    """The integrated state left its valid range beyond tolerance."""
+    """The integrated state left its valid range beyond tolerance, or the
+    step control broke down."""
 
 
 class FixedPointError(RuntimeError):
@@ -98,10 +133,12 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
 
 
 @dataclass
@@ -209,7 +246,7 @@ def integrate(
     dt: float = 0.01,
     sample_every: int = 1,
 ) -> Trajectory:
-    """Fixed-step RK4 integration of the mean-field dynamics from ``initial``.
+    """Adaptive integration of the mean-field dynamics from ``initial``.
 
     The dynamics are integrated through their exact two-scalar reduction.
     Ignorants obey rho_i(k, t) = rho_i(k, 0) exp(-a_k Psi(t)), so
@@ -220,30 +257,37 @@ def integrate(
         dR/dt   = sigma S = sigma (1 - I - R),
         I = I(0) + sum_k P(k) rho_i(k, 0) expm1(-a_k Psi)
 
+    The pair (Psi, q = R - R(0)) is solved by the embedded Dormand-Prince
+    5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 19, 1980) with
+    local extrapolation: a step is accepted when its error estimate, in the
+    RMS norm scaled by _PSI_ATOL + _RTOL |Psi| and _Q_ATOL + _RTOL |q|, is
+    at most 1, and the next step is sized from it.  The Jacobian is
+    triangular with eigenvalues dPhi/dPsi >= -sigma and -sigma, so steps are
+    capped at 1/sigma, inside the pair's stability region near equilibrium,
+    where the monotone R would otherwise wobble at the tolerance.  The first
+    step follows Hairer's starting-step rule (Hairer, Norsett & Wanner,
+    Solving ODEs I, sec. II.4), so a large dt never lets an out-of-range
+    first step through.
+
     A stage costs one expm1 over the classes, which never produces
     subnormals.  Once a_k Psi > _EXPM1_CUT, expm1(-a_k Psi) rounds to
     exactly -1.0, so the classes past the cut (a suffix once they are sorted
     by a_k) contribute a constant, summed once before the loop, and only
     the rest are evaluated.  Each class's term is bit-identical to the full
-    sum's; only the order of summation differs.  At Psi <= 0 (the start, or
-    a diverging step) or a NaN Psi every class is evaluated.  A stage whose
-    Psi has the bits of the last one evaluated (-0.0 is not +0.0, and a NaN
-    never matches) reuses its sums: Psi often stops moving some steps
-    before R does.
+    sum's; only the order of summation differs.  At Psi <= 0 or a NaN Psi
+    every class is evaluated.
 
-    There are round(t_end / dt) steps, and the aggregates of Trajectory are
-    recorded at the initial state, every ``sample_every`` steps and at the
-    final step.  A step reads nothing but (Psi, R) and constants, so when it
-    returns its input unchanged (``==`` on both; Psi starts at +0.0 and a
-    NaN never compares equal) the state is a fixed point of the step map:
-    every later step would pass the same range check and record the same
-    aggregates.  The loop stops there and fills in the remaining samples
-    with that state, which matches running all the steps bit for bit.
-    Raises IntegrationError when Psi drops below -1e-6 or I, S, R leave
-    [-1e-6, 1 + 1e-6] or are not finite.  Each successful call logs its step
-    count, the step at which the state became fixed (``frozen``; the step
-    count if it never did), final Psi, final R and the number of per-class
-    exponentials evaluated (``evals``; reused stages add none) at DEBUG level.
+    ``dt`` is the sample spacing, not a step size: the aggregates of
+    Trajectory are recorded at time step * dt for every ``sample_every``-th
+    of the round(t_end / dt) sample steps and at the last, whose time ends
+    the integration.  Interior samples come from the pair's 4th-order dense
+    output; the last is the end of the last step.  Raises IntegrationError
+    when Psi drops below -1e-6 or I, S, R leave [-1e-6, 1 + 1e-6] or are
+    not finite at a step end or a sample, when an error estimate is not
+    finite, or when the step falls below _STEP_FLOOR of the time span.
+    Each successful call logs its accepted and rejected steps, final Psi,
+    final R and the number of per-class exponentials evaluated (``evals``;
+    rejected stages and samples included) at DEBUG level.
 
     The benchmark's tracer binds this signature from outside the package: it
     reads the arguments ``initial``, ``t_end`` and ``dt`` by name, and
@@ -260,17 +304,19 @@ def integrate(
         raise ValueError("state and distribution supports disagree")
 
     steps = int(round(t_end / dt))
-    samples, evals, frozen = _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every)
+    sample_steps = [*range(0, steps, sample_every), steps]
+    samples, accepted, rejected, evals = _reduced_dopri5(initial, dist, params, plan, sample_steps, dt)
     times, r, s, i, phi, psi = np.array(samples).T
-    _log.debug("integrate: steps=%d frozen=%d psi=%r r=%r evals=%d",
-               steps, frozen, float(psi[-1]), float(r[-1]), evals)
+    _log.debug("integrate: accepted=%d rejected=%d psi=%r r=%r evals=%d",
+               accepted, rejected, float(psi[-1]), float(r[-1]), evals)
     return Trajectory(times=times, r=r, s=s, i=i, phi=phi, psi=psi)
 
 
-def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[list[tuple], int, int]:
-    """RK4 on (Psi, R); returns (t, R, S, I, Phi, Psi) samples, the number of
-    per-class exponentials evaluated and the step at which the state became
-    fixed (``steps`` if it never did).
+def _reduced_dopri5(initial, dist, params, plan, sample_steps, dt) -> tuple[list[tuple], int, int, int]:
+    """Dormand-Prince 5(4) on (Psi, R) from 0 to sample_steps[-1] * dt;
+    returns the (t, R, S, I, Phi, Psi) samples at step * dt for each step
+    of ``sample_steps``, the accepted and rejected steps and the number of
+    per-class exponentials evaluated.
 
     R is carried as its gain q = R - R(0), so S = S(0) - (I - I(0)) - q
     keeps full precision however small the seed fraction is.  The classes
@@ -298,17 +344,10 @@ def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[
     # would, at a fraction of a numpy call's fixed cost
     rate_array = array("d", rates)
     evals = 0
-    last_psi, last = math.nan, None
 
     def phi_and_gain(psi: float) -> tuple[float, float]:
-        """Phi and the gain of the informed, -(I - I(0)), at Psi.
-
-        A pure function of Psi: a stage at the bits of the last Psi evaluated
-        (Psi often stops moving before q does) returns the last result.
-        """
-        nonlocal evals, last_psi, last
-        if _same_bits(psi, last_psi):
-            return last
+        """Phi and the gain of the informed, -(I - I(0)), at Psi."""
+        nonlocal evals
         # not psi > 0 (zero, negative or NaN): every class is evaluated
         cut = bisect_right(rate_array, _EXPM1_CUT / psi) if psi > 0.0 else classes
         evals += cut
@@ -316,49 +355,99 @@ def _reduced_rk4(initial, dist, params, plan, steps, dt, sample_every) -> tuple[
         np.multiply(neg_rates[:cut], psi, out=head)
         np.expm1(head, out=head)
         sum_phi, sum_i = (mix[:, :cut] @ head).tolist()
-        last_psi, last = psi, (phi0 - (sum_phi - tail_phi[cut]) - sigma * psi, -(sum_i - tail_i[cut]))
-        return last
+        return phi0 - (sum_phi - tail_phi[cut]) - sigma * psi, -(sum_i - tail_i[cut])
 
-    half = 0.5 * dt
+    def sample(t: float, psi: float, q: float, phi: float, gain: float) -> tuple:
+        i, s, r = i0 - gain, s0 + gain - q, r0 + q
+        if not (psi >= -1e-6 and -1e-6 <= min(i, s, r) and max(i, s, r) <= 1.0 + 1e-6):
+            raise IntegrationError(
+                f"state left range at t={t:.6g} (Psi={psi:.3e}, I={i:.3e}, S={s:.3e}, R={r:.3e})"
+            )
+        return t, r, s, i, phi, psi
+
     psi = q = 0.0
-    samples = []
-    # a diverging step overflows the next stage's exponentials; the range
-    # check below reports it
+    phi, gain = phi_and_gain(psi)
+    samples = [sample(0.0, psi, q, phi, gain)]
+    t_final = sample_steps[-1] * dt
+    if t_final == 0.0:
+        return samples, 0, 0, evals
+    h_max = min(1.0 / sigma, t_final)
+    h_floor = _STEP_FLOOR * t_final
+    waiting = iter(sample_steps[1:])
+    next_sample = next(waiting)
+    # the first stage of every step is the last of the one before (FSAL)
+    k_psi, k_q = [phi] + [0.0] * 6, [sigma * (s0 + gain)] + [0.0] * 6
+    accepted = rejected = 0
+    t = 0.0
+
+    # a diverging stage overflows its exponentials; the error estimate or
+    # the range check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps + 1):
-            phi, gain = phi_and_gain(psi)
-            i, s, r = i0 - gain, s0 + gain - q, r0 + q
-            if not (psi >= -1e-6 and -1e-6 <= min(i, s, r) and max(i, s, r) <= 1.0 + 1e-6):
-                raise IntegrationError(
-                    f"state left range at t={step * dt:.6g} "
-                    f"(Psi={psi:.3e}, I={i:.3e}, S={s:.3e}, R={r:.3e}); reduce dt"
-                )
-            if step % sample_every == 0 or step == steps:
-                samples.append((step * dt, r, s, i, phi, psi))
-            if step == steps:
-                return samples, evals, steps
-            dq1 = sigma * s
-            phi2, gain2 = phi_and_gain(psi + half * phi)
-            dq2 = sigma * (s0 + gain2 - q - half * dq1)
-            phi3, gain3 = phi_and_gain(psi + half * phi2)
-            dq3 = sigma * (s0 + gain3 - q - half * dq2)
-            phi4, gain4 = phi_and_gain(psi + dt * phi3)
-            dq4 = sigma * (s0 + gain4 - q - dt * dq3)
-            psi_next = psi + dt / 6.0 * (phi + 2.0 * phi2 + 2.0 * phi3 + phi4)
-            q_next = q + dt / 6.0 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
-            if psi_next == psi and q_next == q:
-                # a fixed point of the step map, which depends on (Psi, q)
-                # alone: every later step records this sample again
-                samples += [(later * dt, r, s, i, phi, psi) for later in range(step + 1, steps + 1)
-                            if later % sample_every == 0 or later == steps]
-                return samples, evals, step
-            psi, q = psi_next, q_next
+        # Hairer's starting step from Psi = q = 0, where the rule's Euler
+        # probe is 1e-6: a 5th-order guess from the scaled derivative and
+        # its change over the probe
+        probe = min(1e-6, h_max)
+        phi_e, gain_e = phi_and_gain(probe * k_psi[0])
+        dq_e = sigma * (s0 + gain_e - probe * k_q[0])
+        d1 = _rms(k_psi[0] / _PSI_ATOL, k_q[0] / _Q_ATOL)
+        d2 = _rms((phi_e - k_psi[0]) / _PSI_ATOL, (dq_e - k_q[0]) / _Q_ATOL) / probe
+        h = min(100.0 * probe, (0.01 / max(d1, d2, 1e-15)) ** 0.2, h_max)
+        grow = _GROW
+
+        while True:
+            if not h >= h_floor:
+                raise IntegrationError(f"step fell to {h:.3e} at t={t:.6g}, below the floor {h_floor:.3e}")
+            # a step that would leave under 1% of itself to go ends the span
+            last = t + 1.01 * h >= t_final
+            if last:
+                h = t_final - t
+            for stage, row in enumerate(_DP_A[1:], 1):
+                psi_k = psi + h * sum(map(mul, row, k_psi))
+                q_k = q + h * sum(map(mul, row, k_q))
+                phi_k, gain_k = phi_and_gain(psi_k)
+                k_psi[stage], k_q[stage] = phi_k, sigma * (s0 + gain_k - q_k)
+            # the last stage sits at the 5th-order solution
+            psi_new, q_new = psi_k, q_k
+            err = _rms(h * sum(map(mul, _DP_E, k_psi)) / (_PSI_ATOL + _RTOL * max(abs(psi), abs(psi_new))),
+                       h * sum(map(mul, _DP_E, k_q)) / (_Q_ATOL + _RTOL * max(abs(q), abs(q_new))))
+            if not math.isfinite(err):
+                raise IntegrationError(f"error estimate {err} at t={t:.6g} with step {h:.3e}")
+            if err > 1.0:
+                rejected += 1
+                h *= max(_SHRINK, _SAFETY * err ** -0.2)
+                grow = 1.0
+                continue
+
+            accepted += 1
+            t_new = t_final if last else t + h
+            while next_sample * dt < t_new:
+                theta = (next_sample * dt - t) / h
+                psi_s, q_s = (_dense(theta, h, y, y_new, k) for y, y_new, k in ((psi, psi_new, k_psi), (q, q_new, k_q)))
+                samples.append(sample(next_sample * dt, psi_s, q_s, *phi_and_gain(psi_s)))
+                next_sample = next(waiting)
+            if last:
+                samples.append(sample(t_final, psi_new, q_new, phi_k, gain_k))
+                return samples, accepted, rejected, evals
+            sample(t_new, psi_new, q_new, phi_k, gain_k)  # the range check at every step end
+            t, psi, q = t_new, psi_new, q_new
+            k_psi[0], k_q[0] = k_psi[6], k_q[6]
+            # an error of 0 (a state at rest) grows the step by _GROW
+            h = min(h * min(grow, _SAFETY * max(err, 1e-10) ** -0.2), h_max)
+            grow = _GROW
 
 
-def _same_bits(a: float, b: float) -> bool:
-    """Whether two floats have the same bits: -0.0 is not 0.0, and a NaN
-    matches nothing."""
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+def _rms(a: float, b: float) -> float:
+    return math.hypot(a, b) / math.sqrt(2.0)
+
+
+def _dense(theta: float, h: float, y: float, y_new: float, k: list[float]) -> float:
+    """Hairer's 4th-order dense output of a Dormand-Prince step of size h
+    from y to y_new with stage derivatives k, at fraction theta of the step."""
+    diff = y_new - y
+    bspl = h * k[0] - diff
+    bend = diff - h * k[6] - bspl
+    rest = h * sum(map(mul, _DP_D, k))
+    return y + theta * (diff + (1.0 - theta) * (bspl + theta * (bend + (1.0 - theta) * rest)))
 
 
 def psi_fixed_point(

@@ -1,5 +1,5 @@
 """The benchmark's output checks pass on a mean-field sweep across the
-thresholds, and on the Monte Carlo workload with its reference bands.
+thresholds, and on the benchmark's own workloads with their references.
 
 ``perfbench/checks.py`` imports from ``rumornet.expcli.scenario`` and
 ``rumornet.thresholds`` and reads Scenario fields; a rename there breaks the
@@ -12,6 +12,7 @@ ties the two together.
 import importlib.util
 import json
 import os
+from collections import Counter
 from itertools import groupby
 from operator import itemgetter
 
@@ -116,3 +117,26 @@ def test_check_run_passes_the_phase_diagram_workload(tmp_path, seed):
             assert row["R_mf"] == "0.0", row
             below += 1
     assert below == 266
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_check_run_passes_the_mf_timeseries_workload(tmp_path, seed):
+    # the benchmark's own curves and reference: every point passes, including
+    # the check that each curve ends within CURVE_TOL of its final size, and
+    # each curve keeps its 401 samples
+    checks = load_checks()
+    config = os.path.join(ROOT, "perfbench", "scenarios", "mf_timeseries.ini")
+    with open(os.path.join(ROOT, "perfbench", "reference.json"), encoding="ascii") as fh:
+        reference = json.load(fh)
+    out_dir = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", config, "--seed", str(seed), "--out", out_dir]) == 0
+
+    scenario = parse_scenario(config)
+    reasons = checks.check_run(scenario, out_dir, reference)
+    assert len(reasons) == len(scenario.grid()) == 4
+    assert {point: why for point, why in reasons.items() if why} == {}
+
+    with open(os.path.join(out_dir, "timeseries.csv"), encoding="ascii") as fh:
+        points = [line.split(",", 2)[:2] for line in fh if not line.startswith(("#", "point,"))]
+    assert all(engine == "meanfield" for _, engine in points)
+    assert sorted(Counter(point for point, _ in points).items()) == [(str(p), 401) for p in range(4)]

@@ -511,10 +511,13 @@ t_max = 5
 
     @pytest.mark.parametrize("line", [
         "seeds = 0", "seeds = 500", "dt_meanfield = 0", "dt_montecarlo = -0.1", "t_end = -1", "t_max = -1",
+        "lambda = 0.5, inf", "beta = nan", "sigma = 1, inf", "t_end = inf", "t_max = inf", "dt_meanfield = inf",
     ])
     def test_value_every_point_would_fail_on_is_a_config_error(self, tmp_path, capsys, line):
         # each of these once parsed; then every grid point failed at run time, or
-        # (t_max) the Monte Carlo took no step and reported the seed fraction
+        # (t_max) the Monte Carlo took no step and reported the seed fraction,
+        # or (dt_meanfield = inf) the curve had one sample
+        lambdas = "" if line.startswith("lambda") else "lambda = 0.5, 1.0\n"
         config = f"""\
 [scenario]
 engine = both
@@ -524,8 +527,7 @@ runs = 1
 n = 200
 
 [model]
-lambda = 0.5, 1.0
-{line}
+{lambdas}{line}
 """
         path = write_config(tmp_path, config)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1

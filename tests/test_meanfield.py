@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from rumornet import meanfield
 from rumornet.inoculation import InoculationPlan, make_random_plan, make_targeted_plan
@@ -42,13 +43,14 @@ def bisect_root(f, lo, hi, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
-def per_class_rk4(initial, dist, params, plan=None, t_end=10.0, dt=0.01, sample_every=1):
-    """Full per-class RK4 of the modified block ODEs, kept independent of the
-    reduced integrator it checks: all 3n+1 components (rho_i, rho_s, rho_r
-    per class and Psi), with the rates written out from the model.
+def per_class_system(initial, dist, params, plan=None):
+    """The modified block ODEs on all 3n+1 components (rho_i, rho_s, rho_r
+    per class and Psi), with the rates written out from the model, kept
+    independent of the reduced integrator they check.
 
-    Returns per-class samples of shape (samples, classes), the aggregates
-    I, S, R, Phi and Psi, and the sample times.
+    Returns the right-hand side, the initial vector and a function that
+    turns sample times and rows into per-class samples of shape (samples,
+    classes), the aggregates I, S, R, Phi and Psi, and the times.
     """
     n = dist.support.size
     k = dist.support.astype(np.float64)
@@ -65,8 +67,22 @@ def per_class_rk4(initial, dist, params, plan=None, t_end=10.0, dt=0.01, sample_
         infection = rates * rho_i * phi
         return np.concatenate([-infection, infection - sigma * rho_s, sigma * rho_s, [phi]])
 
+    def samples(times, rows):
+        arr = np.array(rows)
+        rho_i, rho_s, rho_r = arr[:, :n], arr[:, n:2 * n], arr[:, 2 * n:3 * n]
+        return SimpleNamespace(
+            times=np.array(times), rho_i=rho_i, rho_s=rho_s, rho_r=rho_r,
+            i=rho_i @ probs, s=rho_s @ probs, r=rho_r @ probs, phi=rho_s @ kalpha_p, psi=arr[:, 3 * n],
+        )
+
+    return rhs, np.concatenate([initial.rho_i, initial.rho_s, initial.rho_r, [0.0]]), samples
+
+
+def per_class_rk4(initial, dist, params, plan=None, t_end=10.0, dt=0.01, sample_every=1):
+    """Fixed-step RK4 of per_class_system, sampled at the initial state, every
+    ``sample_every`` steps and at the final step."""
+    rhs, y, samples = per_class_system(initial, dist, params, plan)
     steps = int(round(t_end / dt))
-    y = np.concatenate([initial.rho_i, initial.rho_s, initial.rho_r, [0.0]])
     times, rows = [0.0], [y]
     for step in range(1, steps + 1):
         k1 = rhs(y)
@@ -77,58 +93,19 @@ def per_class_rk4(initial, dist, params, plan=None, t_end=10.0, dt=0.01, sample_
         if step % sample_every == 0 or step == steps:
             times.append(step * dt)
             rows.append(y)
-    arr = np.array(rows)
-    rho_i, rho_s, rho_r = arr[:, :n], arr[:, n:2 * n], arr[:, 2 * n:3 * n]
-    return SimpleNamespace(
-        times=np.array(times), rho_i=rho_i, rho_s=rho_s, rho_r=rho_r,
-        i=rho_i @ probs, s=rho_s @ probs, r=rho_r @ probs, phi=rho_s @ kalpha_p, psi=arr[:, 3 * n],
-    )
+    return samples(times, rows)
 
 
-def full_reduced_rk4(initial, dist, params, plan=None, t_end=10.0, dt=0.01, sample_every=1):
-    """The reduced RK4 of integrate with every step run, never stopping at a
-    fixed point of the step map: the same class order, cut and summation
-    order, so integrate must match it bit for bit.
-
-    Returns the aggregates t, R, S, I, Phi and Psi at the sample times.
-    """
-    weights, rates = meanfield._class_terms(dist, params, plan)
-    sigma, probs, classes = params.sigma, dist.probs, rates.size
-    order = np.argsort(rates, kind="stable")
-    rates = rates[order]
-    mix = np.stack([weights * initial.rho_i, probs * initial.rho_i])[:, order]
-    tail = np.zeros((classes + 1, 2))
-    tail[:-1] = np.cumsum(mix[:, ::-1], axis=1)[:, ::-1].T
-    phi0 = float(weights @ initial.rho_s)
-    i0, s0, r0 = (float(probs @ rho) for rho in (initial.rho_i, initial.rho_s, initial.rho_r))
-
-    def phi_and_gain(psi):
-        cut = int(rates.searchsorted(meanfield._EXPM1_CUT / psi, side="right")) if psi > 0.0 else classes
-        d_phi, d_i = (mix[:, :cut] @ np.expm1(-rates[:cut] * psi) - tail[cut]).tolist()
-        return phi0 - d_phi - sigma * psi, -d_i
-
-    steps = int(round(t_end / dt))
-    half = 0.5 * dt
-    psi = q = 0.0
-    samples = []
-    for step in range(steps + 1):
-        phi, gain = phi_and_gain(psi)
-        i, s, r = i0 - gain, s0 + gain - q, r0 + q
-        if step % sample_every == 0 or step == steps:
-            samples.append((step * dt, r, s, i, phi, psi))
-        if step == steps:
-            break
-        dq1 = sigma * s
-        phi2, gain2 = phi_and_gain(psi + half * phi)
-        dq2 = sigma * (s0 + gain2 - q - half * dq1)
-        phi3, gain3 = phi_and_gain(psi + half * phi2)
-        dq3 = sigma * (s0 + gain3 - q - half * dq2)
-        phi4, gain4 = phi_and_gain(psi + dt * phi3)
-        dq4 = sigma * (s0 + gain4 - q - dt * dq3)
-        psi += dt / 6.0 * (phi + 2.0 * phi2 + 2.0 * phi3 + phi4)
-        q += dt / 6.0 * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
-    times, r, s, i, phi, psi = np.array(samples).T
-    return SimpleNamespace(times=times, r=r, s=s, i=i, phi=phi, psi=psi)
+def per_class_dop853(initial, dist, params, times, plan=None):
+    """per_class_system solved by scipy's adaptive 8th-order DOP853 at
+    rtol 1e-13, sampled at ``times``.  Where a_k Phi is large, fixed-step
+    RK4 needs a step far below what a test can afford; DOP853 adapts to it
+    at the cost of a few thousand evaluations."""
+    rhs, y0, samples = per_class_system(initial, dist, params, plan)
+    sol = solve_ivp(lambda _t, y: rhs(y), (0.0, times[-1]), y0, method="DOP853", t_eval=times,
+                    rtol=1e-13, atol=1e-15)
+    assert sol.success, sol.message
+    return samples(times, sol.y.T)
 
 
 def per_point_final_size(dist, params, plan=None, tol=1e-10, max_iter=100_000):
@@ -184,9 +161,6 @@ def per_point_final_size(dist, params, plan=None, tol=1e-10, max_iter=100_000):
     return psi, min(r, 1.0)
 
 
-TRAJECTORY_ARRAYS = ("times", "r", "s", "i", "phi", "psi")
-
-
 def graded_state(classes):
     """A degree-dependent, partly stifled start: spreaders grow from 0.02 to
     0.1 and stiflers fall from 0.1 to 0 across the classes."""
@@ -208,6 +182,15 @@ class TestModelParams:
             ModelParams(lam=-0.1, alpha=1.0)
         with pytest.raises(ValueError):
             ModelParams(lam=0.1, alpha=1.0, sigma=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lam", math.nan), ("lam", math.inf), ("beta", math.nan), ("beta", -math.inf),
+        ("sigma", math.nan), ("sigma", math.inf), ("alpha", math.nan),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        # sigma = inf would cap the integrator's steps at 1/sigma = 0
+        with pytest.raises(ValueError, match=field):
+            ModelParams(**{"lam": 1.0, "alpha": 1.0, field: value})
 
 
 class TestDegreeClassState:
@@ -332,9 +315,11 @@ class TestIntegrate:
         oracle = per_class_rk4(initial, dist, params, plan, t_end=20.0, dt=1e-3, sample_every=500)
         for name in ("i", "s", "r", "phi", "psi"):
             assert np.max(np.abs(getattr(traj, name) - getattr(oracle, name))) < 1e-9
-        # the cut was reached: well under the 4 * 20000 + 1 stages of 40 classes
-        evals = int(caplog.records[-1].getMessage().rsplit("evals=", 1)[1])
-        assert evals < 0.5 * (4 * 20000 + 1) * k.size
+        # the cut was reached: under 80% of every class at every stage
+        # evaluated, which are the start, the probe of the first step, six
+        # per step tried and one per interior sample
+        accepted, rejected, evals = logged_work(caplog)
+        assert evals < 0.8 * (2 + 6 * (accepted + rejected) + traj.times.size - 2) * k.size
 
     def test_expm1_is_minus_one_past_the_cut(self):
         # the cut replaces these exponentials by -1.0; if expm1 ever stops
@@ -343,29 +328,15 @@ class TestIntegrate:
         assert np.all(np.expm1(-x) == -1.0)
 
     def test_zero_psi_evaluates_every_class(self, caplog):
-        # without spreaders Psi stays 0 and no class may count as saturated
+        # without spreaders Psi stays 0 and no class may count as saturated:
+        # both classes at the start, the probe of the first step, six stages
+        # per step tried and the 9 interior samples
         caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
         params = ModelParams(lam=80.0, alpha=1.0, beta=2.0)
         traj = integrate(uniform_seed_state(TWO_FOUR, 0.0), TWO_FOUR, params, t_end=1.0, dt=0.1)
         assert np.all(traj.i == 1.0) and np.all(traj.psi == 0.0)
-        # the state is fixed from step 0, so only its 4 stages run; all sit at
-        # Psi = 0, so the first is evaluated on both classes and the other
-        # three reuse its result
-        message = caplog.records[-1].getMessage()
-        assert " frozen=0 " in message and message.endswith(" evals=2")
-
-    def test_negative_psi_evaluates_every_class(self):
-        # the state of test_negative_psi_reported: the reported I must be the
-        # sum over all classes at the negative Psi, not a cut one
-        state = DegreeClassState(rho_i=[0.2, 0.2], rho_s=[0.4, 0.4], rho_r=[0.4, 0.4])
-        params = ModelParams(lam=1.0, alpha=1.0, sigma=4.0)
-        with pytest.raises(IntegrationError) as info:
-            integrate(state, TWO_FOUR, params, t_end=0.8, dt=0.8)
-        found = re.search(r"Psi=(\S+), I=(\S+),", str(info.value))
-        psi, i = float(found[1]), float(found[2])
-        assert psi < 0.0
-        rates = TWO_FOUR.support / TWO_FOUR.moment(1.0)
-        assert i == pytest.approx(float(TWO_FOUR.probs @ (state.rho_i * np.exp(-rates * psi))), rel=1e-3)
+        accepted, rejected, evals = logged_work(caplog)
+        assert evals == 2 * (2 + 6 * (accepted + rejected) + 9)
 
     def test_conservation_and_monotonicity(self):
         dist = sample_powerlaw_distribution(2.4, 2, 1000)
@@ -435,22 +406,56 @@ class TestIntegrate:
         traj = integrate(uniform_seed_state(dist, 0.5), dist, params, t_end=10.0, dt=0.9)
         assert abs(traj.final_r - final_rumor_size(dist, params)) < 1e-4
 
-    def test_blowup_reported(self):
-        # sigma * dt = 3.6 lies beyond RK4's real-axis stability limit of about 2.785
+    def test_sigma_dt_beyond_rk4_stability_completes(self):
+        # sigma * dt = 3.6 lies beyond fixed-step RK4's real-axis stability
+        # limit of about 2.785; the steps are capped at 1/sigma, whatever dt
         dist = TWO_FOUR
         params = ModelParams(lam=80.0, alpha=1.0, beta=2.0, sigma=4.0)
+        initial = uniform_seed_state(dist, 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntegrationError):
-                integrate(uniform_seed_state(dist, 0.5), dist, params, t_end=10.0, dt=0.9)
+            traj = integrate(initial, dist, params, t_end=10.0, dt=0.9)
+        # samples every 0.9 up to 9.9, each 1800 oracle steps apart
+        oracle = per_class_rk4(initial, dist, params, t_end=9.9, dt=0.9 / 1800, sample_every=1800)
+        assert np.allclose(traj.times, oracle.times, rtol=1e-12, atol=0.0)
+        for name in ("i", "s", "r", "phi", "psi"):
+            assert np.max(np.abs(getattr(traj, name) - getattr(oracle, name))) < 1e-9
 
-    def test_negative_psi_reported(self):
-        # one step at sigma * dt = 3.2 pushes Psi below zero while I, S and R
-        # are still inside [0, 1]
-        state = DegreeClassState(rho_i=[0.2, 0.2], rho_s=[0.4, 0.4], rho_r=[0.4, 0.4])
-        params = ModelParams(lam=1.0, alpha=1.0, sigma=4.0)
-        with pytest.raises(IntegrationError, match="Psi=-"):
-            integrate(state, TWO_FOUR, params, t_end=0.8, dt=0.8)
+    def test_t_end_zero_is_the_initial_state(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
+        state = graded_state(2)
+        traj = integrate(state, TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), t_end=0.0, dt=0.1)
+        probs = TWO_FOUR.probs
+        assert traj.times.tolist() == [0.0] and traj.psi.tolist() == [0.0]
+        assert (traj.i[0], traj.s[0], traj.r[0]) == (probs @ state.rho_i, probs @ state.rho_s, probs @ state.rho_r)
+        assert logged_work(caplog) == (0, 0, 2)
+
+    def test_nan_rate_fails_the_range_check_at_the_start(self, monkeypatch):
+        # a NaN rate makes the first sample's I NaN: the range check reports
+        # it at t=0, before any step is tried
+        weights, rates = meanfield._class_terms(TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), None)
+        monkeypatch.setattr(meanfield, "_class_terms", lambda *args: (weights, np.array([rates[0], np.nan])))
+        with pytest.raises(IntegrationError, match=r"state left range at t=0 .*I=nan"):
+            integrate(uniform_seed_state(TWO_FOUR, 0.1), TWO_FOUR, ModelParams(lam=1.0, alpha=1.0),
+                      t_end=10.0, dt=0.01)
+
+    def test_nan_phi_fails_the_error_estimate(self, monkeypatch):
+        # a NaN weight leaves I, S and R finite at the start but makes Phi,
+        # and so every stage, NaN: the first error estimate is not finite
+        weights, rates = meanfield._class_terms(TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), None)
+        monkeypatch.setattr(meanfield, "_class_terms", lambda *args: (np.array([weights[0], np.nan]), rates))
+        with pytest.raises(IntegrationError, match=r"error estimate nan at t=0 "):
+            integrate(uniform_seed_state(TWO_FOUR, 0.1), TWO_FOUR, ModelParams(lam=1.0, alpha=1.0),
+                      t_end=10.0, dt=0.01)
+
+    def test_overflowing_probe_fails_the_step_floor(self, monkeypatch):
+        # a huge negative rate is harmless at Psi = 0 and overflows at the
+        # probe of the first step, which sizes that step to 0
+        weights, rates = meanfield._class_terms(TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), None)
+        monkeypatch.setattr(meanfield, "_class_terms", lambda *args: (weights, np.array([-1e308, rates[1]])))
+        with pytest.raises(IntegrationError, match=r"step fell to 0\.000e\+00 at t=0, below the floor"):
+            integrate(uniform_seed_state(TWO_FOUR, 0.1), TWO_FOUR, ModelParams(lam=1.0, alpha=1.0),
+                      t_end=10.0, dt=0.01)
 
     def test_logs_model_steps_psi_and_r(self, caplog):
         caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
@@ -459,50 +464,49 @@ class TestIntegrate:
         traj = integrate(initial, TWO_FOUR, params, t_end=2.0, dt=0.01, sample_every=10)
         messages = [rec.getMessage() for rec in caplog.records
                     if rec.name == "rumornet.meanfield" and rec.getMessage().startswith("integrate:")]
-        # no class of TWO_FOUR saturates at lam=1 and the state still moves at
-        # t=2: all 2 classes in each of the 4 * 200 + 1 stages
-        assert messages == [
-            f"integrate: steps=200 frozen=200 psi={float(traj.psi[-1])!r} r={traj.final_r!r} evals=1602",
-        ]
+        assert len(messages) == 1
+        accepted, rejected, evals = logged_work(caplog)
+        assert messages[0] == (f"integrate: accepted={accepted} rejected={rejected} "
+                               f"psi={float(traj.psi[-1])!r} r={traj.final_r!r} evals={evals}")
+        # no class of TWO_FOUR saturates at lam=1: both classes at the start,
+        # the probe, six stages per step tried and the 19 interior samples
+        assert evals == 2 * (2 + 6 * (accepted + rejected) + 19)
+        # fewer steps than the 200 sample steps of dt
+        assert 0 < accepted < 200
 
 
-class TestFixedPointExit:
-    """integrate stops stepping once a step returns the state it was given;
-    its samples must be those of the loop that runs every step."""
+def logged_work(caplog) -> tuple[int, int, int]:
+    """(accepted, rejected, evals) of the last integrate record."""
+    message = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("integrate:")][-1]
+    found = re.fullmatch(r"integrate: accepted=(\d+) rejected=(\d+) psi=\S+ r=\S+ evals=(\d+)", message)
+    return int(found[1]), int(found[2]), int(found[3])
+
+
+class TestOracleAgreement:
+    """integrate's adaptive curve against a per-class oracle on heavy-tailed
+    power laws, until the end of spreading."""
 
     POWERLAW = sample_powerlaw_distribution(2.4, 2, 1000)
 
     @pytest.mark.parametrize("case", ["no_plan", "targeted", "random", "sigma_2", "uneven_sampling"])
-    def test_matches_full_loop_bit_for_bit(self, case, caplog):
-        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
+    def test_matches_the_per_class_oracle(self, case):
         dist = self.POWERLAW
         params = ModelParams(lam=0.9, alpha=0.8, beta=-0.5, sigma=2.0 if case == "sigma_2" else 1.0)
         plan = {"targeted": make_targeted_plan(dist, 0.05), "random": make_random_plan(0.3)}.get(case)
         if case == "targeted":
             # the hubs are inoculated, so their rates are zero
             assert meanfield._class_terms(dist, params, plan)[1][-1] == 0.0
-        # 7000 steps: 70 divides them, 65 does not
+        # 7000 sample steps: 70 divides them, 65 does not
         sample_every = 65 if case == "uneven_sampling" else 70
         initial = uniform_seed_state(dist, 1e-3)
         traj = integrate(initial, dist, params, plan, t_end=70.0, dt=0.01, sample_every=sample_every)
-        full = full_reduced_rk4(initial, dist, params, plan, t_end=70.0, dt=0.01, sample_every=sample_every)
-        for name in TRAJECTORY_ARRAYS:
-            assert np.array_equal(getattr(traj, name), getattr(full, name)), name
+        # per-class RK4 at a quarter of the sample spacing
+        oracle = per_class_rk4(initial, dist, params, plan, t_end=70.0, dt=0.0025, sample_every=4 * sample_every)
         assert traj.times[-1] == 70.0
-        # the exit was taken, well before the last step
-        frozen = int(re.search(r" frozen=(\d+) ", caplog.records[-1].getMessage())[1])
-        assert frozen < 0.9 * 7000
-
-    def test_frozen_state_is_the_last_sample(self, caplog):
-        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
-        dist = self.POWERLAW
-        params = ModelParams(lam=0.9, alpha=0.8, beta=-0.5)
-        traj = integrate(uniform_seed_state(dist, 1e-3), dist, params, t_end=70.0, dt=0.01, sample_every=1)
-        frozen = int(re.search(r" frozen=(\d+) ", caplog.records[-1].getMessage())[1])
-        # the state moved on the step before, never after
-        assert traj.psi[frozen] != traj.psi[frozen - 1] or traj.r[frozen] != traj.r[frozen - 1]
-        for name in ("r", "s", "i", "phi", "psi"):
-            assert np.all(getattr(traj, name)[frozen:] == getattr(traj, name)[frozen]), name
+        assert np.allclose(traj.times, oracle.times, rtol=1e-12, atol=0.0)
+        for name in ("i", "s", "r", "phi", "psi"):
+            assert np.max(np.abs(getattr(traj, name) - getattr(oracle, name))) < 1e-9, name
+        assert oracle.s[-1] < 1e-8  # the window reaches the end of spreading
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -511,14 +515,22 @@ class TestFixedPointExit:
         beta=st.floats(-1.0, 1.0),
         s0=st.floats(1e-6, 0.5),
     )
-    def test_matches_full_loop_on_a_small_power_law(self, lam, alpha, beta, s0):
+    def test_matches_the_oracle_on_a_small_power_law(self, lam, alpha, beta, s0):
+        # a_k up to 200 and Phi up to <k> = 4.2: RK4 on the classes needs
+        # steps below 3e-3 just to stay stable, and far smaller to reach the
+        # bound, so the oracle is the adaptive per_class_dop853
         dist = sample_powerlaw_distribution(2.4, 2, 100)
         params = ModelParams(lam=lam, alpha=alpha, beta=beta)
         initial = uniform_seed_state(dist, s0)
         traj = integrate(initial, dist, params, t_end=40.0, dt=0.02, sample_every=7)
-        full = full_reduced_rk4(initial, dist, params, t_end=40.0, dt=0.02, sample_every=7)
-        for name in TRAJECTORY_ARRAYS:
-            assert np.array_equal(getattr(traj, name), getattr(full, name)), name
+        oracle = per_class_dop853(initial, dist, params, traj.times)
+        # samples between step ends come from the 4th-order dense output,
+        # whose error reached 3.2e-9, about 100 times the step tolerance, in
+        # a scan of about 1700 parameter sets (the worst at lam=2, alpha=1,
+        # beta=-1, s0=1e-4), while the samples next to it stayed within 2e-10
+        bound = 300 * meanfield._RTOL
+        for name in ("i", "s", "r", "phi", "psi"):
+            assert np.max(np.abs(getattr(traj, name) - getattr(oracle, name))) < bound, name
 
 
 class TestPsiFixedPoint:
@@ -852,9 +864,3 @@ class TestTermLifetimes:
         assert copy._memo == {}
         assert not copy.support.flags.writeable and not copy.probs.flags.writeable
         assert final_rumor_size(copy, params, plan) == expected
-
-    def test_same_bits(self):
-        assert meanfield._same_bits(0.5, 0.5) and meanfield._same_bits(0.0, 0.0)
-        assert not meanfield._same_bits(0.0, -0.0) and not meanfield._same_bits(-0.0, 0.0)
-        assert not meanfield._same_bits(math.nan, math.nan)
-        assert not meanfield._same_bits(1.0, math.nextafter(1.0, 2.0))
