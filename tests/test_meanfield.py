@@ -448,6 +448,43 @@ class TestIntegrate:
             integrate(uniform_seed_state(TWO_FOUR, 0.1), TWO_FOUR, ModelParams(lam=1.0, alpha=1.0),
                       t_end=10.0, dt=0.01)
 
+    def test_blowup_reported(self, monkeypatch):
+        # a negative weight and rate on the degree-4 class add
+        # w rho_i (exp(75 Psi) - 1) to dPsi/dt and rho_i exp(75 Psi) to I:
+        # Psi runs away once the spreaders of class 2 start it, and the
+        # divergence is an IntegrationError with no overflow warning escaping
+        state = DegreeClassState(rho_i=[0.5, 0.5], rho_s=[0.5, 0.0], rho_r=[0.0, 0.5])
+        weights, rates = meanfield._class_terms(TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), None)
+        monkeypatch.setattr(meanfield, "_class_terms",
+                            lambda *args: (weights * [1.0, -1.0], rates * [1.0, -50.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError):
+                integrate(state, TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), t_end=10.0, dt=0.9)
+
+    def test_negative_psi_reported(self, monkeypatch):
+        # negative weights make Phi, and so dPsi/dt at the start, negative
+        # while I, S and R are still inside [0, 1]
+        state = DegreeClassState(rho_i=[0.2, 0.2], rho_s=[0.4, 0.4], rho_r=[0.4, 0.4])
+        weights, rates = meanfield._class_terms(TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), None)
+        monkeypatch.setattr(meanfield, "_class_terms", lambda *args: (-weights, rates))
+        with pytest.raises(IntegrationError, match="Psi=-"):
+            integrate(state, TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), t_end=0.8, dt=0.8)
+
+    def test_negative_psi_evaluates_every_class(self, monkeypatch):
+        # the state of test_negative_psi_reported: the reported I must be the
+        # sum over all classes at the negative Psi, not a cut one
+        state = DegreeClassState(rho_i=[0.2, 0.2], rho_s=[0.4, 0.4], rho_r=[0.4, 0.4])
+        weights, rates = meanfield._class_terms(TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), None)
+        monkeypatch.setattr(meanfield, "_class_terms", lambda *args: (-weights, rates))
+        with pytest.raises(IntegrationError) as info:
+            integrate(state, TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), t_end=0.8, dt=0.8)
+        found = re.search(r"Psi=(\S+), I=(\S+),", str(info.value))
+        psi, i = float(found[1]), float(found[2])
+        assert psi < 0.0
+        rates = TWO_FOUR.support / TWO_FOUR.moment(1.0)
+        assert i == pytest.approx(float(TWO_FOUR.probs @ (state.rho_i * np.exp(-rates * psi))), rel=1e-3)
+
     def test_overflowing_probe_fails_the_step_floor(self, monkeypatch):
         # a huge negative rate is harmless at Psi = 0 and overflows at the
         # probe of the first step, which sizes that step to 0
