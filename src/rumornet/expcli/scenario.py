@@ -283,9 +283,16 @@ def parse_scenario(path) -> Scenario:
         ("dt_montecarlo", lambda v: 0 < v < math.inf, "dt_montecarlo must be finite and > 0"),
         ("t_end", lambda v: 0 <= v < math.inf, "t_end must be finite and >= 0"),
         ("t_max", lambda v: 0 <= v < math.inf, "t_max must be finite and >= 0"),
+        ("tolerance", lambda v: 0 < v < math.inf, "tolerance must be finite and > 0"),
     ):
         if not check(fields[name]):
             fail(name, f"{what}, got {fields[name]}")
+    # a nonzero span of round(t / dt) == 0 steps would give a curve of the
+    # initial state alone, or Monte Carlo runs that take no step
+    for span, step in (("t_end", "dt_meanfield"), ("t_max", "dt_montecarlo")):
+        t, dt = fields[span], fields[step]
+        if t > 0 and round(t / dt) == 0:
+            fail(step if step in lines else span, f"{span} = {t} rounds to zero steps of {step} = {dt}")
 
     if fields["s0"] is None:
         fields["s0"] = 1.0 / n_nodes

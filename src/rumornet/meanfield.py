@@ -13,11 +13,12 @@ Everything in the modified model is carried by Psi(t), the integral of Phi.
 Ignorants obey the closed form rho_i(k, t) = rho_i(k, 0) exp(-a_k Psi(t)), so
 the block ODEs reduce exactly to two scalar ODEs for Psi and R (the
 edge-based reduction of Miller, J. Math. Biol. 2011), which ``integrate``
-solves with the adaptive Dormand-Prince 5(4) pair to a relative error of
-about 3e-11 per step, in steps of at most 1/sigma; its docstring gives the
-error control and the work a stage skips.  At the end of spreading the final
-rumor size follows from the largest root of the self-consistent fixed-point
-equation for Psi(infinity).
+solves with Hairer's adaptive 8th-order pair DOP853 to a relative error of
+about 3e-11 per step, in steps of at most 1/sigma, sampling between step
+ends through the pair's 7th-order dense output; its docstring gives the
+error control, the reason for the step cap and the work a stage skips.  At
+the end of spreading the final rumor size follows from the largest root of
+the self-consistent fixed-point equation for Psi(infinity).
 With a general stifling rate sigma the dynamics are the sigma=1 dynamics on
 the rescaled clock tau = sigma * t, so the fixed-point equation picks up a
 single factor of sigma and all sigma = 1 formulas are recovered verbatim.
@@ -70,22 +71,63 @@ _EXPM1_CUT = 38.0
 _PSI_TOL = 1e-10
 _NEWTON_MAX_STEPS = 100_000
 
-# Dormand-Prince 5(4): the stage rows of the Butcher tableau (the nodes are
-# their sums), the last row being the 5th-order solution, so a step's last
-# stage is the next step's first; the 5th- minus 4th-order weights; and the
-# weights of Hairer's 4th-order dense output
-_DP_A = (
+# Hairer's DOP853, an explicit Runge-Kutta pair of order 8 with embedded
+# error estimators of orders 5 and 3 and a 7th-order dense output (Hairer,
+# Norsett & Wanner, Solving ODEs I, 2nd ed., sec. II.5 and II.6), with his
+# coefficients rounded to doubles.  _DOP_A holds the stage rows of the
+# Butcher tableau (the nodes are their sums), the last row being the
+# 8th-order solution, so a step's last stage is the next step's first;
+# _DOP_A_DENSE the rows of the three stages only the dense output uses.
+# _DOP_E5 and _DOP_E3 are the 8th- minus the 5th-order and the 8th- minus
+# the 3rd-order weights, and _DOP_D the stage weights of the dense output's
+# four highest coefficients
+_DOP_A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+     0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671, 20.154067550477894,
+     -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193, 15.279233632882423,
+     -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927, -18.52006565999696,
+     22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188, 27.94888452941996,
+     -2.8589982771350235, -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+     0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
 )
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_DP_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
-         701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
+_DOP_A_DENSE = (
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+     0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099, 0.0,
+     0.0, -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+     0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
+)
+_DOP_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+          -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
+_DOP_E3 = tuple(b - b3 for b, b3 in zip(_DOP_A[12], (0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                                     0.7338466882816118, 0.0, 0.0, 0.022058823529411766)))
+_DOP_D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+     18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229, 15.697238121770845,
+     -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+     -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114,
+     96.32455395918828, -39.17726167561544, -149.72683625798564),
+)
 
 # integrate's step control.  A step is accepted when its error estimate is
 # within atol + _RTOL |y| for each of Psi and q, in the RMS norm over the two.
@@ -257,17 +299,27 @@ def integrate(
         dR/dt   = sigma S = sigma (1 - I - R),
         I = I(0) + sum_k P(k) rho_i(k, 0) expm1(-a_k Psi)
 
-    The pair (Psi, q = R - R(0)) is solved by the embedded Dormand-Prince
-    5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 19, 1980) with
-    local extrapolation: a step is accepted when its error estimate, in the
-    RMS norm scaled by _PSI_ATOL + _RTOL |Psi| and _Q_ATOL + _RTOL |q|, is
-    at most 1, and the next step is sized from it.  The Jacobian is
-    triangular with eigenvalues dPhi/dPsi >= -sigma and -sigma, so steps are
-    capped at 1/sigma, inside the pair's stability region near equilibrium,
-    where the monotone R would otherwise wobble at the tolerance.  The first
-    step follows Hairer's starting-step rule (Hairer, Norsett & Wanner,
-    Solving ODEs I, sec. II.4), so a large dt never lets an out-of-range
-    first step through.
+    The pair (Psi, q = R - R(0)) is solved by Hairer's DOP853 (Hairer,
+    Norsett & Wanner, Solving ODEs I, 2nd ed., sec. II.5 and II.6): twelve
+    stages per step of an 8th-order Runge-Kutta method, the last stage of a
+    step being the first of the next.  Its error estimate combines the
+    differences e5 and e3 to embedded 5th- and 3rd-order solutions as
+    h e5**2 / sqrt(e5**2 + 0.01 e3**2), with e5 and e3 in the RMS norm scaled
+    by _PSI_ATOL + _RTOL |Psi| and _Q_ATOL + _RTOL |q|; a step is accepted
+    when the estimate is at most 1, and the next step is sized from it with
+    the exponent 1/8.  The first step follows Hairer's starting-step rule
+    (sec. II.4) with the same exponent, so a large dt never lets an
+    out-of-range first step through.
+
+    The Jacobian is triangular with eigenvalues dPhi/dPsi >= -sigma and
+    -sigma, so steps are capped at 1/sigma, where the method's stability
+    function at -sigma h = -1 is 0.368, within 4e-8 of exp(-1), and the
+    approach to rest is monotone up to rounding.  At rest Phi is
+    cancellation noise of about 5e-15, and DOP853's weights sum to 12.9 in
+    absolute value (a 5th-order pair's to 1.6), so Psi may step back by a
+    few ulp: on 60 random 100-class power laws, 18 curves stepped back, by at
+    most 3 ulp.  A cap of 2/sigma takes about 20% fewer evaluations but
+    steps back in more cases and by up to 3.6e-15.
 
     A stage costs one expm1 over the classes, which never produces
     subnormals.  Once a_k Psi > _EXPM1_CUT, expm1(-a_k Psi) rounds to
@@ -280,14 +332,22 @@ def integrate(
     ``dt`` is the sample spacing, not a step size: the aggregates of
     Trajectory are recorded at time step * dt for every ``sample_every``-th
     of the round(t_end / dt) sample steps and at the last, whose time ends
-    the integration.  Interior samples come from the pair's 4th-order dense
-    output; the last is the end of the last step.  Raises IntegrationError
-    when Psi drops below -1e-6 or I, S, R leave [-1e-6, 1 + 1e-6] or are
-    not finite at a step end or a sample, when an error estimate is not
-    finite, or when the step falls below _STEP_FLOOR of the time span.
-    Each successful call logs its accepted and rejected steps, final Psi,
-    final R and the number of per-class exponentials evaluated (``evals``;
-    rejected stages and samples included) at DEBUG level.
+    the integration.  Interior samples come from the pair's 7th-order dense
+    output, which costs three more stages on each step that holds one; the
+    last sample is the end of the last step.  The dense output is usually
+    within a few times _RTOL, but its error is not estimated: where the
+    5th-order difference e5 crosses zero the estimate nearly vanishes, and
+    the longer step that follows can hold samples over 100 times _RTOL off
+    while its end stays within about 10 times.
+
+    Raises IntegrationError when Psi drops below -1e-6 or I, S, R leave
+    [-1e-6, 1 + 1e-6] or are not finite at a step end or a sample, when an
+    error estimate is not finite, or when the step falls below _STEP_FLOOR
+    of the time span.  Each successful call logs its accepted and rejected
+    steps, the dense outputs built, final Psi, final R and the number of
+    per-class exponentials evaluated (``evals``; rejected stages and samples
+    included) at DEBUG level: 2 at the start, 12 per step tried, 3 per dense
+    output and 1 per interior sample, each over the classes below the cut.
 
     The benchmark's tracer binds this signature from outside the package: it
     reads the arguments ``initial``, ``t_end`` and ``dt`` by name, and
@@ -305,18 +365,18 @@ def integrate(
 
     steps = int(round(t_end / dt))
     sample_steps = [*range(0, steps, sample_every), steps]
-    samples, accepted, rejected, evals = _reduced_dopri5(initial, dist, params, plan, sample_steps, dt)
+    samples, accepted, rejected, dense, evals = _reduced_dop853(initial, dist, params, plan, sample_steps, dt)
     times, r, s, i, phi, psi = np.array(samples).T
-    _log.debug("integrate: accepted=%d rejected=%d psi=%r r=%r evals=%d",
-               accepted, rejected, float(psi[-1]), float(r[-1]), evals)
+    _log.debug("integrate: accepted=%d rejected=%d dense=%d psi=%r r=%r evals=%d",
+               accepted, rejected, dense, float(psi[-1]), float(r[-1]), evals)
     return Trajectory(times=times, r=r, s=s, i=i, phi=phi, psi=psi)
 
 
-def _reduced_dopri5(initial, dist, params, plan, sample_steps, dt) -> tuple[list[tuple], int, int, int]:
-    """Dormand-Prince 5(4) on (Psi, R) from 0 to sample_steps[-1] * dt;
-    returns the (t, R, S, I, Phi, Psi) samples at step * dt for each step
-    of ``sample_steps``, the accepted and rejected steps and the number of
-    per-class exponentials evaluated.
+def _reduced_dop853(initial, dist, params, plan, sample_steps, dt) -> tuple[list[tuple], int, int, int, int]:
+    """DOP853 on (Psi, R) from 0 to sample_steps[-1] * dt; returns the
+    (t, R, S, I, Phi, Psi) samples at step * dt for each step of
+    ``sample_steps``, the accepted and rejected steps, the dense outputs
+    built and the number of per-class exponentials evaluated.
 
     R is carried as its gain q = R - R(0), so S = S(0) - (I - I(0)) - q
     keeps full precision however small the seed fraction is.  The classes
@@ -365,33 +425,43 @@ def _reduced_dopri5(initial, dist, params, plan, sample_steps, dt) -> tuple[list
             )
         return t, r, s, i, phi, psi
 
+    def stage(index: int, row, psi: float, q: float, h: float) -> tuple[float, float, float, float]:
+        """Stage ``index``, of tableau row ``row``, of a step of size h from
+        (psi, q): stores its derivatives and returns its Psi, q, Phi and gain."""
+        psi_k = psi + h * sum(map(mul, row, k_psi))
+        q_k = q + h * sum(map(mul, row, k_q))
+        phi_k, gain_k = phi_and_gain(psi_k)
+        k_psi[index], k_q[index] = phi_k, sigma * (s0 + gain_k - q_k)
+        return psi_k, q_k, phi_k, gain_k
+
     psi = q = 0.0
     phi, gain = phi_and_gain(psi)
     samples = [sample(0.0, psi, q, phi, gain)]
     t_final = sample_steps[-1] * dt
     if t_final == 0.0:
-        return samples, 0, 0, evals
+        return samples, 0, 0, 0, evals
     h_max = min(1.0 / sigma, t_final)
     h_floor = _STEP_FLOOR * t_final
     waiting = iter(sample_steps[1:])
     next_sample = next(waiting)
-    # the first stage of every step is the last of the one before (FSAL)
-    k_psi, k_q = [phi] + [0.0] * 6, [sigma * (s0 + gain)] + [0.0] * 6
-    accepted = rejected = 0
+    # the derivatives of the 13 stages of a step and of the dense output's
+    # 3; the first stage of every step is the last of the one before (FSAL)
+    k_psi, k_q = [phi] + [0.0] * 15, [sigma * (s0 + gain)] + [0.0] * 15
+    accepted = rejected = dense = 0
     t = 0.0
 
     # a diverging stage overflows its exponentials; the error estimate or
     # the range check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         # Hairer's starting step from Psi = q = 0, where the rule's Euler
-        # probe is 1e-6: a 5th-order guess from the scaled derivative and
+        # probe is 1e-6: an 8th-order guess from the scaled derivative and
         # its change over the probe
         probe = min(1e-6, h_max)
         phi_e, gain_e = phi_and_gain(probe * k_psi[0])
         dq_e = sigma * (s0 + gain_e - probe * k_q[0])
         d1 = _rms(k_psi[0] / _PSI_ATOL, k_q[0] / _Q_ATOL)
         d2 = _rms((phi_e - k_psi[0]) / _PSI_ATOL, (dq_e - k_q[0]) / _Q_ATOL) / probe
-        h = min(100.0 * probe, (0.01 / max(d1, d2, 1e-15)) ** 0.2, h_max)
+        h = min(100.0 * probe, (0.01 / max(d1, d2, 1e-15)) ** 0.125, h_max)
         grow = _GROW
 
         while True:
@@ -401,38 +471,47 @@ def _reduced_dopri5(initial, dist, params, plan, sample_steps, dt) -> tuple[list
             last = t + 1.01 * h >= t_final
             if last:
                 h = t_final - t
-            for stage, row in enumerate(_DP_A[1:], 1):
-                psi_k = psi + h * sum(map(mul, row, k_psi))
-                q_k = q + h * sum(map(mul, row, k_q))
-                phi_k, gain_k = phi_and_gain(psi_k)
-                k_psi[stage], k_q[stage] = phi_k, sigma * (s0 + gain_k - q_k)
-            # the last stage sits at the 5th-order solution
+            for index, row in enumerate(_DOP_A[1:], 1):
+                psi_k, q_k, phi_k, gain_k = stage(index, row, psi, q, h)
+            # the last stage sits at the 8th-order solution
             psi_new, q_new = psi_k, q_k
-            err = _rms(h * sum(map(mul, _DP_E, k_psi)) / (_PSI_ATOL + _RTOL * max(abs(psi), abs(psi_new))),
-                       h * sum(map(mul, _DP_E, k_q)) / (_Q_ATOL + _RTOL * max(abs(q), abs(q_new))))
+            # Hairer's error estimate h e5^2 / sqrt(e5^2 + 0.01 e3^2), from
+            # the scaled RMS norms of the 5th- and 3rd-order differences
+            scale = (_PSI_ATOL + _RTOL * max(abs(psi), abs(psi_new)), _Q_ATOL + _RTOL * max(abs(q), abs(q_new)))
+            e5, e3 = (_rms(sum(map(mul, e, k_psi)) / scale[0], sum(map(mul, e, k_q)) / scale[1])
+                      for e in (_DOP_E5, _DOP_E3))
+            err = h * e5 * (e5 / math.hypot(e5, 0.1 * e3)) if e5 else 0.0
             if not math.isfinite(err):
                 raise IntegrationError(f"error estimate {err} at t={t:.6g} with step {h:.3e}")
             if err > 1.0:
                 rejected += 1
-                h *= max(_SHRINK, _SAFETY * err ** -0.2)
+                h *= max(_SHRINK, _SAFETY * err ** -0.125)
                 grow = 1.0
                 continue
 
             accepted += 1
             t_new = t_final if last else t + h
-            while next_sample * dt < t_new:
-                theta = (next_sample * dt - t) / h
-                psi_s, q_s = (_dense(theta, h, y, y_new, k) for y, y_new, k in ((psi, psi_new, k_psi), (q, q_new, k_q)))
-                samples.append(sample(next_sample * dt, psi_s, q_s, *phi_and_gain(psi_s)))
-                next_sample = next(waiting)
+            if next_sample * dt < t_new:
+                # the dense output's three stages, only on steps that hold a
+                # sample between their ends
+                dense += 1
+                for index, row in enumerate(_DOP_A_DENSE, 13):
+                    stage(index, row, psi, q, h)
+                psi_coeffs = _dense_coefficients(h, psi, psi_new, k_psi)
+                q_coeffs = _dense_coefficients(h, q, q_new, k_q)
+                while next_sample * dt < t_new:
+                    theta = (next_sample * dt - t) / h
+                    psi_s, q_s = psi + _dense(theta, psi_coeffs), q + _dense(theta, q_coeffs)
+                    samples.append(sample(next_sample * dt, psi_s, q_s, *phi_and_gain(psi_s)))
+                    next_sample = next(waiting)
             if last:
                 samples.append(sample(t_final, psi_new, q_new, phi_k, gain_k))
-                return samples, accepted, rejected, evals
+                return samples, accepted, rejected, dense, evals
             sample(t_new, psi_new, q_new, phi_k, gain_k)  # the range check at every step end
             t, psi, q = t_new, psi_new, q_new
-            k_psi[0], k_q[0] = k_psi[6], k_q[6]
+            k_psi[0], k_q[0] = k_psi[12], k_q[12]
             # an error of 0 (a state at rest) grows the step by _GROW
-            h = min(h * min(grow, _SAFETY * max(err, 1e-10) ** -0.2), h_max)
+            h = min(h * min(grow, _SAFETY * max(err, 1e-10) ** -0.125), h_max)
             grow = _GROW
 
 
@@ -440,14 +519,21 @@ def _rms(a: float, b: float) -> float:
     return math.hypot(a, b) / math.sqrt(2.0)
 
 
-def _dense(theta: float, h: float, y: float, y_new: float, k: list[float]) -> float:
-    """Hairer's 4th-order dense output of a Dormand-Prince step of size h
-    from y to y_new with stage derivatives k, at fraction theta of the step."""
+def _dense_coefficients(h: float, y: float, y_new: float, k: list[float]) -> tuple[float, ...]:
+    """The seven coefficients of Hairer's 7th-order dense output of a DOP853
+    step of size h from y to y_new, with the derivatives k of its 13 stages
+    and of the dense output's 3."""
     diff = y_new - y
-    bspl = h * k[0] - diff
-    bend = diff - h * k[6] - bspl
-    rest = h * sum(map(mul, _DP_D, k))
-    return y + theta * (diff + (1.0 - theta) * (bspl + theta * (bend + (1.0 - theta) * rest)))
+    return (diff, h * k[0] - diff, 2.0 * diff - h * (k[12] + k[0]), *(h * sum(map(mul, row, k)) for row in _DOP_D))
+
+
+def _dense(theta: float, coeffs: tuple[float, ...]) -> float:
+    """The dense output's change from the step's start at fraction theta:
+    theta (c0 + (1 - theta) (c1 + theta (c2 + (1 - theta) (c3 + ...))))."""
+    value = 0.0
+    for index in range(6, -1, -1):
+        value = (value + coeffs[index]) * (1.0 - theta if index % 2 else theta)
+    return value
 
 
 def psi_fixed_point(

@@ -77,6 +77,12 @@ class TestParsing:
         names = [name for name, _, _ in scenario_module._KEYS.values()]
         assert sorted(names) == sorted(field.name for field in dataclasses.fields(Scenario))
 
+    def test_zero_spans_stay_legal_with_any_step(self, tmp_path):
+        # only a nonzero span that rounds to zero steps is an error
+        text = MINIMAL + "t_end = 0\nt_max = 0\ndt_meanfield = 300\ndt_montecarlo = 500\n"
+        scenario = parse_scenario(write_config(tmp_path, text))
+        assert (scenario.t_end, scenario.t_max) == (0.0, 0.0)
+
     def test_bad_engine_reported_before_missing_n(self, tmp_path):
         bad = MINIMAL.replace("engine = meanfield", "engine = warp").replace("n = 1000\n", "")
         with pytest.raises(ScenarioError, match=r"scenario\.cfg:2: engine must be one of"):
@@ -512,11 +518,14 @@ t_max = 5
     @pytest.mark.parametrize("line", [
         "seeds = 0", "seeds = 500", "dt_meanfield = 0", "dt_montecarlo = -0.1", "t_end = -1", "t_max = -1",
         "lambda = 0.5, inf", "beta = nan", "sigma = 1, inf", "t_end = inf", "t_max = inf", "dt_meanfield = inf",
+        "dt_meanfield = 300", "t_end = 0.004", "dt_montecarlo = 500", "t_max = 0.04",
     ])
     def test_value_every_point_would_fail_on_is_a_config_error(self, tmp_path, capsys, line):
-        # each of these once parsed; then every grid point failed at run time, or
-        # (t_max) the Monte Carlo took no step and reported the seed fraction,
-        # or (dt_meanfield = inf) the curve had one sample
+        # each of these once parsed; then every grid point failed at run time,
+        # or (t_max, dt_montecarlo = 500) the Monte Carlo took no step and
+        # reported the seed fraction, or (dt_meanfield = inf or 300, t_end =
+        # 0.004) the curve had one sample; a span that rounds to zero steps
+        # cites its dt line when the file has one, else its t line
         lambdas = "" if line.startswith("lambda") else "lambda = 0.5, 1.0\n"
         config = f"""\
 [scenario]
@@ -532,6 +541,30 @@ n = 200
         path = write_config(tmp_path, config)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"{path}:{line_of(config, line)}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-0.1"])
+    def test_tolerance_no_point_can_pass_is_a_config_error(self, tmp_path, capsys, value):
+        # the check is deviation < tolerance, so each of these once failed
+        # every point and made compare exit 3
+        config = f"""\
+[scenario]
+engine = both
+runs = 1
+
+[network]
+n = 200
+
+[model]
+lambda = 0.5
+
+[compare]
+tolerance = {value}
+"""
+        path = write_config(tmp_path, config)
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:{line_of(config, f'tolerance = {value}')}: tolerance must be finite and > 0" in err
+        assert not (tmp_path / "out").exists()
 
     def test_compare_tolerance_exit_code(self, tmp_path):
         # annealed mean field overshoots the quenched simulation at this point,
