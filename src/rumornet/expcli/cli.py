@@ -61,6 +61,8 @@ def _load(args) -> "Scenario":
     scenario = parse_scenario(args.config)
     overrides = {}
     if args.seed is not None:
+        if args.seed < 0:
+            raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out

@@ -277,6 +277,8 @@ def parse_scenario(path) -> Scenario:
         fail("g_grid", "nonzero g requires inoculation kind random or targeted")
 
     for name, check, what in (
+        # numpy's SeedSequence, which keys every random stream, takes no negative seed
+        ("seed", lambda v: v >= 0, "seed must be >= 0"),
         ("s0", lambda v: v is None or 0.0 < v < 1.0, "s0 must lie in (0, 1)"),
         ("mc_seeds", lambda v: v is None or 1 <= v <= n_nodes, f"seeds must lie in [1, n] = [1, {n_nodes}]"),
         ("dt_meanfield", lambda v: 0 < v < math.inf, "dt_meanfield must be finite and > 0"),

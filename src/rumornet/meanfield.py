@@ -15,10 +15,13 @@ the block ODEs reduce exactly to two scalar ODEs for Psi and R (the
 edge-based reduction of Miller, J. Math. Biol. 2011), which ``integrate``
 solves with Hairer's adaptive 8th-order pair DOP853 to a relative error of
 about 3e-11 per step, in steps of at most 1/sigma, sampling between step
-ends through the pair's 7th-order dense output; its docstring gives the
-error control, the reason for the step cap and the work a stage skips.  At
-the end of spreading the final rumor size follows from the largest root of
-the self-consistent fixed-point equation for Psi(infinity).
+ends through the pair's 7th-order dense output.  Phi is concave in Psi, so a
+tangent bounds how far the state can still move; once that bound is within
+the step tolerance, the curve holds the rest state to its end.  The
+docstring of ``integrate`` gives the error control, the reason for the step
+cap, the rest bound and the work a stage skips.  At the end of spreading
+the final rumor size follows from the largest root of the self-consistent
+fixed-point equation for Psi(infinity).
 With a general stifling rate sigma the dynamics are the sigma=1 dynamics on
 the rescaled clock tau = sigma * t, so the fixed-point equation picks up a
 single factor of sigma and all sigma = 1 formulas are recovered verbatim.
@@ -274,10 +277,6 @@ class Trajectory:
     phi: np.ndarray
     psi: np.ndarray
 
-    @property
-    def final_r(self) -> float:
-        return float(self.r[-1])
-
 
 def integrate(
     initial: DegreeClassState,
@@ -314,12 +313,28 @@ def integrate(
     The Jacobian is triangular with eigenvalues dPhi/dPsi >= -sigma and
     -sigma, so steps are capped at 1/sigma, where the method's stability
     function at -sigma h = -1 is 0.368, within 4e-8 of exp(-1), and the
-    approach to rest is monotone up to rounding.  At rest Phi is
-    cancellation noise of about 5e-15, and DOP853's weights sum to 12.9 in
-    absolute value (a 5th-order pair's to 1.6), so Psi may step back by a
-    few ulp: on 60 random 100-class power laws, 18 curves stepped back, by at
-    most 3 ulp.  A cap of 2/sigma takes about 20% fewer evaluations but
-    steps back in more cases and by up to 3.6e-15.
+    approach to rest is monotone up to rounding.
+
+    After every accepted step but the last, the step end is tested for rest.
+    Phi, as a function F of Psi, is concave: F'' = -sum_k w_k rho_i(k, 0)
+    a_k**2 exp(-a_k Psi) <= 0, because w_k and a_k are >= 0 (_class_terms)
+    and so is rho_i(k, 0), up to the _STATE_ATOL a validated state allows.
+    F lies below its tangent, so where D = -F'(Psi) = sigma - sum_k w_k
+    rho_i(k, 0) a_k exp(-a_k Psi) > 0 the rest value obeys Psi(inf) - Psi
+    <= max(Phi, 0) / D.  I is convex in Psi, so R(inf) - R = S + I - I(inf)
+    <= max(S, 0) + J max(Phi, 0) / D, with J = sum_k P(k) rho_i(k, 0) a_k
+    exp(-a_k Psi).  Once the two bounds
+    are within _PSI_ATOL + _RTOL |Psi| and _Q_ATOL + _RTOL |q|, the step
+    still fills its own interior samples from its dense output, and every
+    later sample, t_end's included, holds the rest state: Psi after one
+    Newton step, Psi + max(Phi, 0) / D, and q = R - R(0) set so that S is
+    exactly 0.  D and J take one more dot product over the step end's
+    exponentials; the classes past the cut add less than exp(-_EXPM1_CUT)
+    times the slope sums over all classes, which the bound includes.  Where
+    D <= 0 the integration never stops early.  Steps past rest would only
+    move Psi by Phi's cancellation noise of about 5e-15, which DOP853's
+    weights (12.9 in absolute value, a 5th-order pair's 1.6) turn into steps
+    back of a few ulp; the stop saves both the work and the steps back.
 
     A stage costs one expm1 over the classes, which never produces
     subnormals.  Once a_k Psi > _EXPM1_CUT, expm1(-a_k Psi) rounds to
@@ -334,20 +349,23 @@ def integrate(
     of the round(t_end / dt) sample steps and at the last, whose time ends
     the integration.  Interior samples come from the pair's 7th-order dense
     output, which costs three more stages on each step that holds one; the
-    last sample is the end of the last step.  The dense output is usually
-    within a few times _RTOL, but its error is not estimated: where the
-    5th-order difference e5 crosses zero the estimate nearly vanishes, and
-    the longer step that follows can hold samples over 100 times _RTOL off
-    while its end stays within about 10 times.
+    last sample is the rest state once rest is proven, else the end of the
+    last step.  The dense output is usually within a few times _RTOL, but
+    its error is not estimated: where the 5th-order difference e5 crosses
+    zero the estimate nearly vanishes, and the longer step that follows can
+    hold samples over 100 times _RTOL off while its end stays within about
+    10 times.
 
     Raises IntegrationError when Psi drops below -1e-6 or I, S, R leave
     [-1e-6, 1 + 1e-6] or are not finite at a step end or a sample, when an
     error estimate is not finite, or when the step falls below _STEP_FLOOR
     of the time span.  Each successful call logs its accepted and rejected
-    steps, the dense outputs built, final Psi, final R and the number of
-    per-class exponentials evaluated (``evals``; rejected stages and samples
-    included) at DEBUG level: 2 at the start, 12 per step tried, 3 per dense
-    output and 1 per interior sample, each over the classes below the cut.
+    steps, the dense outputs built, the step end that proved rest (``rest``,
+    or ``none``), final Psi, final R and the number of per-class
+    exponentials evaluated (``evals``; rejected stages and samples included)
+    at DEBUG level: 2 at the start, 12 per step tried, 3 per dense output,
+    1 per interior sample before rest and 1 for the rest state, each over
+    the classes below the cut.
 
     The benchmark's tracer binds this signature from outside the package: it
     reads the arguments ``initial``, ``t_end`` and ``dt`` by name, and
@@ -365,18 +383,22 @@ def integrate(
 
     steps = int(round(t_end / dt))
     sample_steps = [*range(0, steps, sample_every), steps]
-    samples, accepted, rejected, dense, evals = _reduced_dop853(initial, dist, params, plan, sample_steps, dt)
+    samples, accepted, rejected, dense, rest, evals = _reduced_dop853(initial, dist, params, plan, sample_steps, dt)
     times, r, s, i, phi, psi = np.array(samples).T
-    _log.debug("integrate: accepted=%d rejected=%d dense=%d psi=%r r=%r evals=%d",
-               accepted, rejected, dense, float(psi[-1]), float(r[-1]), evals)
+    _log.debug("integrate: accepted=%d rejected=%d dense=%d rest=%s psi=%r r=%r evals=%d",
+               accepted, rejected, dense, "none" if rest is None else repr(rest), float(psi[-1]), float(r[-1]),
+               evals)
     return Trajectory(times=times, r=r, s=s, i=i, phi=phi, psi=psi)
 
 
-def _reduced_dop853(initial, dist, params, plan, sample_steps, dt) -> tuple[list[tuple], int, int, int, int]:
+def _reduced_dop853(
+    initial, dist, params, plan, sample_steps, dt
+) -> tuple[list[tuple], int, int, int, float | None, int]:
     """DOP853 on (Psi, R) from 0 to sample_steps[-1] * dt; returns the
     (t, R, S, I, Phi, Psi) samples at step * dt for each step of
     ``sample_steps``, the accepted and rejected steps, the dense outputs
-    built and the number of per-class exponentials evaluated.
+    built, the step end that proved rest (None if none did) and the number
+    of per-class exponentials evaluated.
 
     R is carried as its gain q = R - R(0), so S = S(0) - (I - I(0)) - q
     keeps full precision however small the seed fraction is.  The classes
@@ -396,6 +418,9 @@ def _reduced_dop853(initial, dist, params, plan, sample_steps, dt) -> tuple[list
     tail = np.zeros((2, classes + 1))
     tail[:, :-1] = np.cumsum(mix[:, ::-1], axis=1)[:, ::-1]
     tail_phi, tail_i = memoryview(tail[0]), memoryview(tail[1])
+    # sum_k mix a_k over every class, which bounds the part of rest_step's
+    # sums past the cut
+    slope_phi, slope_i = (mix @ rates).tolist()
     phi0 = float(weights @ initial.rho_s)
     i0, s0, r0 = (float(probs @ rho) for rho in (initial.rho_i, initial.rho_s, initial.rho_r))
     neg_rates = -rates
@@ -403,19 +428,47 @@ def _reduced_dop853(initial, dist, params, plan, sample_steps, dt) -> tuple[list
     # bisect_right on the same doubles finds the cut searchsorted(side="right")
     # would, at a fraction of a numpy call's fixed cost
     rate_array = array("d", rates)
+    # exp(-a_k Psi) of every class past the cut is below this
+    saturated = math.exp(-_EXPM1_CUT)
     evals = 0
+
+    def cut_at(psi: float) -> int:
+        """The classes below the cut at Psi; not psi > 0 (zero, negative or
+        NaN): every class."""
+        return bisect_right(rate_array, _EXPM1_CUT / psi) if psi > 0.0 else classes
 
     def phi_and_gain(psi: float) -> tuple[float, float]:
         """Phi and the gain of the informed, -(I - I(0)), at Psi."""
         nonlocal evals
-        # not psi > 0 (zero, negative or NaN): every class is evaluated
-        cut = bisect_right(rate_array, _EXPM1_CUT / psi) if psi > 0.0 else classes
+        cut = cut_at(psi)
         evals += cut
         head = buf[:cut]
         np.multiply(neg_rates[:cut], psi, out=head)
         np.expm1(head, out=head)
         sum_phi, sum_i = (mix[:, :cut] @ head).tolist()
         return phi0 - (sum_phi - tail_phi[cut]) - sigma * psi, -(sum_i - tail_i[cut])
+
+    def rest_step(psi: float, q: float, phi: float, gain: float) -> float | None:
+        """The Newton step max(Phi, 0) / D to rest from a state whose
+        exponentials phi_and_gain left in buf, if the concavity bound puts
+        both Psi and R within the step tolerance of rest; else None."""
+        cut = cut_at(psi)
+        # sum_k m_k a_k exp(-a_k Psi) over the classes below the cut, in buf,
+        # which is free once read; the classes past it add less than
+        # exp(-_EXPM1_CUT) times the slope at 0
+        head = buf[:cut]
+        np.add(head, 1.0, out=head)
+        np.multiply(head, rates[:cut], out=head)
+        sum_d, sum_j = (mix[:, :cut] @ head).tolist()
+        d = sigma - (sum_d + saturated * slope_phi)
+        if not d > 0.0:
+            return None
+        step = max(phi, 0.0) / d
+        j = sum_j + saturated * slope_i
+        if (step <= _PSI_ATOL + _RTOL * abs(psi)
+                and max(s0 + gain - q, 0.0) + j * step <= _Q_ATOL + _RTOL * abs(q)):
+            return step
+        return None
 
     def sample(t: float, psi: float, q: float, phi: float, gain: float) -> tuple:
         i, s, r = i0 - gain, s0 + gain - q, r0 + q
@@ -439,7 +492,7 @@ def _reduced_dop853(initial, dist, params, plan, sample_steps, dt) -> tuple[list
     samples = [sample(0.0, psi, q, phi, gain)]
     t_final = sample_steps[-1] * dt
     if t_final == 0.0:
-        return samples, 0, 0, 0, evals
+        return samples, 0, 0, 0, None, evals
     h_max = min(1.0 / sigma, t_final)
     h_floor = _STEP_FLOOR * t_final
     waiting = iter(sample_steps[1:])
@@ -491,6 +544,8 @@ def _reduced_dop853(initial, dist, params, plan, sample_steps, dt) -> tuple[list
 
             accepted += 1
             t_new = t_final if last else t + h
+            # read before the dense output's stages overwrite buf
+            to_rest = None if last else rest_step(psi_new, q_new, phi_k, gain_k)
             if next_sample * dt < t_new:
                 # the dense output's three stages, only on steps that hold a
                 # sample between their ends
@@ -506,8 +561,15 @@ def _reduced_dop853(initial, dist, params, plan, sample_steps, dt) -> tuple[list
                     next_sample = next(waiting)
             if last:
                 samples.append(sample(t_final, psi_new, q_new, phi_k, gain_k))
-                return samples, accepted, rejected, dense, evals
+                return samples, accepted, rejected, dense, None, evals
             sample(t_new, psi_new, q_new, phi_k, gain_k)  # the range check at every step end
+            if to_rest is not None:
+                # one Newton step onto rest, where S = s0 + gain - q is 0
+                psi_rest = psi_new + to_rest
+                phi_rest, gain_rest = phi_and_gain(psi_rest)
+                rest = sample(next_sample * dt, psi_rest, s0 + gain_rest, phi_rest, gain_rest)[1:]
+                samples += [(step * dt, *rest) for step in (next_sample, *waiting)]
+                return samples, accepted, rejected, dense, t_new, evals
             t, psi, q = t_new, psi_new, q_new
             k_psi[0], k_q[0] = k_psi[12], k_q[12]
             # an error of 0 (a state at rest) grows the step by _GROW

@@ -518,29 +518,38 @@ t_max = 5
     @pytest.mark.parametrize("line", [
         "seeds = 0", "seeds = 500", "dt_meanfield = 0", "dt_montecarlo = -0.1", "t_end = -1", "t_max = -1",
         "lambda = 0.5, inf", "beta = nan", "sigma = 1, inf", "t_end = inf", "t_max = inf", "dt_meanfield = inf",
-        "dt_meanfield = 300", "t_end = 0.004", "dt_montecarlo = 500", "t_max = 0.04",
+        "dt_meanfield = 300", "t_end = 0.004", "dt_montecarlo = 500", "t_max = 0.04", "seed = -3",
     ])
     def test_value_every_point_would_fail_on_is_a_config_error(self, tmp_path, capsys, line):
         # each of these once parsed; then every grid point failed at run time,
-        # or (t_max, dt_montecarlo = 500) the Monte Carlo took no step and
-        # reported the seed fraction, or (dt_meanfield = inf or 300, t_end =
-        # 0.004) the curve had one sample; a span that rounds to zero steps
-        # cites its dt line when the file has one, else its t line
+        # or (seed = -3) the graph build did, or (t_max, dt_montecarlo = 500)
+        # the Monte Carlo took no step and reported the seed fraction, or
+        # (dt_meanfield = inf or 300, t_end = 0.004) the curve had one sample;
+        # a span that rounds to zero steps cites its dt line when the file has
+        # one, else its t line
         lambdas = "" if line.startswith("lambda") else "lambda = 0.5, 1.0\n"
+        # seed is the one key here of [scenario]
+        scenario_line, model_line = (f"{line}\n", "") if line.startswith("seed") else ("", f"{line}\n")
         config = f"""\
 [scenario]
 engine = both
 runs = 1
-
+{scenario_line}
 [network]
 n = 200
 
 [model]
-{lambdas}{line}
-"""
+{lambdas}{model_line}"""
         path = write_config(tmp_path, config)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"{path}:{line_of(config, line)}: " in capsys.readouterr().err
+
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        # it once failed the graph build: exit 2, "expected non-negative integer"
+        path = write_config(tmp_path, MINIMAL.replace("n = 1000", "n = 300"))
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "g"), "--seed", "-2"]) == 1
+        assert "config error: --seed must be >= 0, got -2" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("value", ["nan", "0", "-0.1"])
     def test_tolerance_no_point_can_pass_is_a_config_error(self, tmp_path, capsys, value):

@@ -239,7 +239,7 @@ class TestDerivatives:
         params = ModelParams(lam=2.0, alpha=1.0)
         traj = integrate(state, TWO_FOUR, params, make_random_plan(1.0), t_end=5.0, dt=0.01)
         assert np.all(traj.i == TWO_FOUR.probs @ state.rho_i)
-        assert traj.final_r > 0.0
+        assert traj.r[-1] > 0.0
 
     def test_classical_equals_modified_at_reduction_point(self):
         # the classic model, every node spreading to all its neighbors with
@@ -278,7 +278,7 @@ class TestIntegrate:
         traj = integrate(initial, dist, params, t_end=25.0, dt=1e-3, sample_every=500)
         assert traj.s[-1] < 1e-6
         r_direct = final_rumor_size(dist, params)
-        assert abs(traj.final_r - r_direct) < 1e-3
+        assert abs(traj.r[-1] - r_direct) < 1e-3
         # the rise is S-shaped: maximum slope strictly inside the time window
         increments = np.diff(traj.r)
         peak = int(np.argmax(increments))
@@ -315,11 +315,9 @@ class TestIntegrate:
         oracle = per_class_rk4(initial, dist, params, plan, t_end=20.0, dt=1e-3, sample_every=500)
         for name in ("i", "s", "r", "phi", "psi"):
             assert np.max(np.abs(getattr(traj, name) - getattr(oracle, name))) < 1e-9
-        # the cut was reached: under 80% of every class at every stage
-        # evaluated, which are the start, the probe of the first step, twelve
-        # per step tried, three per dense output and one per interior sample
-        accepted, rejected, dense, evals = logged_work(caplog)
-        assert evals < 0.8 * (2 + 12 * (accepted + rejected) + 3 * dense + traj.times.size - 2) * k.size
+        # the cut was reached: under 80% of every class at every stage evaluated
+        accepted, rejected, dense, rest, evals = logged_work(caplog)
+        assert evals < 0.8 * evaluated_stages(traj, accepted, rejected, dense, rest) * k.size
 
     def test_expm1_is_minus_one_past_the_cut(self):
         # the cut replaces these exponentials by -1.0; if expm1 ever stops
@@ -336,7 +334,8 @@ class TestIntegrate:
         params = ModelParams(lam=80.0, alpha=1.0, beta=2.0)
         traj = integrate(uniform_seed_state(TWO_FOUR, 0.0), TWO_FOUR, params, t_end=1.0, dt=0.1)
         assert np.all(traj.i == 1.0) and np.all(traj.psi == 0.0)
-        accepted, rejected, dense, evals = logged_work(caplog)
+        accepted, rejected, dense, rest, evals = logged_work(caplog)
+        assert rest is None
         assert evals == 2 * (2 + 12 * (accepted + rejected) + 3 * dense + 9)
 
     def test_conservation_and_monotonicity(self):
@@ -405,7 +404,7 @@ class TestIntegrate:
         dist = TWO_FOUR
         params = ModelParams(lam=80.0, alpha=1.0, beta=2.0)
         traj = integrate(uniform_seed_state(dist, 0.5), dist, params, t_end=10.0, dt=0.9)
-        assert abs(traj.final_r - final_rumor_size(dist, params)) < 1e-4
+        assert abs(traj.r[-1] - final_rumor_size(dist, params)) < 1e-4
 
     def test_sigma_dt_beyond_rk4_stability_completes(self):
         # sigma * dt = 3.6 lies beyond fixed-step RK4's real-axis stability
@@ -429,7 +428,7 @@ class TestIntegrate:
         probs = TWO_FOUR.probs
         assert traj.times.tolist() == [0.0] and traj.psi.tolist() == [0.0]
         assert (traj.i[0], traj.s[0], traj.r[0]) == (probs @ state.rho_i, probs @ state.rho_s, probs @ state.rho_r)
-        assert logged_work(caplog) == (0, 0, 0, 2)
+        assert logged_work(caplog) == (0, 0, 0, None, 2)
 
     def test_nan_rate_fails_the_range_check_at_the_start(self, monkeypatch):
         # a NaN rate makes the first sample's I NaN: the range check reports
@@ -503,9 +502,9 @@ class TestIntegrate:
         messages = [rec.getMessage() for rec in caplog.records
                     if rec.name == "rumornet.meanfield" and rec.getMessage().startswith("integrate:")]
         assert len(messages) == 1
-        accepted, rejected, dense, evals = logged_work(caplog)
-        assert messages[0] == (f"integrate: accepted={accepted} rejected={rejected} dense={dense} "
-                               f"psi={float(traj.psi[-1])!r} r={traj.final_r!r} evals={evals}")
+        accepted, rejected, dense, rest, evals = logged_work(caplog)
+        assert messages[0] == (f"integrate: accepted={accepted} rejected={rejected} dense={dense} rest=none "
+                               f"psi={float(traj.psi[-1])!r} r={float(traj.r[-1])!r} evals={evals}")
         # no class of TWO_FOUR saturates at lam=1: both classes at the start,
         # the probe, twelve stages per step tried, three per dense output and
         # the 19 interior samples
@@ -515,12 +514,64 @@ class TestIntegrate:
         assert 0 < accepted < 200
         assert 0 < dense <= min(accepted, 19)
 
+    def test_logs_the_rest_and_its_work(self, caplog):
+        # the curve of test_logs_model_steps_psi_and_r rests long before
+        # t_end = 60; no class saturates, so every evaluation covers both
+        # classes, and the samples after rest cost none
+        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
+        traj = integrate(uniform_seed_state(TWO_FOUR, 1e-2), TWO_FOUR, ModelParams(lam=1.0, alpha=1.0),
+                         t_end=60.0, dt=0.01, sample_every=10)
+        accepted, rejected, dense, rest, evals = logged_work(caplog)
+        assert_rests_after(traj, rest)
+        assert rest < 40.0
+        assert evals == 2 * evaluated_stages(traj, accepted, rejected, dense, rest)
 
-def logged_work(caplog) -> tuple[int, int, int, int]:
-    """(accepted, rejected, dense, evals) of the last integrate record."""
+    def test_psi_and_r_never_step_back(self):
+        # at rest Phi is cancellation noise, which DOP853's weights (their
+        # absolute values sum to 12.9) turned into steps back of Psi by up to
+        # 3 ulp and of R by up to 2e-16 in 13 of these curves, all at t >= 34,
+        # before integrate stopped at a proven rest
+        dist = sample_powerlaw_distribution(2.4, 2, 100)
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            params = ModelParams(lam=rng.uniform(0.0, 3.0), alpha=rng.uniform(0.05, 1.0), beta=rng.uniform(-1.0, 1.0))
+            s0 = math.exp(rng.uniform(math.log(1e-6), math.log(0.5)))
+            traj = integrate(uniform_seed_state(dist, s0), dist, params, t_end=40.0, dt=0.02, sample_every=7)
+            assert np.all(np.diff(traj.psi) >= 0.0) and np.all(np.diff(traj.r) >= 0.0), (params, s0)
+
+
+def logged_work(caplog) -> tuple[int, int, int, float | None, int]:
+    """(accepted, rejected, dense, rest, evals) of the last integrate record;
+    rest is the step end that proved rest, or None."""
     message = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("integrate:")][-1]
-    found = re.fullmatch(r"integrate: accepted=(\d+) rejected=(\d+) dense=(\d+) psi=\S+ r=\S+ evals=(\d+)", message)
-    return int(found[1]), int(found[2]), int(found[3]), int(found[4])
+    found = re.fullmatch(r"integrate: accepted=(\d+) rejected=(\d+) dense=(\d+) rest=(\S+) psi=\S+ r=\S+ "
+                         r"evals=(\d+)", message)
+    assert found, f"unmatched integrate record: {message}"
+    rest = None if found[4] == "none" else float(found[4])
+    return int(found[1]), int(found[2]), int(found[3]), rest, int(found[5])
+
+
+def evaluated_stages(traj, accepted, rejected, dense, rest) -> int:
+    """The evaluations integrate makes, each over the classes below the cut:
+    the start and the probe of the first step, twelve per step tried, three
+    per dense output, one per interior sample before rest and, once rest is
+    proven, one for the rest state."""
+    # with rest: the samples before it, less the start, plus the rest state
+    interior = traj.times.size - 2 if rest is None else int(np.sum(traj.times < rest))
+    return 2 + 12 * (accepted + rejected) + 3 * dense + interior
+
+
+def assert_rests_after(traj, rest):
+    """Every sample from the step end ``rest`` on is the rest state: S = 0,
+    and Phi = 0 up to the cancellation noise of its sum."""
+    assert rest is not None and rest < traj.times[-1]
+    tail = traj.times >= rest
+    first = int(np.argmax(tail))
+    assert tail[first:].all() and traj.s[first] == 0.0
+    assert abs(traj.phi[first]) < 1e-13
+    for name in ("i", "s", "r", "phi", "psi"):
+        values = getattr(traj, name)
+        assert np.all(values[first:] == values[first]), name
 
 
 class TestOracleAgreement:
@@ -575,14 +626,27 @@ class TestOracleAgreement:
         for name in ("i", "s", "r", "phi", "psi"):
             assert np.max(np.abs(getattr(traj, name) - getattr(oracle, name))) < bound, name
 
-    def test_interior_samples_at_the_old_worst_case(self):
+    def test_interior_samples_at_the_old_worst_case(self, caplog):
         # a 4th-order dense output at this tolerance is 3.2e-9 off in Psi
         # here, about 100 times the tolerance, while the samples next to it
         # are within 2e-10; the 7th-order one is within about 5 times
+        self.check_the_rest_curve(caplog, lam=2.0)
+
+    def test_sub_threshold_curve_reaches_rest(self, caplog):
+        assert 0.06 < threshold_modified(sample_powerlaw_distribution(2.4, 2, 100), 1.0, -1.0)
+        self.check_the_rest_curve(caplog, lam=0.06)
+
+    @staticmethod
+    def check_the_rest_curve(caplog, lam):
+        """The curve at lam, alpha=1, beta=-1, s0=1e-4 on the 100-node power
+        law rests before t_end = 40 and is within 30 times the step tolerance
+        of the oracle, the rest state included."""
+        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
         dist = sample_powerlaw_distribution(2.4, 2, 100)
-        params = ModelParams(lam=2.0, alpha=1.0, beta=-1.0)
+        params = ModelParams(lam=lam, alpha=1.0, beta=-1.0)
         initial = uniform_seed_state(dist, 1e-4)
         traj = integrate(initial, dist, params, t_end=40.0, dt=0.02, sample_every=7)
+        assert_rests_after(traj, logged_work(caplog)[3])
         oracle = per_class_dop853(initial, dist, params, traj.times)
         bound = 30 * meanfield._RTOL
         for name in ("i", "s", "r", "phi", "psi"):
@@ -782,7 +846,7 @@ class TestFinalRumorSize:
         finals = []
         for s0 in (1e-4, 1e-5):
             traj = integrate(uniform_seed_state(dist, s0), dist, params, t_end=60.0, dt=0.01)
-            finals.append(traj.final_r)
+            finals.append(traj.r[-1])
         assert finals[0] / finals[1] >= 5.0
 
     # the phase diagram's distribution: 7454 classes, P(k) down to about 2.5e-9
