@@ -67,7 +67,9 @@ def _load(args) -> "Scenario":
     if args.out is not None:
         overrides["out_dir"] = args.out
     if args.workers is not None:
-        overrides["workers"] = max(1, args.workers)
+        if args.workers < 1:
+            raise ScenarioError(f"--workers must be >= 1, got {args.workers}")
+        overrides["workers"] = args.workers
     return replace(scenario, **overrides) if overrides else scenario
 
 

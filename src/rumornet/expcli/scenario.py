@@ -279,6 +279,7 @@ def parse_scenario(path) -> Scenario:
     for name, check, what in (
         # numpy's SeedSequence, which keys every random stream, takes no negative seed
         ("seed", lambda v: v >= 0, "seed must be >= 0"),
+        ("workers", lambda v: v >= 1, "workers must be >= 1"),
         ("s0", lambda v: v is None or 0.0 < v < 1.0, "s0 must lie in (0, 1)"),
         ("mc_seeds", lambda v: v is None or 1 <= v <= n_nodes, f"seeds must lie in [1, n] = [1, {n_nodes}]"),
         ("dt_meanfield", lambda v: 0 < v < math.inf, "dt_meanfield must be finite and > 0"),
@@ -302,7 +303,6 @@ def parse_scenario(path) -> Scenario:
         fields["mc_seeds"] = max(1, int(round(fields["s0"] * n_nodes)))
     if fields["name"] is None:
         fields["name"] = os.path.splitext(os.path.basename(str(path)))[0]
-    fields["workers"] = max(1, fields["workers"])
     fields["timeseries"] = fields["timeseries"] == "true"
     return Scenario(**fields)
 
@@ -387,22 +387,34 @@ def _worker_job(job):
     return _point_job(_worker_assets, job)
 
 
+def _family_order(job) -> tuple:
+    """The key that runs a mean-field family's points, one (alpha, beta, g)
+    for every lambda and sigma, in a row, each family in point order."""
+    index, point = job
+    return point["alpha"], point["beta"], point["g"], point["sigma"], index
+
+
 def _collect_results(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     """Run every grid point; results in point order, a failed point recorded, never fatal.
 
     The graph and the inoculation plans are built once per run.  With several
     workers each worker process receives them once, and a job carries only
-    its point.
+    its point.  The points run grouped by family (_family_order): the
+    mean-field solvers keep only the last family's table of per-class terms,
+    so a family's points in a row build it once.  Every random stream is
+    keyed to the point's index, so the order moves no number, and the
+    outcomes are put back in point order before anything is written.
     """
     dist, network = build_network(scenario, graph=scenario.engine in ("montecarlo", "both"))
     assets = (scenario, dist, network, scenario.plans(dist))
-    jobs = list(enumerate(scenario.grid()))
+    jobs = sorted(enumerate(scenario.grid()), key=_family_order)
     if scenario.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=scenario.workers, initializer=_init_worker,
                                  initargs=assets) as pool:
             outcomes = list(pool.map(_worker_job, jobs))
     else:
         outcomes = [_point_job(assets, job) for job in jobs]
+    outcomes.sort(key=lambda outcome: outcome[1]["point"])
     results = [payload for status, payload in outcomes if status == "ok"]
     failures = [payload for status, payload in outcomes if status == "err"]
     return results, failures

@@ -26,20 +26,26 @@ With a general stifling rate sigma the dynamics are the sigma=1 dynamics on
 the rescaled clock tau = sigma * t, so the fixed-point equation picks up a
 single factor of sigma and all sigma = 1 formulas are recovered verbatim.
 
-The per-class terms have three lifetimes.  Per distribution and alpha: the
-weights w_k = k**alpha P(k) and <k**alpha>.  Per distribution and plan: g_k,
-1 - g_k and P(k) (1 - g_k).  Both are built once and kept, read-only, by
-``DegreeDistribution.memo``, so they live as long as the distribution.  Only
-the rates a_k depend on lam, so they alone are computed per grid point; the
-last point's are kept for the next call on the same point.  A sweep over lam
-therefore rebuilds nothing else.
+The per-class terms have two lifetimes.  A point's rates factor as
+a_k = lam b_k, with b_k = (1 - g_k) k**(1+beta) / <k**(1+beta)> free of lam,
+and every exponent is evaluated as -b_k (lam Psi).  So all per-class terms
+belong to a family, one (distribution, alpha, beta, plan), and a family's
+points differ only in the scalars lam and sigma.  ``_family_table`` sorts
+the family's classes by b_k once and keeps, read-only, b_k, the weights
+w_k = k**alpha P(k), w_k b_k and P(k) (1 - g_k) in that order with their
+suffix sums.  Since expm1(-b_k lam Psi) is exactly -1.0 once
+b_k lam Psi > _EXPM1_CUT, the classes past the cut are a suffix whose sums
+are read from the table, and only the rest are evaluated.  The last
+family's table is kept on the distribution (``DegreeDistribution.memo``), so
+a sweep over lam that runs one family's points in a row builds each table
+once.  The powers k**q, the moments and a plan's g_k are kept by the
+distribution for its lifetime.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import mul
@@ -65,7 +71,7 @@ __all__ = [
 _log = logging.getLogger(__name__)
 
 # expm1(-x) rounds to exactly -1.0 once x > 54 ln 2 (about 37.43); the cut
-# sits above that with a margin for the rounding of a_k * Psi
+# sits above that with a margin for the rounding of b_k * (lam * Psi)
 _EXPM1_CUT = 38.0
 
 # psi_fixed_point stops once a step, or the bisection bracket, is below this
@@ -224,40 +230,90 @@ def uniform_seed_state(dist: DegreeDistribution, s0: float) -> DegreeClassState:
     )
 
 
-def _plan_terms(dist: DegreeDistribution, plan: InoculationPlan | None):
-    """Terms per (distribution, plan): 1 - g_k and P(k) (1 - g_k).
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """The lam-free per-class terms of one family, sorted by b_k; read-only.
 
-    Without a plan g_k is the scalar 0.0, so 1 - g_k is the scalar 1.0.  Built
-    once by ``dist.memo`` and read-only.
+    order  the stable argsort of b_k: equal factors keep their order, and a
+           targeted plan zeroes the hubs' b_k, so b_k is not monotone in k
+    rates  b_k in that order; a point's rates are a_k = lam b_k
+    rows   w_k = k**alpha P(k), w_k b_k and P(k) (1 - g_k), in that order
+    tails  per row, the sums over the classes c.. at index c, the last
+           being 0; memoryviews, so an entry is a Python float
+    slope  S_0 = sum_k w_k b_k, so sum_k w_k a_k = lam S_0
     """
-    def build():
-        g_k = plan.profile(dist) if plan is not None else 0.0
-        one_minus_g = 1.0 - g_k
-        return one_minus_g, dist.probs * one_minus_g
 
-    return dist.memo(("plan terms", plan), build)
+    order: np.ndarray
+    rates: np.ndarray
+    rows: np.ndarray
+    tails: tuple[memoryview, ...]
+    slope: float
+
+    def cut(self, scale: float) -> int:
+        """The number of classes with b_k scale <= _EXPM1_CUT, the ones whose
+        expm1(-b_k scale) is not exactly -1.0; for a scale that is not > 0
+        (zero, negative or NaN), every class.  bisect_right on the doubles
+        finds the cut searchsorted(side="right") would, at a fraction of a
+        numpy call's fixed cost."""
+        return bisect_right(memoryview(self.rates), _EXPM1_CUT / scale) if scale > 0.0 else self.rates.size
+
+    def expm1_sums(self, scale: float, mix: np.ndarray, tails, buf: np.ndarray) -> tuple[int, list[float]]:
+        """sum_k mix[r, k] expm1(-b_k scale) over every class, for each row r
+        of ``mix`` (columns in the table's order) with its suffix sums
+        ``tails[r]``; returns the cut and the sums.  The classes below the
+        cut are evaluated, their exponentials left in ``buf[:cut]``; each
+        class past it adds -mix[r, k], which its suffix sum holds."""
+        cut = self.cut(scale)
+        head = buf[:cut]
+        np.multiply(self.rates[:cut], -scale, out=head)
+        np.expm1(head, out=head)
+        return cut, [total - tail[cut] for total, tail in zip((mix[:, :cut] @ head).tolist(), tails)]
 
 
-def _class_terms(dist: DegreeDistribution, params: ModelParams, plan: InoculationPlan | None):
-    """Per-class (w_k, a_k): the weight k**alpha P(k) and the rate
-    a_k = lam (1 - g_k) k**(1+beta) / <k**(1+beta)>.
+def _suffix_sums(rows: np.ndarray) -> tuple[memoryview, ...]:
+    """Per row, the sums over the columns c.. at index c, with a last 0."""
+    tails = np.empty((rows.shape[0], rows.shape[1] + 1))
+    tails[:, -1] = 0.0
+    np.cumsum(rows[:, ::-1], axis=1, out=tails[:, -2::-1])
+    tails.setflags(write=False)
+    return tuple(map(memoryview, tails))
 
-    w_k is a term per (distribution, alpha), built once by ``dist.memo``;
-    1 - g_k comes from _plan_terms.  Only a_k depends on lam, so it alone is
-    computed per grid point, with its products in the order written above.
-    One point asks for its terms in psi_fixed_point, final_rumor_size and
-    integrate, so the last point's pair is kept on ``dist``, keyed by the
-    frozen params and plan.  All arrays are read-only.
-    """
-    key = (params, plan)
-    last = dist.memo("last point", dict)
+
+def _sorted_family(weights: np.ndarray, rates: np.ndarray, free_probs: np.ndarray) -> _Family:
+    """The family table of the per-class w_k, b_k and P(k) (1 - g_k), given
+    in support order."""
+    order = np.argsort(rates, kind="stable")
+    rates = rates[order]
+    rows = np.empty((3, rates.size))
+    # order is a permutation, so no index needs the bounds check, which
+    # mode="raise" would buffer
+    weights.take(order, out=rows[0], mode="clip")
+    np.multiply(rows[0], rates, out=rows[1])
+    free_probs.take(order, out=rows[2], mode="clip")
+    for array in (order, rates, rows):
+        array.setflags(write=False)
+    tails = _suffix_sums(rows)
+    return _Family(order=order, rates=rates, rows=rows, tails=tails, slope=tails[1][0])
+
+
+def _family_table(dist: DegreeDistribution, alpha: float, beta: float, plan: InoculationPlan | None) -> _Family:
+    """The table of the family (dist, alpha, beta, plan), with
+    b_k = (1 - g_k) k**(1+beta) / <k**(1+beta)> and its products in the order
+    written.  The last family's table is kept on ``dist``; a new family
+    replaces it, so a run keeps one table whatever its grid."""
+    key = (alpha, beta, plan)
+    last = dist.memo("family table", dict)
     if key not in last:
-        weights = dist.memo(("weights", params.alpha), lambda: dist.power(params.alpha) * dist.probs)
-        one_minus_g = _plan_terms(dist, plan)[0]
-        rates = params.lam * one_minus_g * dist.power(1.0 + params.beta) / dist.moment(1.0 + params.beta)
-        rates.setflags(write=False)
+        one_minus_g = 1.0 - plan.profile(dist) if plan is not None else 1.0
+        rates = one_minus_g * dist.power(1.0 + beta) / dist.moment(1.0 + beta)
+        weights, free_probs = dist.power(alpha) * dist.probs, dist.probs * one_minus_g
+        # the old table goes only once the new inputs are built, and before
+        # the new table, so the two never coexist.  Freed first, it was
+        # handed back to the system and the new table faulted its pages in
+        # again: about 90 minor page faults per table of 7454 classes, with
+        # glibc's malloc
         last.clear()
-        last[key] = weights, rates
+        last[key] = _sorted_family(weights, rates, free_probs)
     return last[key]
 
 
@@ -292,7 +348,8 @@ def integrate(
     The dynamics are integrated through their exact two-scalar reduction.
     Ignorants obey rho_i(k, t) = rho_i(k, 0) exp(-a_k Psi(t)), so
     Phi + sum_k w_k rho_i(k) + sigma Psi is conserved (w_k = k**alpha P(k),
-    a_k the rate of _class_terms) and the block ODEs close in Psi and R:
+    a_k = lam b_k with b_k of the family table, _Family) and the block ODEs
+    close in Psi and R:
 
         dPsi/dt = Phi = Phi(0) - sum_k w_k rho_i(k, 0) expm1(-a_k Psi) - sigma Psi
         dR/dt   = sigma S = sigma (1 - I - R),
@@ -317,7 +374,7 @@ def integrate(
 
     After every accepted step but the last, the step end is tested for rest.
     Phi, as a function F of Psi, is concave: F'' = -sum_k w_k rho_i(k, 0)
-    a_k**2 exp(-a_k Psi) <= 0, because w_k and a_k are >= 0 (_class_terms)
+    a_k**2 exp(-a_k Psi) <= 0, because w_k and a_k are >= 0 (_family_table)
     and so is rho_i(k, 0), up to the _STATE_ATOL a validated state allows.
     F lies below its tangent, so where D = -F'(Psi) = sigma - sum_k w_k
     rho_i(k, 0) a_k exp(-a_k Psi) > 0 the rest value obeys Psi(inf) - Psi
@@ -336,13 +393,14 @@ def integrate(
     weights (12.9 in absolute value, a 5th-order pair's 1.6) turn into steps
     back of a few ulp; the stop saves both the work and the steps back.
 
-    A stage costs one expm1 over the classes, which never produces
-    subnormals.  Once a_k Psi > _EXPM1_CUT, expm1(-a_k Psi) rounds to
-    exactly -1.0, so the classes past the cut (a suffix once they are sorted
-    by a_k) contribute a constant, summed once before the loop, and only
-    the rest are evaluated.  Each class's term is bit-identical to the full
-    sum's; only the order of summation differs.  At Psi <= 0 or a NaN Psi
-    every class is evaluated.
+    A stage costs one expm1 over the classes, of the exponent
+    -b_k (lam Psi), which never produces subnormals.  Once it is below
+    -_EXPM1_CUT, expm1 rounds to exactly -1.0, so the classes past the cut
+    (a suffix in the family table's order) contribute a constant, summed
+    once before the loop, and only the rest are evaluated
+    (_Family.expm1_sums).  Each class's term is bit-identical to the full
+    sum's; only the order of summation differs.  At lam Psi <= 0 or a NaN
+    Psi every class is evaluated.
 
     ``dt`` is the sample spacing, not a step size: the aggregates of
     Trajectory are recorded at time step * dt for every ``sample_every``-th
@@ -402,69 +460,50 @@ def _reduced_dop853(
 
     R is carried as its gain q = R - R(0), so S = S(0) - (I - I(0)) - q
     keeps full precision however small the seed fraction is.  The classes
-    are sorted by a_k, so the saturated ones form a suffix (see integrate).
+    are in the family table's order, so the saturated ones form a suffix
+    (see integrate).
     """
-    weights, rates = _class_terms(dist, params, plan)
-    sigma = params.sigma
+    table = _family_table(dist, params.alpha, params.beta, plan)
+    lam, sigma = params.lam, params.sigma
     probs = dist.probs
-    classes = rates.size
-    # stable, so equal rates keep their order; a targeted plan zeroes the
-    # hubs' rates, so a_k is not monotone in k
-    order = np.argsort(rates, kind="stable")
-    rates = rates[order]
-    mix = np.stack([weights * initial.rho_i, probs * initial.rho_i])[:, order]
-    # tail[:, c] = sum of mix over the classes c.. (the last column is
-    # zero); read through memoryviews, an entry is a Python float
-    tail = np.zeros((2, classes + 1))
-    tail[:, :-1] = np.cumsum(mix[:, ::-1], axis=1)[:, ::-1]
-    tail_phi, tail_i = memoryview(tail[0]), memoryview(tail[1])
-    # sum_k mix a_k over every class, which bounds the part of rest_step's
+    rates = table.rates
+    rho_i = initial.rho_i[table.order]
+    mix = np.stack([table.rows[0] * rho_i, probs[table.order] * rho_i])
+    tails = _suffix_sums(mix)
+    # sum_k mix b_k over every class, which bounds the part of rest_step's
     # sums past the cut
     slope_phi, slope_i = (mix @ rates).tolist()
-    phi0 = float(weights @ initial.rho_s)
+    phi0 = float(table.rows[0] @ initial.rho_s[table.order])
     i0, s0, r0 = (float(probs @ rho) for rho in (initial.rho_i, initial.rho_s, initial.rho_r))
-    neg_rates = -rates
-    buf = np.empty_like(neg_rates)
-    # bisect_right on the same doubles finds the cut searchsorted(side="right")
-    # would, at a fraction of a numpy call's fixed cost
-    rate_array = array("d", rates)
+    buf = np.empty(rates.size)
     # exp(-a_k Psi) of every class past the cut is below this
     saturated = math.exp(-_EXPM1_CUT)
     evals = 0
 
-    def cut_at(psi: float) -> int:
-        """The classes below the cut at Psi; not psi > 0 (zero, negative or
-        NaN): every class."""
-        return bisect_right(rate_array, _EXPM1_CUT / psi) if psi > 0.0 else classes
-
     def phi_and_gain(psi: float) -> tuple[float, float]:
         """Phi and the gain of the informed, -(I - I(0)), at Psi."""
         nonlocal evals
-        cut = cut_at(psi)
+        cut, (sum_phi, sum_i) = table.expm1_sums(lam * psi, mix, tails, buf)
         evals += cut
-        head = buf[:cut]
-        np.multiply(neg_rates[:cut], psi, out=head)
-        np.expm1(head, out=head)
-        sum_phi, sum_i = (mix[:, :cut] @ head).tolist()
-        return phi0 - (sum_phi - tail_phi[cut]) - sigma * psi, -(sum_i - tail_i[cut])
+        return phi0 - sum_phi - sigma * psi, -sum_i
 
     def rest_step(psi: float, q: float, phi: float, gain: float) -> float | None:
         """The Newton step max(Phi, 0) / D to rest from a state whose
         exponentials phi_and_gain left in buf, if the concavity bound puts
         both Psi and R within the step tolerance of rest; else None."""
-        cut = cut_at(psi)
-        # sum_k m_k a_k exp(-a_k Psi) over the classes below the cut, in buf,
+        cut = table.cut(lam * psi)
+        # sum_k m_k b_k exp(-a_k Psi) over the classes below the cut, in buf,
         # which is free once read; the classes past it add less than
         # exp(-_EXPM1_CUT) times the slope at 0
         head = buf[:cut]
         np.add(head, 1.0, out=head)
         np.multiply(head, rates[:cut], out=head)
         sum_d, sum_j = (mix[:, :cut] @ head).tolist()
-        d = sigma - (sum_d + saturated * slope_phi)
+        d = sigma - lam * (sum_d + saturated * slope_phi)
         if not d > 0.0:
             return None
         step = max(phi, 0.0) / d
-        j = sum_j + saturated * slope_i
+        j = lam * (sum_j + saturated * slope_i)
         if (step <= _PSI_ATOL + _RTOL * abs(psi)
                 and max(s0 + gain - q, 0.0) + j * step <= _Q_ATOL + _RTOL * abs(q)):
             return step
@@ -605,40 +644,42 @@ def psi_fixed_point(
 ) -> float:
     """Largest root Psi* of the end-of-spreading self-consistency equation.
 
-    sigma * Psi = <k**alpha> - sum_k k**alpha P(k)
-                  * exp(-lam (1 - g_k) k**(1+beta) Psi / <k**(1+beta)>)
+    sigma * Psi = <k**alpha> - sum_k k**alpha P(k) * exp(-b_k lam Psi),
+    b_k = (1 - g_k) k**(1+beta) / <k**(1+beta)>
 
     Zero is always a root.  The right-hand side f is concave and increasing in
-    Psi, so a nonzero root exists exactly when its slope at zero exceeds one,
-    i.e. above the rumor threshold; below it the result is 0.  Above it,
-    Newton's method on the convex h(x) = x - f(x), started from the upper
-    bound <k**alpha>/sigma, descends monotonically onto the largest root and
-    stops once a step is below _PSI_TOL * max(1, x).  h is evaluated through
-    expm1, which is exact near x = 0 and never produces subnormals.  Falls
-    back to bisection if h' is not positive or the iterates stop descending
-    (rounding right at the critical point) or _NEWTON_MAX_STEPS steps pass;
-    bisection stops once the bracket is narrower than _PSI_TOL times its
-    upper end.  Each call logs its path (zero, newton or bisection) and step
-    count at DEBUG level.
+    Psi, so a nonzero root exists exactly when its slope at zero,
+    lam S_0 / sigma with S_0 = sum_k k**alpha P(k) b_k, exceeds one, i.e.
+    above the rumor threshold; below it the result is 0.  Above it, Newton's
+    method on the convex h(x) = x - f(x), started from the upper bound
+    <k**alpha>/sigma, descends monotonically onto the largest root and stops
+    once a step is below _PSI_TOL * max(1, x).  h and h' are evaluated
+    through expm1 of -b_k (lam x), which is exact near x = 0 and never
+    produces subnormals, over the classes below _EXPM1_CUT only: the rest
+    have expm1 exactly -1.0 and enter through the suffix sums of the family
+    table (_family_table), as in integrate.  Falls back to bisection if h' is
+    not positive or the iterates stop descending (rounding right at the
+    critical point) or _NEWTON_MAX_STEPS steps pass; bisection stops once the
+    bracket is narrower than _PSI_TOL times its upper end.  Each call logs its
+    path (zero, newton or bisection) and step count at DEBUG level.
     """
-    weights, rates = _class_terms(dist, params, plan)
-    sigma = params.sigma
-    # <k**alpha> is sum_k w_k, summed as the moment sums it
-    kalpha_mean = dist.moment(params.alpha)
-    weighted_rates = weights * rates
-    slope_sum = float(weighted_rates.sum())
-    if slope_sum / sigma <= 1.0:
+    table = _family_table(dist, params.alpha, params.beta, plan)
+    lam, sigma = params.lam, params.sigma
+    if lam * table.slope / sigma <= 1.0:
         _log.debug("psi_fixed_point: path=zero steps=0")
         return 0.0
 
-    em = np.empty_like(rates)
+    mix, tails = table.rows[:2], table.tails[:2]
+    buf = np.empty(table.rates.size)
 
     def h(x: float) -> tuple[float, float]:
-        """h(x) = x + sum_k w_k expm1(-a_k x) / sigma and its derivative."""
-        np.multiply(rates, -x, out=em)
-        np.expm1(em, out=em)
-        return x + float(weights @ em) / sigma, 1.0 - (slope_sum + float(weighted_rates @ em)) / sigma
+        """h(x) = x + sum_k w_k expm1(-b_k lam x) / sigma and its derivative
+        1 - lam (S_0 + sum_k w_k b_k expm1(-b_k lam x)) / sigma."""
+        sum_w, sum_wb = table.expm1_sums(lam * x, mix, tails, buf)[1]
+        return x + sum_w / sigma, 1.0 - lam * (table.slope + sum_wb) / sigma
 
+    # <k**alpha> is sum_k w_k, summed as the moment sums it
+    kalpha_mean = dist.moment(params.alpha)
     x = kalpha_mean / sigma
     for step in range(1, _NEWTON_MAX_STEPS + 1):
         hx, slope = h(x)
@@ -681,26 +722,28 @@ def final_rumor_size(
     """Final informed fraction R from the Psi fixed point.
 
     R = sum_k P(k) (1 - g_k) (1 - exp(-a_k Psi*))
-      = -sum_k P(k) (1 - g_k) expm1(-a_k Psi*),
-    a_k = lam (1 - g_k) k**(1+beta) / <k**(1+beta)>,
+      = -sum_k P(k) (1 - g_k) expm1(-b_k lam Psi*),
+    a_k = lam b_k, b_k = (1 - g_k) k**(1+beta) / <k**(1+beta)>,
 
     so inoculated nodes count neither as informed nor as reachable.  Reduces
-    to -sum_k P(k) expm1(-a_k Psi*) without inoculation.
+    to -sum_k P(k) expm1(-b_k lam Psi*) without inoculation.
 
-    The sum is of the kind psi_fixed_point and integrate evaluate: expm1 is
-    exact near zero, never produces subnormals and rounds to exactly -1.0
-    once a_k Psi* exceeds about 37.43 (see _EXPM1_CUT), so no exponent needs
-    a floor and nothing is subtracted from 1.  Each term is P(k) (1 - g_k) >= 0
-    times expm1 of a nonpositive exponent, so it is <= 0 and R >= 0 needs no
-    clamp; R is capped at 1 only because the probabilities may sum to
-    1 + 1e-12.  Below the threshold Psi* = 0 and R is exactly 0.0, with no
-    exponential evaluated.  P(k) (1 - g_k) is a term per (distribution, plan)
-    (see _plan_terms); only Psi* and a_k are computed per point.
+    The sum is the one psi_fixed_point and integrate evaluate
+    (_Family.expm1_sums): expm1 is exact near zero, never produces
+    subnormals and rounds to exactly -1.0 once b_k lam Psi* exceeds
+    _EXPM1_CUT, so only the classes below the cut are evaluated and the rest
+    add their P(k) (1 - g_k), a suffix sum of the family table.  No exponent
+    needs a floor and nothing is subtracted from 1.  Each term is
+    P(k) (1 - g_k) >= 0 times expm1 of a nonpositive exponent, so it is <= 0
+    and R >= 0 needs no clamp; R is capped at 1 only because the
+    probabilities may sum to 1 + 1e-12.  Below the threshold Psi* = 0 and R
+    is exactly 0.0, with no exponential evaluated.  The family table holds
+    every per-class term, so only Psi* is computed per point.
     """
-    # the point's rates; psi_fixed_point finds them kept and reuses them
-    rates = _class_terms(dist, params, plan)[1]
     psi_star = psi_fixed_point(dist, params, plan)
     if psi_star == 0.0:
         return 0.0
-    free_probs = _plan_terms(dist, plan)[1]
-    return min(-float(free_probs @ np.expm1(rates * -psi_star)), 1.0)
+    table = _family_table(dist, params.alpha, params.beta, plan)
+    buf = np.empty(table.rates.size)
+    (sum_free,) = table.expm1_sums(params.lam * psi_star, table.rows[2:], table.tails[2:], buf)[1]
+    return min(-sum_free, 1.0)

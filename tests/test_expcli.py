@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rumornet import montecarlo
+from rumornet import meanfield, montecarlo
 from rumornet.expcli import scenario as scenario_module
 from rumornet.expcli.cli import main
 from rumornet.expcli.scenario import (
@@ -24,7 +24,7 @@ from rumornet.expcli.scenario import (
 from rumornet.expcli.svg import line_plot
 from rumornet.inoculation import InoculationPlan
 from rumornet.meanfield import ModelParams, final_rumor_size
-from rumornet.netgen import DegreeDistribution, Network
+from rumornet.netgen import Network
 from rumornet.thresholds import threshold_modified_bounded
 
 MINIMAL = """\
@@ -204,44 +204,47 @@ class TestRunScenario:
         rs = [float(row[-1]) for row in rows]
         assert rs == sorted(rs)
 
-    def test_terms_built_once_per_plan_and_alpha(self, tmp_path, monkeypatch):
+    def test_each_family_table_built_once_per_run(self, tmp_path, monkeypatch):
         rules, builds = [], []
-        rule, memo = InoculationPlan._rule, DegreeDistribution.memo
+        rule, family_table = InoculationPlan._rule, meanfield._family_table
 
         def counting_rule(plan, dist):
             rules.append((dist, plan))
             return rule(plan, dist)
 
-        def counting_memo(dist, key, build):
-            def counted():
-                builds.append((dist, key))
-                return build()
-            return memo(dist, key, counted)
+        def counting_table(dist, alpha, beta, plan):
+            table = family_table(dist, alpha, beta, plan)
+            if not builds or builds[-1][1] is not table:
+                builds.append(((alpha, beta, plan), table))
+            return table
 
         monkeypatch.setattr(InoculationPlan, "_rule", counting_rule)
-        monkeypatch.setattr(DegreeDistribution, "memo", counting_memo)
+        monkeypatch.setattr(meanfield, "_family_table", counting_table)
         lambdas = ",".join(f"{0.05 * i:g}" for i in range(1, 25))
-        config = MINIMAL.replace("engine = meanfield", "engine = meanfield\ntimeseries = false").replace(
-            "lambda = 0.2,0.5,0.9", f"lambda = {lambdas}").replace("alpha = 0.5", "alpha = 0.5,0.8") + """
+        config = MINIMAL.replace("lambda = 0.2,0.5,0.9", f"lambda = {lambdas}").replace(
+            "alpha = 0.5", "alpha = 0.5,0.8") + """sigma = 1,2
+t_end = 2
+
 [inoculation]
 kind = targeted
 g = 0,0.05,0.1
 """
         scenario = parse_scenario(write_config(tmp_path, config))
-        assert len(scenario.grid()) == 24 * 2 * 3
+        assert len(scenario.grid()) == 24 * 2 * 2 * 3
         run_scenario(scenario, out_dir=str(tmp_path / "out"))
         threshold_table(scenario)
         # simulate and threshold each build their distribution; on each, every
-        # plan's profile and every alpha's weights are built once
+        # plan's profile is built once
         dists = list({id(dist): dist for dist, _ in rules}.values())
         assert len(dists) == 2
         for dist in dists:
             plans = scenario.plans(dist)
             assert [plan for owner, plan in rules if owner is dist] == [plans[0.05], plans[0.1]]
-            keys = [key for owner, key in builds if owner is dist]
-            assert len(keys) == len(set(keys))
-        weights = [key for dist, key in builds if key[0] == "weights"]
-        assert weights == [("weights", 0.5), ("weights", 0.8)]
+        # the final sizes and the curves of a family's 48 points (lambda and
+        # sigma) read one table, built once
+        families = [key for key, _ in builds]
+        plans = scenario.plans(dists[0])
+        assert families == [(alpha, -0.5, plans[g]) for alpha in (0.5, 0.8) for g in (0.0, 0.05, 0.1)]
 
 
 class TestThresholdTable:
@@ -551,6 +554,19 @@ n = 200
         assert "config error: --seed must be >= 0, got -2" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_a_config_error(self, tmp_path, capsys, workers):
+        # both were once run as workers = 1 without a word
+        config = MINIMAL.replace("engine = meanfield", f"engine = meanfield\nworkers = {workers}")
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "file")]) == 1
+        assert f"{path}:{line_of(config, f'workers = {workers}')}: workers must be >= 1, got {workers}" in (
+            capsys.readouterr().err)
+        path = write_config(tmp_path, MINIMAL, name="flag.cfg")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "flag"), "--workers", workers]) == 1
+        assert f"config error: --workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "file").exists() and not (tmp_path / "flag").exists()
+
     @pytest.mark.parametrize("value", ["nan", "0", "-0.1"])
     def test_tolerance_no_point_can_pass_is_a_config_error(self, tmp_path, capsys, value):
         # the check is deviation < tolerance, so each of these once failed
@@ -682,8 +698,10 @@ g = 0.0,0.05
         assert main(["simulate", "--config", str(path), "--out", str(out), "--workers", "2"]) == 0
         assert json.loads((out / "manifest.json").read_text())["completed"] == 4
         assert isinstance(seen["initargs"][2], Network)
+        # the jobs run grouped by family, each (index, point) once
         grid = parse_scenario(path).grid()
-        assert seen["jobs"] == list(enumerate(grid))
+        assert sorted(seen["jobs"], key=lambda job: job[0]) == list(enumerate(grid))
+        assert [index for index, _ in seen["jobs"]] == [0, 2, 1, 3]
         for job in seen["jobs"]:
             assert len(pickle.dumps(job)) < 200
 

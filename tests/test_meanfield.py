@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -110,8 +110,11 @@ def per_class_dop853(initial, dist, params, times, plan=None):
 
 def per_point_final_size(dist, params, plan=None, tol=1e-10, max_iter=100_000):
     """Psi* and R as psi_fixed_point and final_rumor_size define them, with
-    every term built afresh at the point, in the association the formulas
-    are written in; kept independent of the terms the module caches.
+    every term built afresh at the point, kept independent of the family
+    table the module caches.  It uses the module's association: the lam-free
+    b_k = (1 - g_k) k**(1+beta) / <k**(1+beta)>, the classes in the stable
+    order of b_k, the exponents -b_k (lam x), and the classes with
+    b_k lam x > _EXPM1_CUT taken through suffix sums.
 
     Returns (Psi*, R).
     """
@@ -124,22 +127,34 @@ def per_point_final_size(dist, params, plan=None, tol=1e-10, max_iter=100_000):
     else:
         g = np.where(dist.support > plan.k_t, 1.0, np.where(dist.support == plan.k_t, plan.f, 0.0))
     kb = k ** (1.0 + params.beta)
-    rates = params.lam * (1.0 - g) * kb / float((kb * probs).sum())
+    b = (1.0 - g) * kb / float((kb * probs).sum())
+    order = np.argsort(b, kind="stable")
     weights = k ** params.alpha * probs
-    weighted = weights * rates
-    sigma, slope_sum, upper = params.sigma, float(weighted.sum()), float(weights.sum()) / params.sigma
+    b = b[order]
+    rows = np.stack([weights[order], weights[order] * b, (probs * (1.0 - g))[order]])
+    tails = [np.append(np.cumsum(row[::-1])[::-1], 0.0) for row in rows]
+    lam, sigma, upper = params.lam, params.sigma, float(weights.sum()) / params.sigma
+    slope = float(tails[1][0])
+
+    def sums(scale, first, last):
+        """sum_k row_k expm1(-b_k scale) for rows[first:last], the classes
+        past the cut counted as -row_k."""
+        cut = int(np.searchsorted(b, meanfield._EXPM1_CUT / scale, side="right")) if scale > 0 else b.size
+        em = np.expm1(b[:cut] * -scale)
+        totals = rows[first:last, :cut] @ em
+        return [float(total) - float(tail[cut]) for total, tail in zip(totals, tails[first:last])]
 
     def h(x):
-        em = np.expm1(-rates * x)
-        return x + float(weights @ em) / sigma, 1.0 - (slope_sum + float(weighted @ em)) / sigma
+        sum_w, sum_wb = sums(lam * x, 0, 2)
+        return x + sum_w / sigma, 1.0 - lam * (slope + sum_wb) / sigma
 
-    psi = 0.0 if slope_sum / sigma <= 1.0 else None
+    psi = 0.0 if lam * slope / sigma <= 1.0 else None
     x = upper
     for _ in range(max_iter if psi is None else 0):
-        hx, slope = h(x)
-        if slope <= 0.0:
+        hx, h_slope = h(x)
+        if h_slope <= 0.0:
             break
-        x_next = x - hx / slope
+        x_next = x - hx / h_slope
         if abs(x_next - x) < tol * max(1.0, x):
             psi = x_next
             break
@@ -157,8 +172,24 @@ def per_point_final_size(dist, params, plan=None, tol=1e-10, max_iter=100_000):
             lo, hi = (mid, hi) if h(mid)[0] < 0.0 else (lo, mid)
             if hi - lo < tol * hi:
                 psi = 0.5 * (lo + hi)
-    r = -float((probs * (1.0 - g)) @ np.expm1(-rates * psi))
-    return psi, min(r, 1.0)
+    if psi == 0.0:
+        return psi, 0.0
+    return psi, min(-sums(lam * psi, 2, 3)[0], 1.0)
+
+
+def two_four_terms():
+    """TWO_FOUR's w_k, b_k and P(k) at alpha=1, beta=0 without a plan, in
+    support order, for the tests that hand integrate a doctored family table
+    built from them by meanfield._sorted_family; at lam=1, b_k = a_k."""
+    table = meanfield._family_table(TWO_FOUR, 1.0, 0.0, None)
+    assert table.order.tolist() == [0, 1]
+    return table.rows[0], table.rates, table.rows[2]
+
+
+def doctor_family(monkeypatch, weights, rates, free_probs):
+    """Make every solver read the family table of these per-class terms."""
+    table = meanfield._sorted_family(np.asarray(weights), np.asarray(rates), np.asarray(free_probs))
+    monkeypatch.setattr(meanfield, "_family_table", lambda *args: table)
 
 
 def graded_state(classes):
@@ -433,8 +464,8 @@ class TestIntegrate:
     def test_nan_rate_fails_the_range_check_at_the_start(self, monkeypatch):
         # a NaN rate makes the first sample's I NaN: the range check reports
         # it at t=0, before any step is tried
-        weights, rates = meanfield._class_terms(TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), None)
-        monkeypatch.setattr(meanfield, "_class_terms", lambda *args: (weights, np.array([rates[0], np.nan])))
+        weights, rates, free = two_four_terms()
+        doctor_family(monkeypatch, weights, [rates[0], np.nan], free)
         with pytest.raises(IntegrationError, match=r"state left range at t=0 .*I=nan"):
             integrate(uniform_seed_state(TWO_FOUR, 0.1), TWO_FOUR, ModelParams(lam=1.0, alpha=1.0),
                       t_end=10.0, dt=0.01)
@@ -442,8 +473,8 @@ class TestIntegrate:
     def test_nan_phi_fails_the_error_estimate(self, monkeypatch):
         # a NaN weight leaves I, S and R finite at the start but makes Phi,
         # and so every stage, NaN: the first error estimate is not finite
-        weights, rates = meanfield._class_terms(TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), None)
-        monkeypatch.setattr(meanfield, "_class_terms", lambda *args: (np.array([weights[0], np.nan]), rates))
+        weights, rates, free = two_four_terms()
+        doctor_family(monkeypatch, [weights[0], np.nan], rates, free)
         with pytest.raises(IntegrationError, match=r"error estimate nan at t=0 "):
             integrate(uniform_seed_state(TWO_FOUR, 0.1), TWO_FOUR, ModelParams(lam=1.0, alpha=1.0),
                       t_end=10.0, dt=0.01)
@@ -454,9 +485,8 @@ class TestIntegrate:
         # Psi runs away once the spreaders of class 2 start it, and the
         # divergence is an IntegrationError with no overflow warning escaping
         state = DegreeClassState(rho_i=[0.5, 0.5], rho_s=[0.5, 0.0], rho_r=[0.0, 0.5])
-        weights, rates = meanfield._class_terms(TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), None)
-        monkeypatch.setattr(meanfield, "_class_terms",
-                            lambda *args: (weights * [1.0, -1.0], rates * [1.0, -50.0]))
+        weights, rates, free = two_four_terms()
+        doctor_family(monkeypatch, weights * [1.0, -1.0], rates * [1.0, -50.0], free)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError):
@@ -466,8 +496,8 @@ class TestIntegrate:
         # negative weights make Phi, and so dPsi/dt at the start, negative
         # while I, S and R are still inside [0, 1]
         state = DegreeClassState(rho_i=[0.2, 0.2], rho_s=[0.4, 0.4], rho_r=[0.4, 0.4])
-        weights, rates = meanfield._class_terms(TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), None)
-        monkeypatch.setattr(meanfield, "_class_terms", lambda *args: (-weights, rates))
+        weights, rates, free = two_four_terms()
+        doctor_family(monkeypatch, -weights, rates, free)
         with pytest.raises(IntegrationError, match="Psi=-"):
             integrate(state, TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), t_end=0.8, dt=0.8)
 
@@ -475,8 +505,8 @@ class TestIntegrate:
         # the state of test_negative_psi_reported: the reported I must be the
         # sum over all classes at the negative Psi, not a cut one
         state = DegreeClassState(rho_i=[0.2, 0.2], rho_s=[0.4, 0.4], rho_r=[0.4, 0.4])
-        weights, rates = meanfield._class_terms(TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), None)
-        monkeypatch.setattr(meanfield, "_class_terms", lambda *args: (-weights, rates))
+        weights, rates, free = two_four_terms()
+        doctor_family(monkeypatch, -weights, rates, free)
         with pytest.raises(IntegrationError) as info:
             integrate(state, TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), t_end=0.8, dt=0.8)
         found = re.search(r"Psi=(\S+), I=(\S+),", str(info.value))
@@ -488,8 +518,8 @@ class TestIntegrate:
     def test_overflowing_probe_fails_the_step_floor(self, monkeypatch):
         # a huge negative rate is harmless at Psi = 0 and overflows at the
         # probe of the first step, which sizes that step to 0
-        weights, rates = meanfield._class_terms(TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), None)
-        monkeypatch.setattr(meanfield, "_class_terms", lambda *args: (weights, np.array([-1e308, rates[1]])))
+        weights, rates, free = two_four_terms()
+        doctor_family(monkeypatch, weights, [-1e308, rates[1]], free)
         with pytest.raises(IntegrationError, match=r"step fell to 0\.000e\+00 at t=0, below the floor"):
             integrate(uniform_seed_state(TWO_FOUR, 0.1), TWO_FOUR, ModelParams(lam=1.0, alpha=1.0),
                       t_end=10.0, dt=0.01)
@@ -587,7 +617,8 @@ class TestOracleAgreement:
         plan = {"targeted": make_targeted_plan(dist, 0.05), "random": make_random_plan(0.3)}.get(case)
         if case == "targeted":
             # the hubs are inoculated, so their rates are zero
-            assert meanfield._class_terms(dist, params, plan)[1][-1] == 0.0
+            table = meanfield._family_table(dist, params.alpha, params.beta, plan)
+            assert table.rates[table.order.argmax()] == 0.0
         # 7000 sample steps: 70 divides them, 65 does not
         sample_every = 65 if case == "uneven_sampling" else 70
         initial = uniform_seed_state(dist, 1e-3)
@@ -810,7 +841,6 @@ class TestFinalRumorSize:
         assert calls == [plan]
         final_rumor_size(dist, params, other)
         assert calls == [plan, other]
-        assert not any(array.flags.writeable for array in meanfield._class_terms(dist, params, other))
 
     def test_lambda_zero(self):
         assert final_rumor_size(TWO_FOUR, ModelParams(lam=0.0, alpha=1.0)) == 0.0
@@ -868,14 +898,15 @@ class TestFinalRumorSize:
         # would keep only its absolute rounding
         dist = self.LARGE
         plan = _plan(dist, kind, g)
-        free = dist.probs * (1.0 - (plan.profile(dist) if plan is not None else 0.0))
+        one_minus_g = 1.0 - (plan.profile(dist) if plan is not None else 0.0)
+        free = dist.probs * one_minus_g
         checked = 0
         for alpha, beta in ((0.5, -0.5), (1.0, 0.5)):
             lams = _lambdas(dist, alpha, beta, 1.0, plan, (1.01, 1.1, 1.5, 3.0, 10.0, 30.0))
             for lam in lams[1:]:
                 params = ModelParams(lam=lam, alpha=alpha, beta=beta)
                 psi_star = psi_fixed_point(dist, params, plan)
-                rates = meanfield._class_terms(dist, params, plan)[1]
+                rates = lam * one_minus_g * dist.power(1.0 + beta) / dist.moment(1.0 + beta)
                 exact = math.fsum((free * -np.expm1(-rates * psi_star)).tolist())
                 r = final_rumor_size(dist, params, plan)
                 assert psi_star > 0.0
@@ -898,9 +929,10 @@ def _lambdas(dist, alpha, beta, sigma, plan, overs):
 
 
 class TestTermLifetimes:
-    """final_rumor_size keeps w_k per (distribution, alpha) and the g_k terms
-    per (distribution, plan); only a_k is per point.  The numbers must be
-    those of the formulas evaluated afresh at each point, bit for bit."""
+    """final_rumor_size keeps every per-class term in the table of its
+    family (distribution, alpha, beta, plan); only Psi* is per point.  The
+    numbers must be those of the formulas evaluated afresh at each point,
+    bit for bit."""
 
     POWERLAW = sample_powerlaw_distribution(2.4, 2, 1000)
 
@@ -939,6 +971,61 @@ class TestTermLifetimes:
             expected = per_point_final_size(dist, params, plan)
             assert (psi_fixed_point(dist, params, plan), final_rumor_size(dist, params, plan)) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        degrees=st.lists(st.integers(1, 60), min_size=1, max_size=8, unique=True),
+        raw_probs=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+        alpha=st.floats(0.1, 1.0),
+        beta=st.floats(-1.0, 1.0),
+        sigma=st.floats(0.2, 3.0),
+        kind=st.sampled_from(["none", "random", "targeted"]),
+        g=st.floats(0.0, 0.6),
+    )
+    def test_cut_sums_match_an_uncut_fsum_oracle(self, degrees, raw_probs, alpha, beta, sigma, kind, g):
+        # from just above the threshold, where no class saturates, to a lam
+        # where every class with b_k > 0 is past the cut at Psi*; a targeted
+        # plan zeroes the hubs' b_k, which no lam saturates
+        support = np.array(sorted(degrees))
+        probs = np.array(raw_probs[:support.size])
+        dist = DegreeDistribution(support, probs / probs.sum())
+        plan = _plan(dist, kind, g)
+        lambda_c = sigma * (threshold_modified(dist, alpha, beta) if plan is None
+                            else threshold_targeted_inoc(dist, alpha, beta, plan))
+        assume(math.isfinite(lambda_c))
+        one_minus_g = 1.0 - (plan.profile(dist) if plan is not None else np.zeros(support.size))
+        b = (one_minus_g * dist.power(1.0 + beta) / dist.moment(1.0 + beta)).tolist()
+        weights = (dist.power(alpha) * dist.probs).tolist()
+        free = (dist.probs * one_minus_g).tolist()
+
+        def oracle(lam):
+            """Psi* by Newton on the uncut h, every sum by math.fsum, and R."""
+            def h(x):
+                return (x + math.fsum(w * math.expm1(-lam * bk * x) for w, bk in zip(weights, b)) / sigma,
+                        1.0 - lam * math.fsum(w * bk * math.exp(-lam * bk * x) for w, bk in zip(weights, b)) / sigma)
+            x = math.fsum(weights) / sigma
+            for _ in range(10_000):
+                hx, slope = h(x)
+                step = hx / slope
+                x -= step
+                if abs(step) < 1e-10 * max(1.0, x):
+                    break
+            for _ in range(2):  # onto the root to full precision
+                hx, slope = h(x)
+                x -= hx / slope
+            return x, -math.fsum(f * math.expm1(-lam * bk * x) for f, bk in zip(free, b))
+
+        saturated = sum(bk == 0.0 for bk in b)
+        lam_all = 2.0 * lambda_c
+        table = meanfield._family_table(dist, alpha, beta, plan)
+        while table.cut(lam_all * psi_fixed_point(dist, ModelParams(lam_all, alpha, beta, sigma), plan)) > saturated:
+            lam_all *= 2.0
+        for lam in np.geomspace(1.01 * lambda_c, lam_all, 6):
+            params = ModelParams(lam=float(lam), alpha=alpha, beta=beta, sigma=sigma)
+            psi, r = psi_fixed_point(dist, params, plan), final_rumor_size(dist, params, plan)
+            psi_o, r_o = oracle(float(lam))
+            assert abs(psi - psi_o) <= 1e-13 * psi_o
+            assert abs(r - r_o) <= 1e-13 * r_o
+
     def test_bisection_path_equals_the_per_point_formulas(self, monkeypatch):
         dist = self.POWERLAW
         plan = make_targeted_plan(dist, 0.05)
@@ -967,13 +1054,19 @@ class TestTermLifetimes:
                 params = ModelParams(lam=1.0, alpha=alpha, beta=0.5)
                 final_rumor_size(dist, params, plan)
                 threshold_targeted_inoc(dist, alpha, 0.5, plan or make_random_plan(0.0))
-        arrays = []
+        arrays, views, tables = [], [], []
         for value in dist._memo.values():
             for item in (value.values() if isinstance(value, dict) else [value]):
-                arrays += [x for x in (item if isinstance(item, tuple) else (item,)) if isinstance(x, np.ndarray)]
-        # powers, weights, profiles, the plan terms and the last point's pair
-        assert len(arrays) > 10
+                if isinstance(item, meanfield._Family):
+                    tables.append(item)
+                    arrays += [item.order, item.rates, item.rows]
+                    views += item.tails
+                else:
+                    arrays += [x for x in (item if isinstance(item, tuple) else (item,)) if isinstance(x, np.ndarray)]
+        # the last family's table, the powers and the profiles
+        assert len(tables) == 1 and len(views) == 3 and len(arrays) > 8
         assert not any(array.flags.writeable for array in arrays)
+        assert all(view.readonly for view in views)
 
     def test_pickled_copy_rebuilds_its_terms(self):
         dist = sample_powerlaw_distribution(2.4, 2, 1000)
