@@ -65,6 +65,8 @@ def _load(args) -> "Scenario":
             raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
         overrides["seed"] = args.seed
     if args.out is not None:
+        if not args.out:
+            raise ScenarioError("--out must not be empty")
         overrides["out_dir"] = args.out
     if args.workers is not None:
         if args.workers < 1:

@@ -232,6 +232,11 @@ def parse_scenario(path) -> Scenario:
             fail(name, f"missing required key '{key}' in [{section}]")
         return fields[name]
 
+    # os.makedirs fails on an empty out, and an empty name would head every
+    # CSV as "# scenario="
+    for name, key in (("name", "name"), ("out_dir", "out")):
+        if fields[name] == "":
+            fail(name, f"{key} must not be empty")
     engine = fields["engine"]
     if engine not in ENGINES:
         fail("engine", f"engine must be one of {ENGINES}, got '{engine}'")

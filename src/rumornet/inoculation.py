@@ -44,16 +44,11 @@ class InoculationPlan:
     f: float = 0.0
 
     def profile(self, dist: DegreeDistribution) -> np.ndarray:
-        """Per-degree inoculated fraction g_k on ``dist.support``, read-only.
+        """Per-degree inoculated fraction g_k on ``dist.support``, a new array.
 
         Random: g everywhere.  Targeted: 1.0 above k_t, f at k_t and 0.0
         below, on any support, as ``apply_plan`` treats a graph's degrees.
-        The profile is a term per (distribution, plan): it is built once and
-        kept by ``dist.memo`` under the plan's value, so equal plans share it.
         """
-        return dist.memo(("profile", self), lambda: self._rule(dist))
-
-    def _rule(self, dist: DegreeDistribution) -> np.ndarray:
         if self.kind == KIND_RANDOM:
             return np.full_like(dist.probs, self.g)
         k = dist.support

@@ -36,10 +36,12 @@ w_k = k**alpha P(k), w_k b_k and P(k) (1 - g_k) in that order with their
 suffix sums.  Since expm1(-b_k lam Psi) is exactly -1.0 once
 b_k lam Psi > _EXPM1_CUT, the classes past the cut are a suffix whose sums
 are read from the table, and only the rest are evaluated.  The last
-family's table is kept on the distribution (``DegreeDistribution.memo``), so
-a sweep over lam that runs one family's points in a row builds each table
-once.  The powers k**q, the moments and a plan's g_k are kept by the
-distribution for its lifetime.
+family's table is kept on the distribution (``DegreeDistribution.family_table``,
+which only ``_family_table`` reads and sets), so a sweep over lam that runs
+one family's points in a row builds each table once, and the table dies
+with its distribution.  It is the only per-class term kept across points:
+the powers k**q, the moments and a plan's g_k are computed afresh for each
+table built.
 """
 
 from __future__ import annotations
@@ -241,6 +243,8 @@ class _Family:
     tails  per row, the sums over the classes c.. at index c, the last
            being 0; memoryviews, so an entry is a Python float
     slope  S_0 = sum_k w_k b_k, so sum_k w_k a_k = lam S_0
+    kalpha_mean  <k**alpha> = sum_k w_k, summed in support order as
+           DegreeDistribution.moment sums it
     """
 
     order: np.ndarray
@@ -248,6 +252,7 @@ class _Family:
     rows: np.ndarray
     tails: tuple[memoryview, ...]
     slope: float
+    kalpha_mean: float
 
     def cut(self, scale: float) -> int:
         """The number of classes with b_k scale <= _EXPM1_CUT, the ones whose
@@ -293,28 +298,31 @@ def _sorted_family(weights: np.ndarray, rates: np.ndarray, free_probs: np.ndarra
     for array in (order, rates, rows):
         array.setflags(write=False)
     tails = _suffix_sums(rows)
-    return _Family(order=order, rates=rates, rows=rows, tails=tails, slope=tails[1][0])
+    return _Family(order=order, rates=rates, rows=rows, tails=tails, slope=tails[1][0],
+                   kalpha_mean=float(weights.sum()))
 
 
 def _family_table(dist: DegreeDistribution, alpha: float, beta: float, plan: InoculationPlan | None) -> _Family:
     """The table of the family (dist, alpha, beta, plan), with
     b_k = (1 - g_k) k**(1+beta) / <k**(1+beta)> and its products in the order
-    written.  The last family's table is kept on ``dist``; a new family
-    replaces it, so a run keeps one table whatever its grid."""
+    written.  The last family's table is kept in ``dist.family_table`` as a
+    (key, table) pair; a new family replaces it, so a run keeps one table
+    whatever its grid."""
     key = (alpha, beta, plan)
-    last = dist.memo("family table", dict)
-    if key not in last:
+    if dist.family_table is None or dist.family_table[0] != key:
         one_minus_g = 1.0 - plan.profile(dist) if plan is not None else 1.0
-        rates = one_minus_g * dist.power(1.0 + beta) / dist.moment(1.0 + beta)
+        # <k**(1+beta)> from the one power, summed as the moment sums it
+        k_power = dist.power(1.0 + beta)
+        rates = one_minus_g * k_power / float((k_power * dist.probs).sum())
         weights, free_probs = dist.power(alpha) * dist.probs, dist.probs * one_minus_g
         # the old table goes only once the new inputs are built, and before
         # the new table, so the two never coexist.  Freed first, it was
         # handed back to the system and the new table faulted its pages in
         # again: about 90 minor page faults per table of 7454 classes, with
         # glibc's malloc
-        last.clear()
-        last[key] = _sorted_family(weights, rates, free_probs)
-    return last[key]
+        dist.family_table = None
+        dist.family_table = (key, _sorted_family(weights, rates, free_probs))
+    return dist.family_table[1]
 
 
 @dataclass
@@ -678,9 +686,7 @@ def psi_fixed_point(
         sum_w, sum_wb = table.expm1_sums(lam * x, mix, tails, buf)[1]
         return x + sum_w / sigma, 1.0 - lam * (table.slope + sum_wb) / sigma
 
-    # <k**alpha> is sum_k w_k, summed as the moment sums it
-    kalpha_mean = dist.moment(params.alpha)
-    x = kalpha_mean / sigma
+    x = table.kalpha_mean / sigma
     for step in range(1, _NEWTON_MAX_STEPS + 1):
         hx, slope = h(x)
         if slope <= 0.0:
@@ -694,7 +700,7 @@ def psi_fixed_point(
         x = x_next
 
     # bisect h between a point where it is negative and the upper bound
-    hi = kalpha_mean / sigma
+    hi = table.kalpha_mean / sigma
     lo = hi
     for halvings in range(1, 201):
         lo *= 0.5

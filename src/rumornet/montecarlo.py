@@ -78,7 +78,6 @@ class SimTrace:
     inoculated_fraction: float
     final_r: float
     peak_s: float
-    events: list[tuple[float, int, int, int]] | None = None  # (t, node, old, new)
 
 
 class _Kernel:
@@ -199,7 +198,6 @@ def run(
     dt: float = 0.1,
     t_max: float = 200.0,
     rng: int = 0,
-    record_events: bool = False,
     kernel: _Kernel | None = None,
 ) -> SimTrace:
     """Simulate one outbreak; returns the sampled trace.
@@ -227,30 +225,19 @@ def run(
     if kernel is None:
         kernel = _Kernel(network, params, dt)
 
-    events: list[tuple[float, int, int, int]] | None = [] if record_events else None
-    if record_events:
-        for node in seed_ids:
-            events.append((0.0, int(node), IGNORANT, SPREADER))
-
     spreaders = seed_ids.astype(np.int64)
     n_stiflers = 0
     spr_counts = [seeds]
     sti_counts = [0]
-    for step in range(1, round(t_max / dt) + 1):
+    for _ in range(round(t_max / dt)):
         if not spreaders.size:
             break
         stifle, new_ids = kernel.step(status, spreaders, gen)
         stifled = spreaders[stifle]
-        t = step * dt
         status[stifled] = STIFLER
         status[new_ids] = SPREADER
         spreaders = np.concatenate((spreaders[~stifle], new_ids))
         n_stiflers += stifled.size
-        if record_events:
-            for node in stifled:
-                events.append((t, int(node), SPREADER, STIFLER))
-            for node in new_ids:
-                events.append((t, int(node), IGNORANT, SPREADER))
         spr_counts.append(spreaders.size)
         sti_counts.append(n_stiflers)
 
@@ -265,7 +252,6 @@ def run(
         inoculated_fraction=inoc_frac,
         final_r=float(sti[-1] + spr[-1]),
         peak_s=float(spr.max()),
-        events=events,
     )
 
 

@@ -42,9 +42,11 @@ class DegreeSequenceError(RuntimeError):
 class DegreeDistribution:
     """Normalized degree distribution on a finite, strictly increasing support.
 
-    Terms derived from the distribution alone (the powers k**q, the moments
-    <k**q>, and the per-exponent and per-plan terms of the other modules) are
-    built on first use by ``memo`` and kept as long as the distribution.
+    The powers k**q and the moments <k**q> are computed on each call.  The
+    one term kept is ``family_table``, the mean field's table of its last
+    (alpha, beta, plan) family as a (key, table) pair, or None; only
+    ``meanfield._family_table`` reads or sets it, and it lives as long as
+    the distribution.
     """
 
     def __init__(self, support, probs):
@@ -67,7 +69,7 @@ class DegreeDistribution:
         self.probs = probs
         self.k_min = int(support[0])
         self.k_max = int(support[-1])
-        self._memo: dict = {}
+        self.family_table = None
 
     def __repr__(self) -> str:
         return f"DegreeDistribution(k_min={self.k_min}, k_max={self.k_max}, classes={self.support.size})"
@@ -75,35 +77,16 @@ class DegreeDistribution:
     def __reduce__(self):
         # pickled (for a worker process) as its support and probabilities: the
         # copy is rebuilt through __init__, so its arrays are read-only again
-        # and its terms are built afresh
+        # and it carries no family table
         return DegreeDistribution, (self.support, self.probs)
 
-    def memo(self, key, build):
-        """Return ``build()``, built on the first call with ``key`` and kept
-        as long as this distribution.
-
-        A key must be hashable and name the value by content, never by
-        identity.  Arrays in the value (the value itself, or the items of a
-        tuple value) are made read-only, so no caller can alter a term
-        another caller shares.
-        """
-        if key not in self._memo:
-            value = build()
-            for item in value if isinstance(value, tuple) else (value,):
-                if isinstance(item, np.ndarray):
-                    item.setflags(write=False)
-            self._memo[key] = value
-        return self._memo[key]
-
     def power(self, q: float) -> np.ndarray:
-        """Return k**q over the support as a read-only float array."""
-        q = float(q)
-        return self.memo(("power", q), lambda: self.support.astype(np.float64) ** q)
+        """Return k**q over the support as a float array."""
+        return self.support.astype(np.float64) ** float(q)
 
     def moment(self, q: float) -> float:
         """Return <k**q> = sum_k k**q P(k)."""
-        q = float(q)
-        return self.memo(("moment", q), lambda: float((self.power(q) * self.probs).sum()))
+        return float((self.power(q) * self.probs).sum())
 
 
 def sample_powerlaw_distribution(gamma: float, k_min: int, n_nodes: int) -> DegreeDistribution:

@@ -22,7 +22,6 @@ from rumornet.expcli.scenario import (
     threshold_table,
 )
 from rumornet.expcli.svg import line_plot
-from rumornet.inoculation import InoculationPlan
 from rumornet.meanfield import ModelParams, final_rumor_size
 from rumornet.netgen import Network
 from rumornet.thresholds import threshold_modified_bounded
@@ -205,20 +204,15 @@ class TestRunScenario:
         assert rs == sorted(rs)
 
     def test_each_family_table_built_once_per_run(self, tmp_path, monkeypatch):
-        rules, builds = [], []
-        rule, family_table = InoculationPlan._rule, meanfield._family_table
-
-        def counting_rule(plan, dist):
-            rules.append((dist, plan))
-            return rule(plan, dist)
+        builds = []
+        family_table = meanfield._family_table
 
         def counting_table(dist, alpha, beta, plan):
             table = family_table(dist, alpha, beta, plan)
             if not builds or builds[-1][1] is not table:
-                builds.append(((alpha, beta, plan), table))
+                builds.append(((alpha, beta, plan), table, dist))
             return table
 
-        monkeypatch.setattr(InoculationPlan, "_rule", counting_rule)
         monkeypatch.setattr(meanfield, "_family_table", counting_table)
         lambdas = ",".join(f"{0.05 * i:g}" for i in range(1, 25))
         config = MINIMAL.replace("lambda = 0.2,0.5,0.9", f"lambda = {lambdas}").replace(
@@ -232,18 +226,11 @@ g = 0,0.05,0.1
         scenario = parse_scenario(write_config(tmp_path, config))
         assert len(scenario.grid()) == 24 * 2 * 2 * 3
         run_scenario(scenario, out_dir=str(tmp_path / "out"))
-        threshold_table(scenario)
-        # simulate and threshold each build their distribution; on each, every
-        # plan's profile is built once
-        dists = list({id(dist): dist for dist, _ in rules}.values())
-        assert len(dists) == 2
-        for dist in dists:
-            plans = scenario.plans(dist)
-            assert [plan for owner, plan in rules if owner is dist] == [plans[0.05], plans[0.1]]
         # the final sizes and the curves of a family's 48 points (lambda and
-        # sigma) read one table, built once
-        families = [key for key, _ in builds]
-        plans = scenario.plans(dists[0])
+        # sigma) read one table, built once, on the run's one distribution
+        (dist,) = {id(dist): dist for _, _, dist in builds}.values()
+        families = [key for key, _, _ in builds]
+        plans = scenario.plans(dist)
         assert families == [(alpha, -0.5, plans[g]) for alpha in (0.5, 0.8) for g in (0.0, 0.05, 0.1)]
 
 
@@ -566,6 +553,21 @@ n = 200
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "flag"), "--workers", workers]) == 1
         assert f"config error: --workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not (tmp_path / "file").exists() and not (tmp_path / "flag").exists()
+
+    @pytest.mark.parametrize("key", ["out", "name"])
+    def test_empty_out_or_name_is_a_config_error(self, tmp_path, capsys, key):
+        # an empty out once failed os.makedirs(""), exit 2; an empty name
+        # was written into every CSV header as "# scenario="
+        config = MINIMAL.replace("engine = meanfield", f"engine = meanfield\n{key} =")
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 1
+        assert f"{path}:{line_of(config, f'{key} =')}: {key} must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_empty_out_override_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL)
+        assert main(["simulate", "--config", str(path), "--out", ""]) == 1
+        assert "config error: --out must not be empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "0", "-0.1"])
     def test_tolerance_no_point_can_pass_is_a_config_error(self, tmp_path, capsys, value):

@@ -1046,34 +1046,40 @@ class TestTermLifetimes:
         gc.collect()
         assert ref() is None
 
+    def test_family_table_dies_with_its_distribution(self):
+        dist = sample_powerlaw_distribution(2.4, 2, 1000)
+        plan = make_targeted_plan(dist, 0.05)
+        final_rumor_size(dist, ModelParams(lam=1.0, alpha=0.8, beta=-0.5), plan)
+        ref = weakref.ref(meanfield._family_table(dist, 0.8, -0.5, plan))
+        assert ref() is not None
+        del dist
+        gc.collect()
+        assert ref() is None
+
     def test_every_cached_array_is_read_only(self):
         dist = sample_powerlaw_distribution(2.4, 2, 1000)
+        attributes = set(vars(dist))
         for kind, g in (("none", 0.0), ("random", 0.3), ("targeted", 0.05)):
             plan = _plan(dist, kind, g)
             for alpha in (0.5, 1.0):
                 params = ModelParams(lam=1.0, alpha=alpha, beta=0.5)
                 final_rumor_size(dist, params, plan)
                 threshold_targeted_inoc(dist, alpha, 0.5, plan or make_random_plan(0.0))
-        arrays, views, tables = [], [], []
-        for value in dist._memo.values():
-            for item in (value.values() if isinstance(value, dict) else [value]):
-                if isinstance(item, meanfield._Family):
-                    tables.append(item)
-                    arrays += [item.order, item.rates, item.rows]
-                    views += item.tails
-                else:
-                    arrays += [x for x in (item if isinstance(item, tuple) else (item,)) if isinstance(x, np.ndarray)]
-        # the last family's table, the powers and the profiles
-        assert len(tables) == 1 and len(views) == 3 and len(arrays) > 8
-        assert not any(array.flags.writeable for array in arrays)
-        assert all(view.readonly for view in views)
+                # the slot holds the one table, of the last family
+                key, table = dist.family_table
+                assert key == (alpha, 0.5, plan) and isinstance(table, meanfield._Family)
+                assert not any(array.flags.writeable for array in (table.order, table.rates, table.rows))
+                assert len(table.tails) == 3 and all(view.readonly for view in table.tails)
+        # and the distribution gained no other term
+        assert set(vars(dist)) == attributes
 
     def test_pickled_copy_rebuilds_its_terms(self):
         dist = sample_powerlaw_distribution(2.4, 2, 1000)
         plan = make_targeted_plan(dist, 0.05)
         params = ModelParams(lam=1.0, alpha=0.8)
         expected = final_rumor_size(dist, params, plan)
+        assert dist.family_table is not None
         copy = pickle.loads(pickle.dumps(dist))
-        assert copy._memo == {}
+        assert copy.family_table is None
         assert not copy.support.flags.writeable and not copy.probs.flags.writeable
         assert final_rumor_size(copy, params, plan) == expected

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from rumornet.inoculation import make_random_plan, make_targeted_plan
 from rumornet.meanfield import ModelParams, final_rumor_size
 from rumornet.montecarlo import (
     IGNORANT,
+    INOCULATED,
     SPREADER,
     STIFLER,
     _Kernel,
@@ -24,6 +26,35 @@ from rumornet.netgen import Network, build_configuration_network, sample_powerla
 
 def complete_graph(n):
     return Network(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+@contextmanager
+def recorded_steps():
+    """While active, ``_Kernel.step`` also appends to the yielded list, per
+    step, a copy of the status it was handed, the ids that stifle and the
+    ids it informs."""
+    steps = []
+    real = montecarlo._Kernel.step
+
+    def step(kernel, status, spreaders, gen):
+        stifle, informed = real(kernel, status, spreaders, gen)
+        steps.append((status.copy(), spreaders[stifle], informed))
+        return stifle, informed
+
+    with mock.patch.object(montecarlo._Kernel, "step", step):
+        yield steps
+
+
+def moves(steps):
+    """The status moves (step, node, old, new) of a recorded run: the seeds,
+    spreaders in the first status handed to a step, at step 0, then each
+    step's stiflers and informed nodes, ``old`` read from its status."""
+    seeds = np.flatnonzero(steps[0][0] == SPREADER)
+    events = [(0, int(node), IGNORANT, SPREADER) for node in seeds]
+    for index, (status, stifled, informed) in enumerate(steps, 1):
+        events += [(index, int(node), int(status[node]), STIFLER) for node in stifled]
+        events += [(index, int(node), int(status[node]), SPREADER) for node in informed]
+    return events
 
 
 @pytest.fixture(scope="module")
@@ -132,13 +163,15 @@ class TestRunBasics:
 
     def test_one_directional_status_flow(self):
         net = complete_graph(25)
-        trace = run(net, ModelParams(lam=3.0, alpha=1.0), seeds=2, rng=11, record_events=True)
+        with recorded_steps() as steps:
+            run(net, ModelParams(lam=3.0, alpha=1.0), seeds=2, rng=11)
+        events = moves(steps)
         allowed = {(IGNORANT, SPREADER), (SPREADER, STIFLER)}
-        assert trace.events
+        assert len(events) > 2
         per_node: dict[int, list] = {}
-        for t, node, old, new in trace.events:
+        for step, node, old, new in events:
             assert (old, new) in allowed
-            per_node.setdefault(node, []).append((t, old, new))
+            per_node.setdefault(node, []).append((step, old, new))
         for transitions in per_node.values():
             assert len(transitions) <= 2
             if len(transitions) == 2:
@@ -307,11 +340,13 @@ class TestKernelEdges:
         params = ModelParams(lam=50.0, alpha=1.0)
         seeded = 0
         for rng in range(40):
-            trace = run(net, params, seeds=1, rng=rng, record_events=True)
-            if trace.events[0][1] == 4:
+            with recorded_steps() as steps:
+                trace = run(net, params, seeds=1, rng=rng)
+            events = moves(steps)
+            if events[0][1] == 4:
                 seeded += 1
                 assert trace.final_r == pytest.approx(1 / 5)
-                assert [(old, new) for _, _, old, new in trace.events] == [(IGNORANT, SPREADER), (SPREADER, STIFLER)]
+                assert [(old, new) for _, _, old, new in events] == [(IGNORANT, SPREADER), (SPREADER, STIFLER)]
         assert seeded
 
     def test_position_draw_stays_below_degree(self):
@@ -352,7 +387,8 @@ def small_runs(draw):
 
 
 def run_recording_plan(network, params, plan, seeds, rng):
-    """``run`` with record_events, plus the node ids ``apply_plan`` returned to it."""
+    """``run``, its status moves (``moves``) and the node ids ``apply_plan``
+    returned to it."""
     picked = []
     real = montecarlo.apply_plan
 
@@ -360,9 +396,9 @@ def run_recording_plan(network, params, plan, seeds, rng):
         picked.append(real(*args))
         return picked[-1]
 
-    with mock.patch.object(montecarlo, "apply_plan", spy):
-        trace = run(network, params, plan=plan, seeds=seeds, t_max=20.0, rng=rng, record_events=True)
-    return trace, picked[0]
+    with mock.patch.object(montecarlo, "apply_plan", spy), recorded_steps() as steps:
+        trace = run(network, params, plan=plan, seeds=seeds, t_max=20.0, rng=rng)
+    return trace, moves(steps), picked[0]
 
 
 class TestRunProperties:
@@ -370,7 +406,7 @@ class TestRunProperties:
     @given(small_runs())
     def test_fractions_conserved_and_stiflers_monotone(self, case):
         network, params, plan, seeds, rng = case
-        trace, _ = run_recording_plan(network, params, plan, seeds, rng)
+        trace, _, _ = run_recording_plan(network, params, plan, seeds, rng)
         total = trace.ignorant + trace.spreader + trace.stifler + trace.inoculated_fraction
         assert np.allclose(total, 1.0, rtol=0.0, atol=1e-12)
         assert np.all(np.diff(trace.stifler) >= 0.0)
@@ -379,21 +415,21 @@ class TestRunProperties:
     @given(small_runs())
     def test_inoculated_nodes_never_in_events(self, case):
         network, params, plan, seeds, rng = case
-        trace, picked = run_recording_plan(network, params, plan, seeds, rng)
-        seed_ids = [node for t, node, _, _ in trace.events if t == 0.0]
+        trace, events, picked = run_recording_plan(network, params, plan, seeds, rng)
+        seed_ids = [node for step, node, _, _ in events if step == 0]
         inoculated = np.setdiff1d(picked, seed_ids)
         assert inoculated.size == round(trace.inoculated_fraction * network.n)
-        assert not set(inoculated.tolist()) & {node for _, node, _, _ in trace.events}
+        assert not set(inoculated.tolist()) & {node for _, node, _, _ in events}
 
     @settings(max_examples=40, deadline=None)
     @given(small_runs())
     def test_same_seed_same_trace(self, case):
         network, params, plan, seeds, rng = case
-        a = run(network, params, plan=plan, seeds=seeds, t_max=20.0, rng=rng, record_events=True)
-        b = run(network, params, plan=plan, seeds=seeds, t_max=20.0, rng=rng, record_events=True)
+        a, a_events, _ = run_recording_plan(network, params, plan, seeds, rng)
+        b, b_events, _ = run_recording_plan(network, params, plan, seeds, rng)
         for field in ("times", "ignorant", "spreader", "stifler"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert a.events == b.events
+        assert a_events == b_events
 
 
 class TestMarkovOracle:
@@ -488,8 +524,14 @@ class TestEnsemble:
         dist = powerlaw_net.empirical_distribution()
         plan = make_targeted_plan(dist, 0.2)
         params = ModelParams(lam=1.0, alpha=0.5, beta=-0.5)
-        trace = run(powerlaw_net, params, plan=plan, seeds=5, rng=55, record_events=True)
-        # events only ever touch non-inoculated nodes; fractions stay consistent
+        with recorded_steps() as steps:
+            trace = run(powerlaw_net, params, plan=plan, seeds=5, rng=55)
+        # no move touches an inoculated node, every step is handed them still
+        # inoculated, and the fractions stay consistent
+        inoculated = np.flatnonzero(steps[0][0] == INOCULATED)
+        assert inoculated.size == round(trace.inoculated_fraction * powerlaw_net.n)
+        assert not set(inoculated.tolist()) & {node for _, node, _, _ in moves(steps)}
+        assert all(np.all(status[inoculated] == INOCULATED) for status, _, _ in steps)
         total = trace.ignorant + trace.spreader + trace.stifler + trace.inoculated_fraction
         assert np.allclose(total, 1.0, atol=1e-12)
         assert trace.inoculated_fraction > 0.15
