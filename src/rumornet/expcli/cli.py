@@ -13,6 +13,9 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+# argparse's gettext imports locale on the parser's first message; loading it
+# with the module keeps that import out of main
+import locale  # noqa: F401
 import os
 import sys
 from dataclasses import replace

@@ -27,7 +27,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -42,12 +41,6 @@ from ..netgen import (
     build_ba_network,
     build_configuration_network,
     sample_powerlaw_distribution,
-)
-from ..thresholds import (
-    threshold_modified,
-    threshold_modified_bounded,
-    threshold_random_inoc,
-    threshold_targeted_inoc,
 )
 from .svg import line_plot
 
@@ -414,6 +407,9 @@ def _collect_results(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     assets = (scenario, dist, network, scenario.plans(dist))
     jobs = sorted(enumerate(scenario.grid()), key=_family_order)
     if scenario.workers > 1 and len(jobs) > 1:
+        # imported here, so a one-worker run never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=scenario.workers, initializer=_init_worker,
                                  initargs=assets) as pool:
             outcomes = list(pool.map(_worker_job, jobs))
@@ -619,6 +615,14 @@ def threshold_table(scenario: Scenario) -> list[dict]:
     growth rate with the stifling rate sigma, so both thresholds of a row are
     its sigma times their sigma = 1 values.
     """
+    # imported here, the one caller, so a simulate run never loads them
+    from ..thresholds import (
+        threshold_modified,
+        threshold_modified_bounded,
+        threshold_random_inoc,
+        threshold_targeted_inoc,
+    )
+
     dist = build_network(scenario, graph=False)[0]
     gamma, k_min = (3.0, scenario.m) if scenario.net_kind == "ba" else (scenario.gamma, scenario.k_min)
     classic = threshold_modified_bounded(gamma, k_min, scenario.n_nodes, 1.0, 0.0).value

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -674,7 +675,8 @@ g = 0.0,0.05
                 seen["jobs"] = list(jobs)
                 return map(fn, seen["jobs"])
 
-        monkeypatch.setattr(scenario_module, "ProcessPoolExecutor", InlinePool)
+        # the pool is imported where it runs, from concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(scenario_module, "_worker_assets", None)
         config = """\
 [scenario]
