@@ -1,8 +1,8 @@
 """Declarative experiment scenarios: parse, sweep, export.
 
 A scenario file is flat ``key = value`` text under ``[section]`` headers with
-comma-separated lists for parameter grids and ``#`` comments.  ``_KEYS`` is
-the reference for the keys a file may set and the default of each.  Running one
+comma-separated lists for parameter grids and ``#`` comments.  Each field of
+``Scenario`` declares the key a file may set for it and its default.  Running one
 produces a CSV per plot family plus one SVG per CSV and a manifest with
 content hashes; re-running with the same master seed reproduces identical
 bytes.  Every random stream is keyed to (master seed, grid-point index,
@@ -23,6 +23,7 @@ package, so they keep their names and every call goes through them:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -71,34 +72,58 @@ class ScenarioError(ValueError):
 _AXES = {"lambda": "lam_grid", "alpha": "alpha_grid", "beta": "beta_grid", "sigma": "sigma_grid", "g": "g_grid"}
 
 
+def _float_list(text: str) -> list[float]:
+    items = [part.strip() for part in text.split(",")]
+    if items == [""]:
+        raise ValueError("empty list")
+    if "" in items:
+        raise ValueError(f"empty item {items.index('') + 1} in {text!r}")
+    return [float(item) for item in items]
+
+
+_REQUIRED = object()
+
+
+def _key(section: str, key: str, parse, default):
+    """A Scenario field read from ``key`` in ``[section]`` by ``parse``.
+
+    A text default goes through ``parse`` as if the file held it.  None means
+    unset; for ``name``, ``s0`` and ``seeds`` it means worked out from other
+    fields.
+    """
+    return field(metadata={"key": (section, key, parse, default)})
+
+
 @dataclass
 class Scenario:
-    name: str
-    engine: str
-    seed: int
-    out_dir: str
-    workers: int
-    timeseries: bool
-    runs: int | None
-    net_kind: str
-    gamma: float
-    k_min: int
-    n_nodes: int
-    m: int
-    m0: int
-    lam_grid: list[float]
-    alpha_grid: list[float]
-    beta_grid: list[float]
-    sigma_grid: list[float]
-    inoc_kind: str
-    g_grid: list[float]
-    s0: float
-    mc_seeds: int
-    dt_meanfield: float
-    dt_montecarlo: float
-    t_end: float
-    t_max: float
-    tolerance: float
+    name: str = _key("scenario", "name", str, None)
+    engine: str = _key("scenario", "engine", str, "meanfield")
+    seed: int = _key("scenario", "seed", int, "0")
+    out_dir: str = _key("scenario", "out", str, "out")
+    workers: int = _key("scenario", "workers", int, "1")
+    timeseries: bool = _key("scenario", "timeseries", str, "true")
+    runs: int | None = _key("scenario", "runs", int, None)
+    net_kind: str = _key("network", "kind", str, "configuration")
+    gamma: float = _key("network", "gamma", float, "2.4")
+    k_min: int = _key("network", "k_min", int, "2")
+    n_nodes: int = _key("network", "n", int, _REQUIRED)
+    m: int = _key("network", "m", int, "3")
+    m0: int = _key("network", "m0", int, "5")
+    lam_grid: list[float] = _key("model", "lambda", _float_list, _REQUIRED)
+    alpha_grid: list[float] = _key("model", "alpha", _float_list, "1.0")
+    beta_grid: list[float] = _key("model", "beta", _float_list, "0.0")
+    sigma_grid: list[float] = _key("model", "sigma", _float_list, "1.0")
+    s0: float = _key("model", "s0", float, None)
+    mc_seeds: int = _key("model", "seeds", int, None)
+    # the time between samples of the mean-field curve; the integrator
+    # chooses its own steps
+    dt_meanfield: float = _key("model", "dt_meanfield", float, "0.01")
+    dt_montecarlo: float = _key("model", "dt_montecarlo", float, "0.1")
+    t_end: float = _key("model", "t_end", float, "100.0")
+    t_max: float = _key("model", "t_max", float, "200.0")
+    inoc_kind: str = _key("inoculation", "kind", str, "none")
+    g_grid: list[float] = _key("inoculation", "g", _float_list, "0.0")
+    tolerance: float = _key("compare", "tolerance", float, "0.1")
 
     def grid(self) -> list[dict]:
         """Cartesian product of the parameter grids, in ``_AXES`` order."""
@@ -144,48 +169,8 @@ def _parse_lines(path):
     return entries
 
 
-def _float_list(text: str) -> list[float]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return [float(item) for item in items]
-
-
-_REQUIRED = object()
-
-# (section, key) -> (Scenario field, parser, default).  A text default goes
-# through the parser as if the file held it.  None means unset; for ``name``,
-# ``s0`` and ``seeds`` it means worked out from other fields.
-_KEYS = {
-    ("scenario", "name"): ("name", str, None),
-    ("scenario", "engine"): ("engine", str, "meanfield"),
-    ("scenario", "seed"): ("seed", int, "0"),
-    ("scenario", "out"): ("out_dir", str, "out"),
-    ("scenario", "workers"): ("workers", int, "1"),
-    ("scenario", "timeseries"): ("timeseries", str, "true"),
-    ("scenario", "runs"): ("runs", int, None),
-    ("network", "kind"): ("net_kind", str, "configuration"),
-    ("network", "gamma"): ("gamma", float, "2.4"),
-    ("network", "k_min"): ("k_min", int, "2"),
-    ("network", "n"): ("n_nodes", int, _REQUIRED),
-    ("network", "m"): ("m", int, "3"),
-    ("network", "m0"): ("m0", int, "5"),
-    ("model", "lambda"): ("lam_grid", _float_list, _REQUIRED),
-    ("model", "alpha"): ("alpha_grid", _float_list, "1.0"),
-    ("model", "beta"): ("beta_grid", _float_list, "0.0"),
-    ("model", "sigma"): ("sigma_grid", _float_list, "1.0"),
-    ("model", "s0"): ("s0", float, None),
-    ("model", "seeds"): ("mc_seeds", int, None),
-    # the time between samples of the mean-field curve; the integrator
-    # chooses its own steps
-    ("model", "dt_meanfield"): ("dt_meanfield", float, "0.01"),
-    ("model", "dt_montecarlo"): ("dt_montecarlo", float, "0.1"),
-    ("model", "t_end"): ("t_end", float, "100.0"),
-    ("model", "t_max"): ("t_max", float, "200.0"),
-    ("inoculation", "kind"): ("inoc_kind", str, "none"),
-    ("inoculation", "g"): ("g_grid", _float_list, "0.0"),
-    ("compare", "tolerance"): ("tolerance", float, "0.1"),
-}
+# (section, key) -> (Scenario field, parser, default), from the fields' declarations
+_KEYS = {f.metadata["key"][:2]: (f.name, *f.metadata["key"][2:]) for f in dataclasses.fields(Scenario)}
 
 
 def parse_scenario(path) -> Scenario:
@@ -352,13 +337,12 @@ def _point_result(scenario: Scenario, dist, network, plans, index: int, point: d
             network, params, plan=plan, runs=scenario.runs, seeds=scenario.mc_seeds,
             dt=scenario.dt_montecarlo, t_max=scenario.t_max,
             master_seed=montecarlo._run_seed(scenario.seed, 1 + index),
-            keep_traces=scenario.timeseries,
         )
         result["r_mc_mean"] = summary.mean_final_r
         result["r_mc_std"] = summary.std_final_r
         result["peak_s_mean"] = summary.mean_peak_s
         if scenario.timeseries:
-            result["mc_curve"] = montecarlo.mean_trace(summary.traces)
+            result["mc_curve"] = summary.mean_curve
     return result
 
 
@@ -476,57 +460,65 @@ def _sweep_axis(scenario: Scenario, axes=_X_ORDER) -> str:
 _SHORT = {"alpha": "a", "beta": "b", "sigma": "s", "g": "g", "lambda": "l"}
 
 
-def _series_label(point: dict, axis: str) -> str:
-    return ",".join(f"{short}={point[key]:g}" for key, short in _SHORT.items() if key != axis)
+def _series_label(point: dict, axes) -> str:
+    """The short name and value in ``point`` of each of ``axes``, in label order."""
+    return ",".join(f"{short}={point[key]:g}" for key, short in _SHORT.items() if key in axes)
+
+
+def _series(points) -> list[tuple[str, list, list]]:
+    """One ``(label, xs, ys)`` series per label of the ``(label, x, y)``
+    points, in the order the labels first occur, each sorted by x."""
+    groups: dict[str, list[tuple[float, float]]] = {}
+    for label, x, y in points:
+        groups.setdefault(label, []).append((x, y))
+    return [(label, *map(list, zip(*sorted(pts)))) for label, pts in groups.items()]
+
+
+# each engine with its tag in series labels and result keys, and its
+# final_size.csv columns, the first of them the one plotted
+_ENGINE_OUTPUTS = (
+    ("meanfield", "mf", ("R_mf",)),
+    ("montecarlo", "mc", ("R_mc_mean", "R_mc_std", "peak_S_mean")),
+)
+
+
+def _write_family(out_dir: str, stem: str, columns, rows, header, series, **labels) -> list[str]:
+    """Write ``stem.csv`` and its plot ``stem.svg`` into ``out_dir``, which it
+    makes if need be; return the two file names.
+
+    ``labels`` are line_plot's title, xlabel and ylabel.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    _write_csv(os.path.join(out_dir, f"{stem}.csv"), columns, rows, header)
+    # through the module global, which the benchmark's tracer wraps
+    line_plot(series, path=os.path.join(out_dir, f"{stem}.svg"), **labels)
+    return [f"{stem}.csv", f"{stem}.svg"]
 
 
 def _write_final_size(scenario: Scenario, results: list[dict], out_dir: str) -> list[str]:
-    columns = ["point", *_AXES]
-    if scenario.engine in ("meanfield", "both"):
-        columns.append("R_mf")
-    if scenario.engine in ("montecarlo", "both"):
-        columns += ["R_mc_mean", "R_mc_std", "peak_S_mean"]
+    engines = [spec for spec in _ENGINE_OUTPUTS if scenario.engine in (spec[0], "both")]
+    columns = ["point", *_AXES, *(column for _, _, engine_columns in engines for column in engine_columns)]
     # a result's keys are its column names in lower case
-    _write_csv(os.path.join(out_dir, "final_size.csv"), columns,
-               ([res[column.lower()] for column in columns] for res in results), _audit_header(scenario))
-
+    rows = ([res[column.lower()] for column in columns] for res in results)
     axis = _sweep_axis(scenario)
-    series: dict[str, list[tuple[float, float]]] = {}
-    for res in results:
-        base = _series_label(res, axis)
-        if scenario.engine in ("meanfield", "both"):
-            series.setdefault(f"{base} mf" if base else "mf", []).append((res[axis], res["r_mf"]))
-        if scenario.engine in ("montecarlo", "both"):
-            series.setdefault(f"{base} mc" if base else "mc", []).append((res[axis], res["r_mc_mean"]))
-    plot_series = []
-    for label in sorted(series):
-        pts = sorted(series[label])
-        plot_series.append((label, [p[0] for p in pts], [p[1] for p in pts]))
-    svg_path = os.path.join(out_dir, "final_size.svg")
-    line_plot(plot_series, title=f"{scenario.name}: final rumor size", xlabel=axis, ylabel="R", path=svg_path)
-    return ["final_size.csv", "final_size.svg"]
+    others = [other for other in _AXES if other != axis]
+    series = _series((f"{_series_label(res, others)} {tag}".lstrip(), res[axis], res[engine_columns[0].lower()])
+                     for res in results for _, tag, engine_columns in engines)
+    # the plot lists its series in label order
+    return _write_family(out_dir, "final_size", columns, rows, _audit_header(scenario), sorted(series),
+                         title=f"{scenario.name}: final rumor size", xlabel=axis, ylabel="R")
 
 
 def _write_timeseries(scenario: Scenario, results: list[dict], out_dir: str) -> list[str]:
-    rows = []
-    for res in results:
-        for engine_key, tag in (("mf_curve", "meanfield"), ("mc_curve", "montecarlo")):
-            if engine_key in res:
-                rows += [(res["point"], tag, *sample) for sample in zip(*res[engine_key])]
-    if not rows:
+    curves = [(res["point"], engine, tag, res[f"{tag}_curve"])
+              for res in results for engine, tag, _ in _ENGINE_OUTPUTS if f"{tag}_curve" in res]
+    if not curves:
         return []
-    _write_csv(os.path.join(out_dir, "timeseries.csv"), ["point", "engine", "t", "I", "S", "R"], rows,
-               _audit_header(scenario))
-    plot_series = []
-    for res in results:
-        for engine_key, tag in (("mf_curve", "mf"), ("mc_curve", "mc")):
-            if engine_key in res:
-                times, _, _, r = res[engine_key]
-                label = f"p{res['point']} {tag}" if len(results) <= 8 else ""
-                plot_series.append((label, list(map(float, times)), list(map(float, r))))
-    svg_path = os.path.join(out_dir, "timeseries.svg")
-    line_plot(plot_series, title=f"{scenario.name}: R(t)", xlabel="t", ylabel="R", path=svg_path)
-    return ["timeseries.csv", "timeseries.svg"]
+    rows = [(point, engine, *sample) for point, engine, _, curve in curves for sample in zip(*curve)]
+    series = [(f"p{point} {tag}" if len(results) <= 8 else "", list(map(float, times)), list(map(float, r)))
+              for point, _, tag, (times, _, _, r) in curves]
+    return _write_family(out_dir, "timeseries", ["point", "engine", "t", "I", "S", "R"], rows,
+                         _audit_header(scenario), series, title=f"{scenario.name}: R(t)", xlabel="t", ylabel="R")
 
 
 def _sha256(path) -> str:
@@ -579,21 +571,13 @@ def compare_engines(scenario: Scenario) -> dict:
 
 
 def write_comparison(scenario: Scenario, report: dict, out_dir: str) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
     columns = ["point", *_AXES, "R_mf", "R_mc_mean", "deviation", "passed"]
-    _write_csv(
-        os.path.join(out_dir, "comparison.csv"), columns,
-        ([row[column.lower()] for column in columns] for row in report["rows"]),
-        _audit_header(scenario) + [f"# tolerance={report['tolerance']}"],
-    )
-    xs = [row["point"] for row in report["rows"]]
-    series = [
-        ("mf", xs, [row["r_mf"] for row in report["rows"]]),
-        ("mc", xs, [row["r_mc_mean"] for row in report["rows"]]),
-    ]
-    svg_path = os.path.join(out_dir, "comparison.svg")
-    line_plot(series, title="engine comparison", xlabel="grid point", ylabel="R", path=svg_path)
-    return ["comparison.csv", "comparison.svg"]
+    rows = report["rows"]
+    xs = [row["point"] for row in rows]
+    series = [(tag, xs, [row[engine_columns[0].lower()] for row in rows]) for _, tag, engine_columns in _ENGINE_OUTPUTS]
+    return _write_family(out_dir, "comparison", columns, ([row[column.lower()] for column in columns] for row in rows),
+                         _audit_header(scenario) + [f"# tolerance={report['tolerance']}"], series,
+                         title="engine comparison", xlabel="grid point", ylabel="R")
 
 
 # the axes that key a threshold row; lambda moves no threshold
@@ -656,23 +640,13 @@ def write_threshold_table(scenario: Scenario, rows: list[dict], out_dir: str) ->
     is labelled by the axes that vary.  Rows without an outbreak are left out
     of the plot.
     """
-    os.makedirs(out_dir, exist_ok=True)
     columns = [*_THRESHOLD_AXES, "lambda_c", "lambda_c_classic", "regime"]
-    _write_csv(
-        os.path.join(out_dir, "thresholds.csv"), columns,
-        ([*(row[axis] for axis in _THRESHOLD_AXES),
-          "no-outbreak" if math.isinf(row["lambda_c"]) else row["lambda_c"],
-          row["lambda_c_classic"], row["regime"]] for row in rows),
-        _audit_header(scenario),
-    )
+    csv_rows = ([*(row[axis] for axis in _THRESHOLD_AXES),
+                 "no-outbreak" if math.isinf(row["lambda_c"]) else row["lambda_c"],
+                 row["lambda_c_classic"], row["regime"]] for row in rows)
     axis = _sweep_axis(scenario, _X_ORDER[1:])
     varying = [other for other in _THRESHOLD_AXES if other != axis and len({row[other] for row in rows}) > 1]
-    series: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        if math.isfinite(row["lambda_c"]):
-            label = ",".join(f"{_SHORT[other]}={row[other]:g}" for other in varying) or "lambda_c"
-            series.setdefault(label, []).append((row[axis], row["lambda_c"]))
-    plot_series = [(label, *map(list, zip(*sorted(pts)))) for label, pts in series.items()]
-    svg_path = os.path.join(out_dir, "thresholds.svg")
-    line_plot(plot_series, title=f"{scenario.name}: thresholds", xlabel=axis, ylabel="lambda_c", path=svg_path)
-    return ["thresholds.csv", "thresholds.svg"]
+    series = _series((_series_label(row, varying) or "lambda_c", row[axis], row["lambda_c"])
+                     for row in rows if math.isfinite(row["lambda_c"]))
+    return _write_family(out_dir, "thresholds", columns, csv_rows, _audit_header(scenario), series,
+                         title=f"{scenario.name}: thresholds", xlabel=axis, ylabel="lambda_c")

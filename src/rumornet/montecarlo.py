@@ -52,7 +52,7 @@ message passing with T_0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ __all__ = [
     "EnsembleSummary",
     "SimTrace",
     "ensemble",
-    "mean_trace",
     "run",
 ]
 
@@ -265,14 +264,18 @@ def run(
 
 @dataclass
 class EnsembleSummary:
-    """Aggregates of independent runs with identical settings."""
+    """Aggregates of independent runs with identical settings.
+
+    ``mean_curve`` is (times, I, S, R) averaged over the runs on the longest
+    run's time grid, with R the stifler fraction.
+    """
 
     mean_final_r: float
     std_final_r: float
     mean_peak_s: float
     finals: np.ndarray
     seeds: np.ndarray
-    traces: list[SimTrace] | None = field(default=None, repr=False)
+    mean_curve: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _run_seed(master_seed: int, index: int) -> int:
@@ -289,7 +292,6 @@ def ensemble(
     dt: float = 0.1,
     t_max: float = 200.0,
     master_seed: int = 0,
-    keep_traces: bool = False,
 ) -> EnsembleSummary:
     """Aggregate ``runs`` independent runs on ``network``, deterministically keyed to master_seed."""
     if runs < 1:
@@ -297,7 +299,7 @@ def ensemble(
     finals = np.empty(runs)
     peaks = np.empty(runs)
     run_seeds = np.empty(runs, dtype=np.int64)
-    traces: list[SimTrace] | None = [] if keep_traces else None
+    curves = []
     kernel = _Kernel(network, params, dt)
     for idx in range(runs):
         seed = _run_seed(master_seed, idx)
@@ -306,35 +308,15 @@ def ensemble(
         finals[idx] = trace.final_r
         peaks[idx] = trace.peak_s
         run_seeds[idx] = seed
-        if keep_traces:
-            traces.append(trace)
+        curves.append((trace.ignorant, trace.spreader, trace.stifler))
+    longest = max(ignorant.size for ignorant, _, _ in curves)
+    # (run, curve, sample); a run that ends early keeps its absorbing final state
+    padded = np.array([[np.pad(c, (0, longest - c.size), mode="edge") for c in run_curves] for run_curves in curves])
     return EnsembleSummary(
         mean_final_r=float(finals.mean()),
         std_final_r=float(finals.std()),
         mean_peak_s=float(peaks.mean()),
         finals=finals,
         seeds=run_seeds,
-        traces=traces,
+        mean_curve=(np.arange(longest) * dt, *padded.mean(axis=0)),
     )
-
-
-def mean_trace(traces: list[SimTrace]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Average I/S/R curves over runs on a shared time grid.
-
-    Runs end at different times; shorter runs are padded with their final
-    values (the absorbing state persists).  Returns (times, I, S, R).
-    """
-    if not traces:
-        raise ValueError("need at least one trace")
-    longest = max(t.times.size for t in traces)
-    ref = max(traces, key=lambda t: t.times.size).times
-
-    def padded(values: np.ndarray) -> np.ndarray:
-        out = np.full(longest, values[-1], dtype=np.float64)
-        out[: values.size] = values
-        return out
-
-    i = np.mean([padded(t.ignorant) for t in traces], axis=0)
-    s = np.mean([padded(t.spreader) for t in traces], axis=0)
-    r = np.mean([padded(t.stifler) for t in traces], axis=0)
-    return ref, i, s, r

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 import os
 import pickle
@@ -124,6 +125,13 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="lambda"):
             parse_scenario(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize("value", ["0.1,,0.5", "0.1,0.5,", "0.1, ,0.5", ",0.1"])
+    def test_empty_list_item_cites_line(self, tmp_path, value):
+        bad = MINIMAL.replace("lambda = 0.2,0.5,0.9", f"lambda = {value}")
+        lineno = line_of(bad, f"lambda = {value}")
+        with pytest.raises(ScenarioError, match=rf"scenario\.cfg:{lineno}: bad value for 'lambda': empty item"):
+            parse_scenario(write_config(tmp_path, bad))
+
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
             parse_scenario("/nonexistent/path.cfg")
@@ -194,6 +202,40 @@ class TestRunScenario:
             spy.reset_mock()
             assert len(threshold_table(scenario)) == 3
             assert [call.args[1] for call in spy.call_args_list] == [0.05, 0.1]
+
+    def test_montecarlo_timeseries_rows(self, tmp_path):
+        config = MINIMAL.replace("engine = meanfield", "engine = both\nruns = 3\nseed = 5").replace(
+            "n = 1000", "n = 400").replace("lambda = 0.2,0.5,0.9", "lambda = 0.3,1.0") + """t_end = 5
+dt_montecarlo = 0.2
+t_max = 200
+
+[inoculation]
+kind = targeted
+g = 0,0.05
+"""
+        scenario = parse_scenario(write_config(tmp_path, config))
+        out = tmp_path / "out"
+        assert run_scenario(scenario, out_dir=str(out))["completed"] == 4
+
+        def table(name):
+            lines = [line for line in (out / name).read_text().splitlines() if not line.startswith("#")]
+            return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+        final = {int(row["point"]): float(row["R_mc_mean"]) for row in table("final_size.csv")}
+        blocks = [(key, list(rows)) for key, rows in
+                  itertools.groupby(table("timeseries.csv"), key=lambda row: (int(row["point"]), row["engine"]))]
+        # one mean-field block, then one Monte Carlo block, per point
+        assert [key for key, _ in blocks] == [(p, engine) for p in range(4) for engine in ("meanfield", "montecarlo")]
+        for (point, engine), rows in blocks:
+            if engine != "montecarlo":
+                continue
+            times = [float(row["t"]) for row in rows]
+            r = [float(row["R"]) for row in rows]
+            # every run ended before t_max, so each curve stops short of it
+            assert len(times) < round(scenario.t_max / scenario.dt_montecarlo) + 1
+            assert times == [k * scenario.dt_montecarlo for k in range(len(times))]
+            assert all(later >= earlier for earlier, later in zip(r, r[1:]))
+            assert r[-1] == pytest.approx(final[point], rel=1e-12)
 
     def test_meanfield_r_increases_with_lambda(self, tmp_path):
         scenario = parse_scenario(write_config(tmp_path, MINIMAL))

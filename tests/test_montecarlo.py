@@ -18,7 +18,6 @@ from rumornet.montecarlo import (
     STIFLER,
     _Kernel,
     ensemble,
-    mean_trace,
     run,
 )
 from rumornet.netgen import Network, build_configuration_network, sample_powerlaw_distribution
@@ -493,9 +492,16 @@ class TestMarkovOracle:
 class TestEnsemble:
     def test_single_run_equals_trace(self, powerlaw_net):
         params = ModelParams(lam=0.5, alpha=0.5, beta=-0.5)
-        summary = ensemble(powerlaw_net, params, runs=1, seeds=5, master_seed=42, keep_traces=True)
-        assert summary.mean_final_r == summary.traces[0].final_r
+        summary = ensemble(powerlaw_net, params, runs=1, seeds=5, master_seed=42)
+        trace = run(powerlaw_net, params, seeds=5, rng=int(summary.seeds[0]))
+        assert summary.mean_final_r == trace.final_r == summary.finals[0]
         assert summary.std_final_r == 0.0
+        # the mean of one run is that run's curve
+        times, i, s, r = summary.mean_curve
+        assert np.array_equal(times, trace.times)
+        assert np.array_equal(i, trace.ignorant)
+        assert np.array_equal(s, trace.spreader)
+        assert np.array_equal(r, trace.stifler)
 
     def test_lambda_zero_exact(self, powerlaw_net):
         summary = ensemble(powerlaw_net, ModelParams(lam=0.0, alpha=1.0), runs=5,
@@ -562,9 +568,15 @@ class TestEnsemble:
 class TestExports:
     def test_mean_trace_padding(self):
         net = complete_graph(12)
-        summary = ensemble(net, ModelParams(lam=2.0, alpha=1.0), runs=6, seeds=1,
-                           master_seed=2, keep_traces=True)
-        times, i, s, r = mean_trace(summary.traces)
-        assert times.size == max(t.times.size for t in summary.traces)
+        params = ModelParams(lam=2.0, alpha=1.0)
+        summary = ensemble(net, params, runs=6, seeds=1, master_seed=2)
+        traces = [run(net, params, seeds=1, rng=int(seed)) for seed in summary.seeds]
+        assert [trace.final_r for trace in traces] == summary.finals.tolist()
+        # the runs end at different steps, so the shorter ones are padded
+        assert len({trace.times.size for trace in traces}) > 1
+        times, i, s, r = summary.mean_curve
+        assert times.size == max(t.times.size for t in traces)
         assert np.allclose(i + s + r, 1.0, atol=1e-12)
         assert np.all(np.diff(r) >= -1e-12)
+        # every run has ended, so the padded mean ends at the mean final size
+        assert r[-1] == pytest.approx(summary.mean_final_r, rel=1e-12)
