@@ -18,7 +18,6 @@ import argparse
 import locale  # noqa: F401
 import os
 import sys
-from dataclasses import replace
 
 from ..netgen import write_edge_list
 from .scenario import (
@@ -58,24 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         _add_common(sub.add_parser(name, help=help_text))
     return parser
-
-
-def _load(args) -> "Scenario":
-    scenario = parse_scenario(args.config)
-    overrides = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        if not args.out:
-            raise ScenarioError("--out must not be empty")
-        overrides["out_dir"] = args.out
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ScenarioError(f"--workers must be >= 1, got {args.workers}")
-        overrides["workers"] = args.workers
-    return replace(scenario, **overrides) if overrides else scenario
 
 
 def _cmd_generate(scenario) -> int:
@@ -127,7 +108,8 @@ def _cmd_compare(scenario) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = _load(args)
+        # each flag is named after the [scenario] key it overrides
+        scenario = parse_scenario(args.config, {key: getattr(args, key) for key in ("seed", "out", "workers")})
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

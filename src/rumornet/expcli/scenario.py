@@ -34,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from .. import montecarlo
-from ..inoculation import KIND_RANDOM, InoculationPlan, make_random_plan, make_targeted_plan
+from ..inoculation import InoculationPlan, make_random_plan, make_targeted_plan
 from ..meanfield import ModelParams, final_rumor_size, integrate, uniform_seed_state
 from ..netgen import (
     DegreeDistribution,
@@ -84,46 +84,65 @@ def _float_list(text: str) -> list[float]:
 _REQUIRED = object()
 
 
-def _key(section: str, key: str, parse, default):
+def _key(section: str, key: str, parse, default, check=None):
     """A Scenario field read from ``key`` in ``[section]`` by ``parse``.
 
     A text default goes through ``parse`` as if the file held it.  None means
     unset; for ``name``, ``s0`` and ``seeds`` it means worked out from other
-    fields.
+    fields.  ``check = (test, message)`` is the rule on the field's own value
+    (on each item of a list): a set value for which ``test`` is false is a
+    config error, ``message`` formatted with the ``key`` and the ``value``.
     """
-    return field(metadata={"key": (section, key, parse, default)})
+    return field(metadata={"key": (section, key, parse, default), "check": check})
+
+
+_POSITIVE = (lambda v: 0 < v < math.inf, "{key} must be finite and > 0, got {value}")
+_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "{key} must be finite and >= 0, got {value}")
+# os.makedirs fails on an empty out, and an empty name would head every CSV
+# as "# scenario="
+_NONEMPTY = (lambda v: v != "", "{key} must not be empty")
 
 
 @dataclass
 class Scenario:
-    name: str = _key("scenario", "name", str, None)
-    engine: str = _key("scenario", "engine", str, "meanfield")
-    seed: int = _key("scenario", "seed", int, "0")
-    out_dir: str = _key("scenario", "out", str, "out")
-    workers: int = _key("scenario", "workers", int, "1")
-    timeseries: bool = _key("scenario", "timeseries", str, "true")
-    runs: int | None = _key("scenario", "runs", int, None)
-    net_kind: str = _key("network", "kind", str, "configuration")
+    name: str = _key("scenario", "name", str, None, _NONEMPTY)
+    engine: str = _key("scenario", "engine", str, "meanfield",
+                       (lambda v: v in ENGINES, f"{{key}} must be one of {ENGINES}, got '{{value}}'"))
+    # numpy's SeedSequence, which keys every random stream, takes no negative seed
+    seed: int = _key("scenario", "seed", int, "0", (lambda v: v >= 0, "{key} must be >= 0, got {value}"))
+    out_dir: str = _key("scenario", "out", str, "out", _NONEMPTY)
+    workers: int = _key("scenario", "workers", int, "1", (lambda v: v >= 1, "{key} must be >= 1, got {value}"))
+    timeseries: bool = _key("scenario", "timeseries", str, "true",
+                            (lambda v: v in ("true", "false"), "{key} must be 'true' or 'false'"))
+    runs: int | None = _key("scenario", "runs", int, None, (lambda v: v >= 1, "{key} must be >= 1"))
+    net_kind: str = _key("network", "kind", str, "configuration", (
+        lambda v: v in NETWORK_KINDS, f"network {{key}} must be one of {NETWORK_KINDS}, got '{{value}}'"))
     gamma: float = _key("network", "gamma", float, "2.4")
     k_min: int = _key("network", "k_min", int, "2")
-    n_nodes: int = _key("network", "n", int, _REQUIRED)
+    n_nodes: int = _key("network", "n", int, _REQUIRED, (lambda v: v >= 2, "{key} must be >= 2, got {value}"))
     m: int = _key("network", "m", int, "3")
     m0: int = _key("network", "m0", int, "5")
-    lam_grid: list[float] = _key("model", "lambda", _float_list, _REQUIRED)
-    alpha_grid: list[float] = _key("model", "alpha", _float_list, "1.0")
-    beta_grid: list[float] = _key("model", "beta", _float_list, "0.0")
-    sigma_grid: list[float] = _key("model", "sigma", _float_list, "1.0")
-    s0: float = _key("model", "s0", float, None)
+    lam_grid: list[float] = _key("model", "lambda", _float_list, _REQUIRED,
+                                 (lambda v: 0 <= v < math.inf, "{key} values must be finite and >= 0 (got {value})"))
+    alpha_grid: list[float] = _key("model", "alpha", _float_list, "1.0",
+                                   (lambda v: 0 < v <= 1, "{key} values must lie in (0, 1] (got {value})"))
+    beta_grid: list[float] = _key("model", "beta", _float_list, "0.0",
+                                  (math.isfinite, "{key} values must be finite (got {value})"))
+    sigma_grid: list[float] = _key("model", "sigma", _float_list, "1.0",
+                                   (lambda v: 0 < v < math.inf, "{key} values must be finite and > 0 (got {value})"))
+    s0: float = _key("model", "s0", float, None, (lambda v: 0.0 < v < 1.0, "{key} must lie in (0, 1), got {value}"))
     mc_seeds: int = _key("model", "seeds", int, None)
     # the time between samples of the mean-field curve; the integrator
     # chooses its own steps
-    dt_meanfield: float = _key("model", "dt_meanfield", float, "0.01")
-    dt_montecarlo: float = _key("model", "dt_montecarlo", float, "0.1")
-    t_end: float = _key("model", "t_end", float, "100.0")
-    t_max: float = _key("model", "t_max", float, "200.0")
-    inoc_kind: str = _key("inoculation", "kind", str, "none")
-    g_grid: list[float] = _key("inoculation", "g", _float_list, "0.0")
-    tolerance: float = _key("compare", "tolerance", float, "0.1")
+    dt_meanfield: float = _key("model", "dt_meanfield", float, "0.01", _POSITIVE)
+    dt_montecarlo: float = _key("model", "dt_montecarlo", float, "0.1", _POSITIVE)
+    t_end: float = _key("model", "t_end", float, "100.0", _NONNEGATIVE)
+    t_max: float = _key("model", "t_max", float, "200.0", _NONNEGATIVE)
+    inoc_kind: str = _key("inoculation", "kind", str, "none",
+                          (lambda v: v in INOC_KINDS, f"inoculation {{key}} must be one of {INOC_KINDS}"))
+    g_grid: list[float] = _key("inoculation", "g", _float_list, "0.0",
+                               (lambda v: 0.0 <= v <= 1.0, "{key} values must lie in [0, 1] (got {value})"))
+    tolerance: float = _key("compare", "tolerance", float, "0.1", _POSITIVE)
 
     def grid(self) -> list[dict]:
         """Cartesian product of the parameter grids, in ``_AXES`` order."""
@@ -171,14 +190,33 @@ def _parse_lines(path):
 
 # (section, key) -> (Scenario field, parser, default), from the fields' declarations
 _KEYS = {f.metadata["key"][:2]: (f.name, *f.metadata["key"][2:]) for f in dataclasses.fields(Scenario)}
+# Scenario field -> its check on its own value, or None
+_CHECKS = {f.name: f.metadata["check"] for f in dataclasses.fields(Scenario)}
 
 
-def parse_scenario(path) -> Scenario:
+def _complaint(check, value, key: str) -> str | None:
+    """What ``check`` says against a set ``value``, or each item of a list
+    value, naming the key ``key``; None if it holds."""
+    if check is None or value is None:
+        return None
+    test, message = check
+    for item in value if isinstance(value, list) else [value]:
+        if not test(item):
+            return message.format(key=key, value=item)
+    return None
+
+
+def parse_scenario(path, overrides=None) -> Scenario:
     """Parse and validate a scenario file.
 
     Every complaint about a line in the file cites its physical line number,
     counting blank and comment lines.  A missing required key (``[network] n``,
     ``[model] lambda``) has no line to cite, so its complaint cites the file only.
+    Of several bad values, the one of the first field in ``Scenario`` is reported.
+
+    ``overrides`` maps a ``[scenario]`` key to the value of its command-line
+    flag (``--seed``), None if not given; each replaces the file's value and
+    is checked as one, its complaint naming the flag.
     """
     if not os.path.exists(path):
         raise ScenarioError(f"{path}: no such file")
@@ -204,34 +242,17 @@ def parse_scenario(path) -> Scenario:
         where = f"{path}:{lineno}" if lineno is not None else str(path)
         raise ScenarioError(f"{where}: {message}")
 
-    def require(name: str):
+    for (section, key), (name, _, _) in _KEYS.items():
         if fields[name] is _REQUIRED:
-            section, key = next(loc for loc, spec in _KEYS.items() if spec[0] == name)
             fail(name, f"missing required key '{key}' in [{section}]")
-        return fields[name]
+        complaint = _complaint(_CHECKS[name], fields[name], key)
+        if complaint:
+            fail(name, complaint)
 
-    # os.makedirs fails on an empty out, and an empty name would head every
-    # CSV as "# scenario="
-    for name, key in (("name", "name"), ("out_dir", "out")):
-        if fields[name] == "":
-            fail(name, f"{key} must not be empty")
-    engine = fields["engine"]
-    if engine not in ENGINES:
-        fail("engine", f"engine must be one of {ENGINES}, got '{engine}'")
-    if fields["timeseries"] not in ("true", "false"):
-        fail("timeseries", "timeseries must be 'true' or 'false'")
-    runs = fields["runs"]
+    # the rules that read two fields
+    engine, runs, kind, n_nodes = fields["engine"], fields["runs"], fields["net_kind"], fields["n_nodes"]
     if engine in ("montecarlo", "both") and runs is None:
         fail("engine", f"[scenario] runs is required when engine={engine}")
-    if runs is not None and runs < 1:
-        fail("runs", "runs must be >= 1")
-
-    kind = fields["net_kind"]
-    if kind not in NETWORK_KINDS:
-        fail("net_kind", f"network kind must be one of {NETWORK_KINDS}, got '{kind}'")
-    n_nodes = require("n_nodes")
-    if n_nodes < 2:
-        fail("n_nodes", f"n must be >= 2, got {n_nodes}")
     if kind == "configuration" and not 2.0 < fields["gamma"] <= 3.0:
         fail("gamma", f"gamma must lie in (2, 3], got {fields['gamma']}")
     if kind == "configuration" and fields["k_min"] < 1:
@@ -239,46 +260,26 @@ def parse_scenario(path) -> Scenario:
     m, m0 = fields["m"], fields["m0"]
     if kind == "ba" and not n_nodes > m0 >= m >= 1:
         fail("m", f"need n > m0 >= m >= 1, got n={n_nodes}, m0={m0}, m={m}")
-
-    require("lam_grid")
-    for name, check, what in (
-        ("lam_grid", lambda v: 0 <= v < math.inf, "lambda values must be finite and >= 0"),
-        ("alpha_grid", lambda v: 0 < v <= 1, "alpha values must lie in (0, 1]"),
-        ("beta_grid", math.isfinite, "beta values must be finite"),
-        ("sigma_grid", lambda v: 0 < v < math.inf, "sigma values must be finite and > 0"),
-    ):
-        for v in fields[name]:
-            if not check(v):
-                fail(name, f"{what} (got {v})")
-
-    if fields["inoc_kind"] not in INOC_KINDS:
-        fail("inoc_kind", f"inoculation kind must be one of {INOC_KINDS}")
-    for v in fields["g_grid"]:
-        if not 0.0 <= v <= 1.0:
-            fail("g_grid", f"g values must lie in [0, 1] (got {v})")
     if fields["inoc_kind"] == "none" and any(v != 0.0 for v in fields["g_grid"]):
         fail("g_grid", "nonzero g requires inoculation kind random or targeted")
-
-    for name, check, what in (
-        # numpy's SeedSequence, which keys every random stream, takes no negative seed
-        ("seed", lambda v: v >= 0, "seed must be >= 0"),
-        ("workers", lambda v: v >= 1, "workers must be >= 1"),
-        ("s0", lambda v: v is None or 0.0 < v < 1.0, "s0 must lie in (0, 1)"),
-        ("mc_seeds", lambda v: v is None or 1 <= v <= n_nodes, f"seeds must lie in [1, n] = [1, {n_nodes}]"),
-        ("dt_meanfield", lambda v: 0 < v < math.inf, "dt_meanfield must be finite and > 0"),
-        ("dt_montecarlo", lambda v: 0 < v < math.inf, "dt_montecarlo must be finite and > 0"),
-        ("t_end", lambda v: 0 <= v < math.inf, "t_end must be finite and >= 0"),
-        ("t_max", lambda v: 0 <= v < math.inf, "t_max must be finite and >= 0"),
-        ("tolerance", lambda v: 0 < v < math.inf, "tolerance must be finite and > 0"),
-    ):
-        if not check(fields[name]):
-            fail(name, f"{what}, got {fields[name]}")
+    seeds = fields["mc_seeds"]
+    if seeds is not None and not 1 <= seeds <= n_nodes:
+        fail("mc_seeds", f"seeds must lie in [1, n] = [1, {n_nodes}], got {seeds}")
     # a nonzero span of round(t / dt) == 0 steps would give a curve of the
     # initial state alone, or Monte Carlo runs that take no step
     for span, step in (("t_end", "dt_meanfield"), ("t_max", "dt_montecarlo")):
         t, dt = fields[span], fields[step]
         if t > 0 and round(t / dt) == 0:
             fail(step if step in lines else span, f"{span} = {t} rounds to zero steps of {step} = {dt}")
+
+    for key, value in (overrides or {}).items():
+        if value is None:
+            continue
+        name = _KEYS["scenario", key][0]
+        complaint = _complaint(_CHECKS[name], value, f"--{key}")
+        if complaint:
+            raise ScenarioError(complaint)
+        fields[name] = value
 
     if fields["s0"] is None:
         fields["s0"] = 1.0 / n_nodes
@@ -594,18 +595,14 @@ def threshold_table(scenario: Scenario) -> list[dict]:
     threshold_modified_bounded on the bounded network, for a BA network with
     gamma=3 and k_min=m: lambda_c_classic is its value for the classic model
     (alpha=1, beta=0), regime its size regime at the row's alpha and beta.
-    Random inoculation rescales lambda_c by 1/(1-g); a targeted plan uses the
-    profile-weighted moment ratio.  The outbreak condition compares the
-    growth rate with the stifling rate sigma, so both thresholds of a row are
-    its sigma times their sigma = 1 values.
+    A plan's lambda_c is the moment ratio with each class weighted by 1 - g_k,
+    as the mean field's outbreak test weighs it; under random inoculation
+    that is lambda_c / (1 - g) up to rounding.  The outbreak condition
+    compares the growth rate with the stifling rate sigma, so both
+    thresholds of a row are its sigma times their sigma = 1 values.
     """
     # imported here, the one caller, so a simulate run never loads them
-    from ..thresholds import (
-        threshold_modified,
-        threshold_modified_bounded,
-        threshold_random_inoc,
-        threshold_targeted_inoc,
-    )
+    from ..thresholds import threshold_modified, threshold_modified_bounded, threshold_targeted_inoc
 
     dist = build_network(scenario, graph=False)[0]
     gamma, k_min = (3.0, scenario.m) if scenario.net_kind == "ba" else (scenario.gamma, scenario.k_min)
@@ -615,14 +612,9 @@ def threshold_table(scenario: Scenario) -> list[dict]:
     grids = (getattr(scenario, _AXES[axis]) for axis in _THRESHOLD_AXES)
     for key in dict.fromkeys(product(*grids)):
         alpha, beta, sigma, g = key
-        bare = threshold_modified(dist, alpha, beta)
         plan = plans[g]
-        if plan is None:
-            lambda_c = bare
-        elif plan.kind == KIND_RANDOM:
-            lambda_c = threshold_random_inoc(bare, plan.g)
-        else:
-            lambda_c = threshold_targeted_inoc(dist, alpha, beta, plan)
+        lambda_c = (threshold_modified(dist, alpha, beta) if plan is None
+                    else threshold_targeted_inoc(dist, alpha, beta, plan))
         rows.append({
             **dict(zip(_THRESHOLD_AXES, key)),
             "lambda_c": sigma * lambda_c,

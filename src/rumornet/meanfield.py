@@ -424,14 +424,15 @@ def integrate(
 
     Raises IntegrationError when Psi drops below -1e-6 or I, S, R leave
     [-1e-6, 1 + 1e-6] or are not finite at a step end or a sample, when an
-    error estimate is not finite, or when the step falls below _STEP_FLOOR
-    of the time span.  Each successful call logs its accepted and rejected
-    steps, the dense outputs built, the step end that proved rest (``rest``,
-    or ``none``), final Psi, final R and the number of per-class
-    exponentials evaluated (``evals``; rejected stages and samples included)
-    at DEBUG level: 2 at the start, 12 per step tried, 3 per dense output,
-    1 per interior sample before rest and 1 for the rest state, each over
-    the classes below the cut.
+    error estimate is not finite at a step whose start is not finite (one
+    from a finite start is rejected and shrunk), or when the step falls
+    below _STEP_FLOOR of the time span.  Each successful call logs its
+    accepted and rejected steps, the dense outputs built, the step end that
+    proved rest (``rest``, or ``none``), final Psi, final R and the number
+    of per-class exponentials evaluated (``evals``; rejected stages and
+    samples included) at DEBUG level: 2 at the start, 12 per step tried, 3
+    per dense output, 1 per interior sample before rest and 1 for the rest
+    state, each over the classes below the cut.
 
     The benchmark's tracer binds this signature from outside the package: it
     reads the arguments ``initial``, ``t_end`` and ``dt`` by name, and
@@ -581,11 +582,14 @@ def _reduced_dop853(
             e5, e3 = (_rms(sum(map(mul, e, k_psi)) / scale[0], sum(map(mul, e, k_q)) / scale[1])
                       for e in (_DOP_E5, _DOP_E3))
             err = h * e5 * (e5 / math.hypot(e5, 0.1 * e3)) if e5 else 0.0
-            if not math.isfinite(err):
+            # stages that overflow on a long trial step (at a very large lam)
+            # leave the estimate not finite; a shorter step may pass, unless
+            # the step's start is itself not finite
+            if not math.isfinite(err) and not (math.isfinite(k_psi[0]) and math.isfinite(k_q[0])):
                 raise IntegrationError(f"error estimate {err} at t={t:.6g} with step {h:.3e}")
-            if err > 1.0:
+            if not err <= 1.0:
                 rejected += 1
-                h *= max(_SHRINK, _SAFETY * err ** -0.125)
+                h *= max(_SHRINK, _SAFETY * err ** -0.125) if math.isfinite(err) else _SHRINK
                 grow = 1.0
                 continue
 

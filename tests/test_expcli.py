@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import pickle
+import re
 from unittest import mock
 
 import numpy as np
@@ -165,6 +166,79 @@ class TestParsing:
         assert lineno == 7
         with pytest.raises(ScenarioError, match=rf"scenario\.cfg:{lineno}: k_min must be >= 1, got 0"):
             parse_scenario(write_config(tmp_path, bad))
+
+
+# a value each field's own check rejects, as a file writes it
+BAD_VALUES = {
+    "name": "", "engine": "warp", "seed": "-1", "out_dir": "", "workers": "0", "timeseries": "yes", "runs": "0",
+    "net_kind": "er", "n_nodes": "1", "lam_grid": "0.5, -1", "alpha_grid": "0.5, 1.5", "beta_grid": "nan",
+    "sigma_grid": "inf", "s0": "1", "dt_meanfield": "0", "dt_montecarlo": "-0.1", "t_end": "-1", "t_max": "inf",
+    "inoc_kind": "bogus", "g_grid": "1.5", "tolerance": "0",
+}
+# the Scenario fields that declare a check on their own value, in field order
+CHECKED = [f for f in dataclasses.fields(Scenario) if f.metadata["check"] is not None]
+
+
+def bad_line(f) -> str:
+    return f"{f.metadata['key'][1]} = {BAD_VALUES[f.name]}".rstrip()
+
+
+def scenario_text(*bad, reverse=False) -> str:
+    """A valid file with the bad value of each field of ``bad``; its lines in
+    field order, or with ``reverse`` in the reverse of it."""
+    lines = {("scenario", "engine"): "engine = meanfield", ("network", "n"): "n = 1000",
+             ("model", "lambda"): "lambda = 0.5"}
+    lines.update({f.metadata["key"][:2]: bad_line(f) for f in bad})
+    # _KEYS lists each section's keys together, so they stay together
+    locs = sorted(lines, key=list(scenario_module._KEYS).index, reverse=reverse)
+    return "".join(f"[{section}]\n" + "".join(lines[loc] + "\n" for loc in group)
+                   for section, group in itertools.groupby(locs, key=lambda loc: loc[0]))
+
+
+class TestFieldChecks:
+    def test_every_checked_field_has_a_bad_value(self):
+        assert [f.name for f in CHECKED] == list(BAD_VALUES)
+
+    @pytest.mark.parametrize("f", CHECKED, ids=[f.name for f in CHECKED])
+    def test_bad_file_value_cites_its_line_and_key(self, tmp_path, f):
+        text = scenario_text(f)
+        path = write_config(tmp_path, text)
+        with pytest.raises(ScenarioError) as raised:
+            parse_scenario(path)
+        where = f"{path}:{line_of(text, bad_line(f))}: "
+        assert str(raised.value).startswith(where)
+        assert f"{f.metadata['key'][1]} " in str(raised.value)[len(where):]
+
+    @pytest.mark.parametrize("key", ["seed", "out", "workers"])
+    def test_bad_flag_fails_with_the_file_value_text_naming_the_flag(self, tmp_path, capsys, key):
+        name, parse, _ = scenario_module._KEYS["scenario", key]
+        f = next(f for f in CHECKED if f.name == name)
+        with pytest.raises(ScenarioError) as from_file:
+            parse_scenario(write_config(tmp_path, scenario_text(f), "bad.cfg"))
+        expected = "--" + str(from_file.value).split(": ", 1)[1]
+        path = write_config(tmp_path, scenario_text())
+        with pytest.raises(ScenarioError, match=f"^{re.escape(expected)}$"):
+            parse_scenario(path, {key: parse(BAD_VALUES[name])})
+        assert main(["simulate", "--config", str(path), f"--{key}", BAD_VALUES[name]]) == 1
+        assert capsys.readouterr().err == f"config error: {expected}\n"
+
+    @pytest.mark.parametrize("key, file_value, flag_value", [("seed", "4", 9), ("out", "a", "b"), ("workers", "2", 3)])
+    def test_valid_flag_replaces_the_file_value(self, tmp_path, key, file_value, flag_value):
+        path = write_config(tmp_path, scenario_text().replace("[scenario]\n", f"[scenario]\n{key} = {file_value}\n"))
+        name = scenario_module._KEYS["scenario", key][0]
+        assert getattr(parse_scenario(path, {key: flag_value}), name) == flag_value
+        # a flag that is not given leaves the file's value
+        assert str(getattr(parse_scenario(path, {key: None}), name)) == file_value
+
+    @pytest.mark.parametrize("first, second", zip(CHECKED, CHECKED[1:]), ids=[f.name for f in CHECKED[1:]])
+    def test_of_two_bad_values_the_first_field_is_reported(self, tmp_path, first, second):
+        # the later field's line comes first in the file
+        text = scenario_text(first, second, reverse=True)
+        assert line_of(text, bad_line(first)) > line_of(text, bad_line(second))
+        path = write_config(tmp_path, text)
+        with pytest.raises(ScenarioError) as raised:
+            parse_scenario(path)
+        assert str(raised.value).startswith(f"{path}:{line_of(text, bad_line(first))}: ")
 
 
 class TestRunScenario:

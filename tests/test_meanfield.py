@@ -479,6 +479,29 @@ class TestIntegrate:
             integrate(uniform_seed_state(TWO_FOUR, 0.1), TWO_FOUR, ModelParams(lam=1.0, alpha=1.0),
                       t_end=10.0, dt=0.01)
 
+    @pytest.mark.parametrize("lam", [1e5, 1e6, 1e8])
+    @pytest.mark.parametrize("kind, g", [("none", 0.0), ("random", 0.3), ("targeted", 0.05)])
+    def test_very_large_lambda_completes(self, caplog, lam, kind, g):
+        # the first trial steps' stages overflow, so their error estimates
+        # are not finite; they are rejected and shrunk, as a step whose
+        # error is too large, instead of failing the curve
+        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
+        dist = sample_powerlaw_distribution(2.4, 2, 10**4)
+        params = ModelParams(lam=lam, alpha=0.8, beta=0.0)
+        plan = _plan(dist, kind, g)
+        traj = integrate(uniform_seed_state(dist, 1e-3), dist, params, plan, t_end=100.0, dt=0.01)
+        assert logged_work(caplog)[1] > 0
+        assert traj.times[-1] == 100.0
+        for values in (traj.i, traj.s, traj.r, traj.psi):
+            assert np.all(np.isfinite(values))
+        assert np.all(traj.psi >= 0.0)
+        for values in (traj.i, traj.s, traj.r):
+            assert np.all((-1e-12 <= values) & (values <= 1.0 + 1e-12))
+        assert np.allclose(traj.i + traj.s + traj.r, 1.0, rtol=0.0, atol=1e-12)
+        if plan is None:
+            # every ignorant is informed; the curve and the fixed point agree
+            assert traj.r[-1] == final_rumor_size(dist, params) == 1.0
+
     def test_blowup_reported(self, monkeypatch):
         # a negative weight and rate on the degree-4 class add
         # w rho_i (exp(75 Psi) - 1) to dPsi/dt and rho_i exp(75 Psi) to I:
