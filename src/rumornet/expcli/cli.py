@@ -6,8 +6,9 @@ Verbs:
   simulate   run a full scenario sweep (CSV + SVG per plot family + manifest)
   compare    cross-check mean-field against Monte Carlo per grid point
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure,
-3 comparison-tolerance failure.
+Exit codes: 0 success, 1 configuration error (a flag value included),
+2 runtime failure, 3 comparison-tolerance failure.  argparse's own usage
+errors (an unknown flag, a missing --config) also exit 2.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ EXIT_TOLERANCE = 3
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="scenario configuration file")
-    sub.add_argument("--seed", type=int, default=None, help="override the master seed")
+    sub.add_argument("--seed", default=None, help="override the master seed")
     sub.add_argument("--out", default=None, help="override the output directory")
-    sub.add_argument("--workers", type=int, default=None, help="override the worker count")
+    sub.add_argument("--workers", default=None, help="override the worker count")
 
 
 def build_parser() -> argparse.ArgumentParser:

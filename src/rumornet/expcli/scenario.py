@@ -167,24 +167,32 @@ def _parse_lines(path):
     """Raw (section, key) -> (value, lineno) map with syntax checking."""
     entries: dict[tuple[str, str], tuple[str, int]] = {}
     section = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip()
-                if not section:
-                    raise ScenarioError(f"{path}:{lineno}: empty section name")
-                continue
-            if "=" not in line:
-                raise ScenarioError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            if section is None:
-                raise ScenarioError(f"{path}:{lineno}: key outside any [section]")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if (section, key) in entries:
-                raise ScenarioError(f"{path}:{lineno}: duplicate key '{key}' in [{section}]")
-            entries[(section, key)] = (value, lineno)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except FileNotFoundError:
+        raise ScenarioError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if not section:
+                raise ScenarioError(f"{path}:{lineno}: empty section name")
+            continue
+        if "=" not in line:
+            raise ScenarioError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        if section is None:
+            raise ScenarioError(f"{path}:{lineno}: key outside any [section]")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if (section, key) in entries:
+            raise ScenarioError(f"{path}:{lineno}: duplicate key '{key}' in [{section}]")
+        entries[(section, key)] = (value, lineno)
     return entries
 
 
@@ -214,12 +222,10 @@ def parse_scenario(path, overrides=None) -> Scenario:
     ``[model] lambda``) has no line to cite, so its complaint cites the file only.
     Of several bad values, the one of the first field in ``Scenario`` is reported.
 
-    ``overrides`` maps a ``[scenario]`` key to the value of its command-line
-    flag (``--seed``), None if not given; each replaces the file's value and
-    is checked as one, its complaint naming the flag.
+    ``overrides`` maps a ``[scenario]`` key to the text of its command-line
+    flag (``--seed``), None if not given; each is parsed and checked as the
+    file's value would be, its complaint naming the flag, and replaces it.
     """
-    if not os.path.exists(path):
-        raise ScenarioError(f"{path}: no such file")
     entries = _parse_lines(path)
 
     for (section, key), (_, lineno) in entries.items():
@@ -275,7 +281,11 @@ def parse_scenario(path, overrides=None) -> Scenario:
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        name = _KEYS["scenario", key][0]
+        name, parse, _ = _KEYS["scenario", key]
+        try:
+            value = parse(value)
+        except ValueError as exc:
+            raise ScenarioError(f"bad value for '--{key}': {exc}") from None
         complaint = _complaint(_CHECKS[name], value, f"--{key}")
         if complaint:
             raise ScenarioError(complaint)

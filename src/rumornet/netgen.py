@@ -129,23 +129,22 @@ class Network:
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         u, v = pairs.reshape(-1, 2).T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keys = lo * n + hi  # meaningless for the invalid edges, which are caught first below
-        unique_keys, first = np.unique(keys, return_index=True)
-        repeated = np.ones(keys.size, dtype=bool)
-        repeated[first] = False
-        invalid = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
-        dup = np.flatnonzero(repeated)
-        if invalid.size or dup.size:
+        # one directed key row * n + col per slot; for in-range ids, sorting them
+        # lays out the CSR rows and puts a self-loop's or a repeated edge's keys
+        # side by side
+        keys = lo * n + hi
+        slots = np.sort(np.concatenate((keys, hi * n + lo)))
+        if keys.size and (lo.min() < 0 or hi.max() >= n or np.any(slots[1:] == slots[:-1])):
             # report the first offending edge in input order, as a sequential scan would
-            i = min(invalid[:1].tolist() + dup[:1].tolist())
+            repeated = np.ones(keys.size, dtype=bool)
+            repeated[np.unique(keys, return_index=True)[1]] = False
+            i = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n) | repeated)[0]
             a, b = int(u[i]), int(v[i])
             if a == b:
                 raise ValueError(f"self-loop at node {a}")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a},{b}) out of range for n={n}")
             raise ValueError(f"duplicate edge ({a},{b})")
-        # one directed key row * n + col per slot; sorting them lays out the CSR rows
-        slots = np.sort(np.concatenate((unique_keys, (unique_keys % n) * n + unique_keys // n)))
         rows, indices = np.divmod(slots, n)
         degrees = np.bincount(rows, minlength=n)
         indptr = np.concatenate(([0], np.cumsum(degrees)))
@@ -155,7 +154,7 @@ class Network:
         self.indptr = indptr
         self.indices = indices
         self.degrees = degrees
-        self.edge_count = int(unique_keys.size)
+        self.edge_count = int(keys.size)
         self.erased_edges = int(erased_edges)
 
     def __repr__(self) -> str:
@@ -170,29 +169,6 @@ class Network:
         rows = self.slot_rows()
         upper = rows < self.indices
         yield from zip(rows[upper].tolist(), self.indices[upper].tolist())
-
-    def validate(self) -> None:
-        """Re-check the CSR layout: bookkeeping, simple sorted rows, and symmetry."""
-        n, indptr, indices = self.n, self.indptr, self.indices
-        if indptr.size != n + 1 or indptr[0] != 0 or np.any(np.diff(indptr) != self.degrees):
-            raise AssertionError("indptr does not match the degrees")
-        if indptr[-1] != indices.size or indices.size != 2 * self.edge_count:
-            raise AssertionError("slot count does not equal twice the edge count")
-        rows = self.slot_rows()
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise AssertionError("neighbor id out of range")
-        loops = np.flatnonzero(indices == rows)
-        if loops.size:
-            raise AssertionError(f"self-loop at node {rows[loops[0]]}")
-        repeats = np.flatnonzero((np.diff(indices) <= 0) & (rows[1:] == rows[:-1]))
-        if repeats.size:
-            raise AssertionError(f"multi-edge or unsorted row at node {rows[repeats[0]]}")
-        # sorted rows make the forward keys ascending; a symmetric graph reverses onto them
-        forward = rows * n + indices
-        mismatch = np.flatnonzero(forward != np.sort(indices * n + rows))
-        if mismatch.size:
-            j = mismatch[0]
-            raise AssertionError(f"asymmetric edge ({rows[j]},{indices[j]})")
 
     def empirical_distribution(self) -> DegreeDistribution:
         """Degree distribution of the graph, restricted to nodes of degree >= 1."""
@@ -277,8 +253,6 @@ def build_configuration_network(dist: DegreeDistribution, n_nodes: int, rng: np.
         if new_keys.size:
             seen = np.insert(seen, np.searchsorted(seen, new_keys), new_keys)
         leftover = pairs[~accepted].ravel()
-        if leftover.size == 0:
-            break
     erased = int(leftover.size) // 2
     edges = np.column_stack(np.divmod(seen[:-1], n_nodes))
     return Network(n_nodes, edges, erased_edges=erased)

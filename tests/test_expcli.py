@@ -134,7 +134,7 @@ class TestParsing:
             parse_scenario(write_config(tmp_path, bad))
 
     def test_missing_file(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=r"^/nonexistent/path\.cfg: no such file$"):
             parse_scenario("/nonexistent/path.cfg")
 
     def test_syntax_error_cites_line(self, tmp_path):
@@ -621,6 +621,27 @@ t_max = 5
         assert main(["simulate", "--config", str(path)]) == 1
         path = write_config(tmp_path, MINIMAL.replace("n = 1000", "n = 0"), "no_nodes.cfg")
         assert main(["simulate", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "x"), ("--workers", "1.5")])
+    def test_flag_value_that_does_not_parse_is_a_config_error(self, tmp_path, capsys, flag, value):
+        # argparse once rejected these itself, with its usage text and exit 2
+        path = write_config(tmp_path, MINIMAL)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"), flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: bad value for '{flag}': ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "utf-16 bytes"])
+    def test_config_that_cannot_be_read_as_text_is_a_config_error(self, tmp_path, capsys, kind):
+        # both once escaped main as a traceback
+        path = tmp_path / "scenario.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe" + MINIMAL.encode("utf-16-le"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line", [
         "seeds = 0", "seeds = 500", "dt_meanfield = 0", "dt_montecarlo = -0.1", "t_end = -1", "t_max = -1",

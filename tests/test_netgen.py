@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumornet import netgen
 from rumornet.netgen import (
@@ -83,7 +85,7 @@ class TestBANetwork:
         # every added node contributes exactly m edges on top of the seed clique
         net = build_ba_network(5, 3, 1, np.random.default_rng(0))
         assert net.edge_count == 3 + 2
-        net.validate()
+        check_csr(net)
 
     def test_mean_degree_near_2m(self):
         n, m0, m = 10**4, 5, 3
@@ -95,7 +97,7 @@ class TestBANetwork:
 
     def test_m_equal_m0_allowed(self):
         net = build_ba_network(4, 3, 3, np.random.default_rng(2))
-        net.validate()
+        check_csr(net)
         assert net.edge_count == 3 + 3
 
     def test_precondition_violations(self):
@@ -140,7 +142,7 @@ class TestConfigurationNetwork:
     def test_point_mass_degree_two(self):
         dist = DegreeDistribution([2], [1.0])
         net = build_configuration_network(dist, 4, np.random.default_rng(0))
-        net.validate()
+        check_csr(net)
         assert np.all(net.degrees == 2)
 
     def test_unfixable_parity_reported(self):
@@ -151,7 +153,7 @@ class TestConfigurationNetwork:
     def test_mean_degree_matches_target(self):
         dist = sample_powerlaw_distribution(2.4, 2, 10**4)
         net = build_configuration_network(dist, 10**4, np.random.default_rng(11))
-        net.validate()
+        check_csr(net)
         assert net.degrees.mean() == pytest.approx(dist.moment(1.0), rel=0.05)
 
     def test_total_variation_distance(self):
@@ -168,12 +170,12 @@ class TestConfigurationNetwork:
         # a gamma near 2 with k_min = 1 leaves hub stubs that cannot be matched
         dist = sample_powerlaw_distribution(2.1, 1, 2000)
         net = build_configuration_network(dist, 2000, np.random.default_rng(3))
-        net.validate()
+        check_csr(net)
         assert net.erased_edges > 0
         # one round erases more, but the same drawn stubs are all accounted for
         monkeypatch.setattr(netgen, "_MATCHING_ROUNDS", 1)
         once = build_configuration_network(dist, 2000, np.random.default_rng(3))
-        once.validate()
+        check_csr(once)
         assert once.erased_edges > net.erased_edges
         assert once.edge_count + once.erased_edges == net.edge_count + net.erased_edges
 
@@ -214,18 +216,59 @@ class TestNodeStrength:
 
 
 def check_csr(net):
-    """The CSR invariants, checked independently of ``Network.validate``."""
-    assert net.indptr[0] == 0
-    assert net.indptr[-1] == net.indices.size == 2 * net.edge_count
-    assert np.array_equal(np.diff(net.indptr), net.degrees)
-    rows = [net.indices[net.indptr[u]:net.indptr[u + 1]] for u in range(net.n)]
-    assert all(np.all(np.diff(row) > 0) for row in rows)
+    """The CSR invariants, read from the arrays alone."""
+    n, indptr, indices = net.n, net.indptr, net.indices
+    assert indptr.size == n + 1 and indptr[0] == 0
+    assert indptr[-1] == indices.size == 2 * net.edge_count
+    assert np.array_equal(np.diff(indptr), net.degrees)
+    assert np.all((0 <= indices) & (indices < n)), "neighbor id out of range"
+    rows = [indices[indptr[u]:indptr[u + 1]] for u in range(n)]
     slots = {(u, int(v)) for u, row in enumerate(rows) for v in row}
-    assert slots == {(v, u) for u, v in slots}
-    assert all(u != v for u, v in slots)
+    assert all(u != v for u, v in slots), "self-loop"
+    assert all(np.all(np.diff(row) > 0) for row in rows), "multi-edge or unsorted row"
+    assert slots == {(v, u) for u, v in slots}, "asymmetric edge"
+
+
+def sequential_network_check(n, edges):
+    """Edge-by-edge reference for ``Network``'s input check.
+
+    Returns the error message for the first offending edge, or else the
+    accepted edges as sorted (u, v) pairs with u < v.
+    """
+    seen = set()
+    for a, b in edges:
+        if a == b:
+            return f"self-loop at node {a}"
+        if not (0 <= a < n and 0 <= b < n):
+            return f"edge ({a},{b}) out of range for n={n}"
+        if (min(a, b), max(a, b)) in seen:
+            return f"duplicate edge ({a},{b})"
+        seen.add((min(a, b), max(a, b)))
+    return sorted(seen)
+
+
+@st.composite
+def small_edge_lists(draw):
+    n = draw(st.integers(1, 7))
+    node = st.integers(-2, n + 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=12))
 
 
 class TestNetworkBasics:
+    @settings(max_examples=400, deadline=None)
+    @given(small_edge_lists())
+    def test_constructor_matches_a_sequential_scan(self, case):
+        n, edges = case
+        expected = sequential_network_check(n, edges)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as raised:
+                Network(n, edges)
+            assert str(raised.value) == expected
+        else:
+            net = Network(n, edges)
+            check_csr(net)
+            assert list(net.edges()) == expected
+
     def test_rejects_self_loop_and_duplicate(self):
         with pytest.raises(ValueError):
             Network(3, [(0, 0)])
@@ -252,18 +295,21 @@ class TestNetworkBasics:
         dist = sample_powerlaw_distribution(2.2, 1, 2000)
         check_csr(build_configuration_network(dist, 2000, np.random.default_rng(7)))
 
-    def test_validate_detects_broken_csr(self):
+    def test_check_csr_detects_broken_csr(self):
         net = Network(4, [(0, 1), (1, 2), (2, 3)])
-        net.validate()
+        check_csr(net)
         net.indices = np.array([1, 0, 3, 1, 3, 2])  # row 1 names 3, row 3 does not name 1
-        with pytest.raises(AssertionError, match=r"asymmetric edge \(1,3\)"):
-            net.validate()
+        with pytest.raises(AssertionError, match="asymmetric edge"):
+            check_csr(net)
         net.indices = np.array([1, 1, 2, 1, 3, 2])  # row 1 names itself
-        with pytest.raises(AssertionError, match="self-loop at node 1"):
-            net.validate()
+        with pytest.raises(AssertionError, match="self-loop"):
+            check_csr(net)
         net.indices = np.array([1, 0, 2, 1, 1, 2])  # row 2 names 1 twice
-        with pytest.raises(AssertionError, match="multi-edge or unsorted row at node 2"):
-            net.validate()
+        with pytest.raises(AssertionError, match="multi-edge or unsorted row"):
+            check_csr(net)
+        net.indices = np.array([1, 0, 2, 1, 3, 4])  # row 3 names node 4 of 0..3
+        with pytest.raises(AssertionError, match="neighbor id out of range"):
+            check_csr(net)
 
     def test_edge_list_roundtrip(self, tmp_path):
         net = build_ba_network(50, 4, 2, np.random.default_rng(8))
