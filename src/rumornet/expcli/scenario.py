@@ -9,8 +9,9 @@ bytes.  Every random stream is keyed to (master seed, grid-point index,
 run index), never to execution order, so grid points can run in any order or
 in parallel without changing the output.
 
-The benchmark in ``perfbench/`` binds names of this module from outside the
-package, so they keep their names and every call goes through them:
+The benchmark in ``perfbench/`` binds names of this module, and three of
+``rumornet.thresholds``, from outside the package, so they keep their names
+and every call goes through them:
 
 * its tracer wraps the module globals ``build_ba_network``,
   ``build_configuration_network``, ``sample_powerlaw_distribution``,
@@ -18,7 +19,10 @@ package, so they keep their names and every call goes through them:
   ``make_targeted_plan`` and ``line_plot``;
 * its output checks import ``make_targeted_plan`` from here and read the
   Scenario fields ``name``, ``engine``, ``timeseries``, ``net_kind``,
-  ``gamma``, ``k_min``, ``n_nodes``, ``lam_grid`` and ``inoc_kind``.
+  ``gamma``, ``k_min``, ``n_nodes``, ``lam_grid`` and ``inoc_kind``;
+* its threshold check imports ``threshold_modified``,
+  ``threshold_random_inoc`` and ``threshold_targeted_inoc`` from
+  ``rumornet.thresholds``, which keeps them for it alone.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from .. import montecarlo
 from ..inoculation import InoculationPlan, make_random_plan, make_targeted_plan
-from ..meanfield import ModelParams, final_rumor_size, integrate, uniform_seed_state
+from ..meanfield import ModelParams, critical_rate, final_rumor_size, integrate, uniform_seed_state
 from ..netgen import (
     DegreeDistribution,
     Network,
@@ -599,35 +603,31 @@ def threshold_table(scenario: Scenario) -> list[dict]:
     """Analytic threshold rows ``alpha,beta,sigma,g,lambda_c,lambda_c_classic,regime``,
     one per distinct (alpha, beta, sigma, g) of the grids, in grid order.
 
-    lambda_c and a targeted plan use the distribution ``simulate`` uses: a
-    configuration scenario's power law, a BA scenario's empirical degree
-    distribution.  lambda_c_classic and regime come from
-    threshold_modified_bounded on the bounded network, for a BA network with
-    gamma=3 and k_min=m: lambda_c_classic is its value for the classic model
-    (alpha=1, beta=0), regime its size regime at the row's alpha and beta.
-    A plan's lambda_c is the moment ratio with each class weighted by 1 - g_k,
-    as the mean field's outbreak test weighs it; under random inoculation
-    that is lambda_c / (1 - g) up to rounding.  The outbreak condition
-    compares the growth rate with the stifling rate sigma, so both
-    thresholds of a row are its sigma times their sigma = 1 values.
+    Both thresholds are ``critical_rate``, the one definition of lambda_c, on
+    the distribution ``simulate`` uses: a configuration scenario's power law,
+    a BA scenario's empirical degree distribution.  lambda_c is that of the
+    row's (alpha, beta, sigma, plan), for every plan and for none, so
+    ``simulate`` reports R_mf = 0 at every lambda <= lambda_c of its row and
+    an outbreak above it.  lambda_c_classic is that of the classic model
+    (alpha=1, beta=0, no plan) at the row's sigma.  regime is the size regime
+    of threshold_modified_bounded at the row's alpha and beta, on the bounded
+    network, for a BA network with gamma=3 and k_min=m.
     """
-    # imported here, the one caller, so a simulate run never loads them
-    from ..thresholds import threshold_modified, threshold_modified_bounded, threshold_targeted_inoc
+    # imported here, the one caller, so a simulate run never loads it
+    from ..thresholds import threshold_modified_bounded
 
     dist = build_network(scenario, graph=False)[0]
     gamma, k_min = (3.0, scenario.m) if scenario.net_kind == "ba" else (scenario.gamma, scenario.k_min)
-    classic = threshold_modified_bounded(gamma, k_min, scenario.n_nodes, 1.0, 0.0).value
+    classic = critical_rate(dist, 1.0, 0.0)
     plans = scenario.plans(dist)
     rows = []
     grids = (getattr(scenario, _AXES[axis]) for axis in _THRESHOLD_AXES)
     for key in dict.fromkeys(product(*grids)):
         alpha, beta, sigma, g = key
-        plan = plans[g]
-        lambda_c = (threshold_modified(dist, alpha, beta) if plan is None
-                    else threshold_targeted_inoc(dist, alpha, beta, plan))
         rows.append({
             **dict(zip(_THRESHOLD_AXES, key)),
-            "lambda_c": sigma * lambda_c,
+            "lambda_c": critical_rate(dist, alpha, beta, plans[g], sigma),
+            # the double critical_rate(dist, 1.0, 0.0, None, sigma) returns
             "lambda_c_classic": sigma * classic,
             "regime": threshold_modified_bounded(gamma, k_min, scenario.n_nodes, alpha, beta).regime,
         })

@@ -21,6 +21,18 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi], or, when it is narrower than 1e-12, a range about it: 0.5
+    wider each way, or 2**-40 |lo| wider where the doubles within 1 of lo
+    are 0.5 or more apart (|lo| + 1 >= 2**51).  There 0.5 is lost to
+    rounding, or the ticks' step of 0.2 is below half the spacing and the
+    tick loop never advances."""
+    if hi - lo >= 1e-12:
+        return lo, hi
+    pad = 0.5 if math.ulp(abs(lo) + 1.0) < 0.5 else abs(lo) * 2.0**-40
+    return lo - pad, hi + pad
+
+
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi] with a 1/2/5 step."""
     if hi <= lo:
@@ -65,10 +77,8 @@ def line_plot(
         y_hi = max(p[1] for p in all_pts)
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
-    if x_hi - x_lo < 1e-12:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi - y_lo < 1e-12:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _widened(x_lo, x_hi)
+    y_lo, y_hi = _widened(y_lo, y_hi)
     y_pad = 0.05 * (y_hi - y_lo)
     y_lo -= y_pad
     y_hi += y_pad

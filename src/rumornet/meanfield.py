@@ -63,6 +63,7 @@ __all__ = [
     "IntegrationError",
     "ModelParams",
     "Trajectory",
+    "critical_rate",
     "final_rumor_size",
     "integrate",
     "psi_fixed_point",
@@ -273,6 +274,10 @@ class _Family:
         np.multiply(self.rates[:cut], -scale, out=head)
         np.expm1(head, out=head)
         return cut, [total - tail[cut] for total, tail in zip((mix[:, :cut] @ head).tolist(), tails)]
+
+    def critical_rate(self, sigma: float) -> float:
+        """sigma * (1 / S_0), or infinity when S_0 = 0 (see critical_rate)."""
+        return sigma * (1.0 / self.slope) if self.slope > 0.0 else math.inf
 
 
 def _suffix_sums(rows: np.ndarray) -> tuple[memoryview, ...]:
@@ -649,6 +654,23 @@ def _dense(theta: float, coeffs: tuple[float, ...]) -> float:
     return value
 
 
+def critical_rate(
+    dist: DegreeDistribution,
+    alpha: float,
+    beta: float,
+    plan: InoculationPlan | None = None,
+    sigma: float = 1.0,
+) -> float:
+    """The rumor threshold lambda_c = sigma / S_0 of the family
+    (dist, alpha, beta, plan), S_0 = sum_k k**alpha P(k) b_k from its table,
+    or infinity when S_0 = 0.  The one definition of lambda_c:
+    psi_fixed_point returns 0 exactly at lam <= this double.  Without a plan
+    1 / S_0 is <k**(beta+1)> / <k**(alpha+beta+1)>, <k> / <k**2> at alpha=1,
+    beta=0; a plan weights each class of the denominator by 1 - g_k.
+    """
+    return _family_table(dist, alpha, beta, plan).critical_rate(sigma)
+
+
 def psi_fixed_point(
     dist: DegreeDistribution,
     params: ModelParams,
@@ -662,7 +684,8 @@ def psi_fixed_point(
     Zero is always a root.  The right-hand side f is concave and increasing in
     Psi, so a nonzero root exists exactly when its slope at zero,
     lam S_0 / sigma with S_0 = sum_k k**alpha P(k) b_k, exceeds one, i.e.
-    above the rumor threshold; below it the result is 0.  Above it, Newton's
+    above the rumor threshold; the result is 0 at every lam <= critical_rate,
+    the same double read from the same table.  Above it, Newton's
     method on the convex h(x) = x - f(x), started from the upper bound
     <k**alpha>/sigma, descends monotonically onto the largest root and stops
     once a step is below _PSI_TOL * max(1, x).  h and h' are evaluated
@@ -677,7 +700,7 @@ def psi_fixed_point(
     """
     table = _family_table(dist, params.alpha, params.beta, plan)
     lam, sigma = params.lam, params.sigma
-    if lam * table.slope / sigma <= 1.0:
+    if lam <= table.critical_rate(sigma):
         _log.debug("psi_fixed_point: path=zero steps=0")
         return 0.0
 

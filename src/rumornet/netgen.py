@@ -126,7 +126,12 @@ class Network:
     def __init__(self, n: int, edges, erased_edges: int = 0):
         if n < 1:
             raise ValueError("a network needs at least one node")
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        # an empty list reads as float64; any other non-integer id is refused,
+        # not truncated, and an int64 array is taken as it is
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise ValueError(f"node ids must be integers, got {pairs.dtype}")
+        pairs = pairs.astype(np.int64, copy=False)
         u, v = pairs.reshape(-1, 2).T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         # one directed key row * n + col per slot; for in-range ids, sorting them

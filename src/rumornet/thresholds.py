@@ -1,8 +1,15 @@
 """Analytic rumor thresholds.
 
-The primary threshold is the discrete moment ratio
-lambda_c = <k**(beta+1)> / <k**(alpha+beta+1)> evaluated on the finite
-support; the bounded variant evaluates the same ratio in the continuum with
+The threshold lambda_c has one definition, ``meanfield.critical_rate``: sigma
+over the slope S_0 of the mean field's fixed-point map at zero, read from the
+family table the solver itself uses, so a rate at or below it gives no
+outbreak and any larger rate gives one.  Without a plan it is the discrete
+moment ratio <k**(beta+1)> / <k**(alpha+beta+1)> on the finite support.
+``threshold_modified`` and ``threshold_targeted_inoc`` return it at sigma = 1,
+and ``threshold_random_inoc`` scales a bare threshold by 1 / (1 - g); the
+package calls none of the three, which stay for ``perfbench/checks.py``.
+
+The bounded variant evaluates the same ratio in the continuum with
 the hard cutoff k_max = k_min * n**(1/(gamma-1)) and reports its leading
 large-n behavior, which is what exposes the size-(in)dependence regimes:
 the threshold stays finite and size-independent when alpha + beta + 2 < gamma,
@@ -19,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .inoculation import InoculationPlan
+from .meanfield import critical_rate
 from .netgen import DegreeDistribution
 
 __all__ = [
@@ -55,11 +63,11 @@ class ThresholdReport:
 
 
 def threshold_modified(dist: DegreeDistribution, alpha: float, beta: float) -> float:
-    """Discrete-support threshold <k**(beta+1)> / <k**(alpha+beta+1)>.
+    """The bare threshold at sigma = 1, ``critical_rate`` without a plan.
 
     At alpha=1, beta=0 this is the classical <k>/<k**2>.
     """
-    return dist.moment(beta + 1.0) / dist.moment(alpha + beta + 1.0)
+    return critical_rate(dist, alpha, beta)
 
 
 def threshold_modified_bounded(
@@ -128,19 +136,12 @@ def threshold_random_inoc(lambda_c: float, g: float) -> float:
 
 
 def threshold_targeted_inoc(
-    dist: DegreeDistribution, alpha: float, beta: float, plan: InoculationPlan
+    dist: DegreeDistribution, alpha: float, beta: float, plan: InoculationPlan | None = None
 ) -> float:
-    """Threshold under a per-degree inoculation profile g_k.
-
-    <k**(beta+1)> / (<k**(alpha+beta+1)> - <g_k k**(alpha+beta+1)>); when the
-    denominator is not positive the profile has removed every transmission
-    channel and the NO_OUTBREAK sentinel is returned.  Accepts any plan kind
-    through its profile: an all-zero profile reduces to the bare threshold and
-    a uniform profile to the random-inoculation one.
+    """The threshold at sigma = 1 under a plan's per-degree profile g_k,
+    ``critical_rate``: <k**(beta+1)> / sum_k (1 - g_k) k**(alpha+beta+1) P(k),
+    or NO_OUTBREAK when the profile has removed every transmission channel.
+    Accepts any plan kind through its profile, or none: an all-zero profile
+    gives the bare threshold and a uniform one the random-inoculation one.
     """
-    numerator = dist.moment(beta + 1.0)
-    inoculated_part = float((plan.profile(dist) * dist.power(alpha + beta + 1.0) * dist.probs).sum())
-    denominator = dist.moment(alpha + beta + 1.0) - inoculated_part
-    if denominator <= 0.0:
-        return NO_OUTBREAK
-    return numerator / denominator
+    return critical_rate(dist, alpha, beta, plan)

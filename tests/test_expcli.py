@@ -12,6 +12,7 @@ import pytest
 
 from rumornet import meanfield, montecarlo
 from rumornet.expcli import scenario as scenario_module
+from rumornet.expcli import svg as svg_module
 from rumornet.expcli.cli import main
 from rumornet.expcli.scenario import (
     Scenario,
@@ -25,9 +26,8 @@ from rumornet.expcli.scenario import (
     threshold_table,
 )
 from rumornet.expcli.svg import line_plot
-from rumornet.meanfield import ModelParams, final_rumor_size
+from rumornet.meanfield import ModelParams, critical_rate, final_rumor_size
 from rumornet.netgen import Network
-from rumornet.thresholds import threshold_modified_bounded
 
 MINIMAL = """\
 [scenario]
@@ -420,6 +420,44 @@ g = 0.0,0.05
             assert final_rumor_size(dist, below, plan) < 1e-12
             assert final_rumor_size(dist, above, plan) > 1e-5
 
+    @pytest.mark.parametrize("inoculation", ["kind = none", "kind = random\ng = 0.01,0.05,0.3",
+                                             "kind = targeted\ng = 0.01,0.05,0.3"],
+                             ids=["none", "random", "targeted"])
+    def test_written_lambda_c_is_where_the_outbreak_starts(self, tmp_path, inoculation):
+        # R_mf is exactly 0 at the lambda_c thresholds.csv writes and positive
+        # just above it, on the phase_diagram law, for every family and sigma
+        config = f"""\
+[network]
+kind = configuration
+gamma = 2.4
+k_min = 2
+n = 100000
+
+[model]
+lambda = 1.0
+alpha = 0.5,0.65,0.8,1.0
+beta = -0.5,0,0.5
+sigma = 0.5,1,2
+
+[inoculation]
+{inoculation}
+"""
+        path = write_config(tmp_path, config)
+        assert main(["threshold", "--config", str(path), "--out", str(tmp_path / "t")]) == 0
+        lines = (tmp_path / "t" / "thresholds.csv").read_text().splitlines()
+        header, *data = [line.split(",") for line in lines if not line.startswith("#")]
+        scenario = parse_scenario(path)
+        dist = build_network(scenario, graph=False)[0]
+        assert len(data) == len(scenario.grid())
+        for cells in data:
+            row = dict(zip(header, cells))
+            alpha, beta, sigma, g, lambda_c = (float(row[key]) for key in ("alpha", "beta", "sigma", "g", "lambda_c"))
+            plan = scenario.plan_for(dist, g)
+            at = ModelParams(lam=lambda_c, alpha=alpha, beta=beta, sigma=sigma)
+            above = ModelParams(lam=lambda_c * (1 + 1e-9), alpha=alpha, beta=beta, sigma=sigma)
+            assert final_rumor_size(dist, at, plan) == 0.0, row
+            assert final_rumor_size(dist, above, plan) > 0.0, row
+
     def test_one_series_per_combination(self, tmp_path):
         config = MINIMAL.replace("beta = -0.5", "beta = -0.5\nsigma = 0.5,1,2") + """
 [inoculation]
@@ -438,11 +476,11 @@ g = 0,0.05
         assert [svg.count(f">s={sigma}</text>") for sigma in ("0.5", "1", "2")] == [1, 1, 1]
         assert ">g</text>" in svg
 
-    @pytest.mark.parametrize("network, gamma, k_min", [
-        ("kind = configuration\ngamma = 2.6\nk_min = 3\nn = 2000", 2.6, 3),
-        ("kind = ba\nm = 2\nm0 = 3\nn = 2000", 3.0, 2),
+    @pytest.mark.parametrize("network, k_min", [
+        ("kind = configuration\ngamma = 2.6\nk_min = 3\nn = 2000", 3),
+        ("kind = ba\nm = 2\nm0 = 3\nn = 2000", 2),
     ], ids=["configuration", "ba"])
-    def test_classic_column(self, tmp_path, network, gamma, k_min):
+    def test_classic_column(self, tmp_path, network, k_min):
         config = f"""\
 [network]
 {network}
@@ -461,7 +499,12 @@ g = 0.0,1.0
         lines = (tmp_path / "t" / "thresholds.csv").read_text().splitlines()
         data = [line.split(",") for line in lines if not line.startswith("#")]
         assert data[0] == ["alpha", "beta", "sigma", "g", "lambda_c", "lambda_c_classic", "regime"]
-        classic = threshold_modified_bounded(gamma, k_min, 2000, 1.0, 0.0).value
+        # the classic model's lambda_c on the distribution simulate uses: the
+        # discrete <k>/<k**2> of the (alpha=1, beta=0, no plan) family
+        dist = build_network(parse_scenario(path), graph=False)[0]
+        assert dist.k_min == k_min
+        classic = critical_rate(dist, 1.0, 0.0)
+        assert classic == pytest.approx(dist.moment(1.0) / dist.moment(2.0), rel=1e-14)
         assert len(data) == 1 + 4
         for row, alpha, g in zip(data[1:], (0.5, 0.5, 0.8, 0.8), (0.0, 1.0, 0.0, 1.0)):
             assert [float(cell) for cell in row[:4]] == [alpha, -0.5, 1.0, g]
@@ -556,6 +599,23 @@ class TestSvg:
     def test_handles_degenerate_and_nonfinite(self):
         doc = line_plot([("flat", [1, 1, 1], [2, 2, float("nan")])])
         assert "<polyline" in doc
+
+    @pytest.mark.parametrize("value", [1e16, 1e20, 1e300, -1e300])
+    def test_one_value_axis_at_any_magnitude(self, value):
+        # +-0.5 is lost to rounding there; the point lands mid-axis either way
+        x_doc = line_plot([("x", [value], [0.5])])
+        y_doc = line_plot([("y", [0.0, 1.0], [value, value])])
+        assert '<polyline points="383.00,' in x_doc
+        assert '<polyline points="62.00,224.00 704.00,224.00"' in y_doc
+        for doc in (x_doc, y_doc):
+            assert "nan" not in doc and "inf" not in doc
+            assert doc.count("<line") >= 4
+
+    def test_one_value_axis_keeps_its_half_unit_padding(self):
+        # below 2**51 - 1 the padding is the +-0.5 it always was
+        for value in (0.0, 1.0, -3.25, 1e15, 2.0**51 - 2.0, -(2.0**51 - 2.0)):
+            assert svg_module._widened(value, value) == (value - 0.5, value + 0.5)
+        assert svg_module._widened(0.0, 1.0) == (0.0, 1.0)
 
     def test_writes_file(self, tmp_path):
         path = tmp_path / "plot.svg"
@@ -845,6 +905,14 @@ g = 0.0,0.05
         assert [index for index, _ in seen["jobs"]] == [0, 2, 1, 3]
         for job in seen["jobs"]:
             assert len(pickle.dumps(job)) < 200
+
+    def test_simulate_at_a_huge_lambda_writes_its_plot(self, tmp_path):
+        config = MINIMAL.replace("lambda = 0.2,0.5,0.9", "lambda = 1e20").replace(
+            "engine = meanfield", "engine = meanfield\ntimeseries = false")
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert manifest["completed"] == 1 and sorted(manifest["files"]) == ["final_size.csv", "final_size.svg"]
 
     def test_simulate_writes_manifest(self, tmp_path):
         path = write_config(tmp_path, MINIMAL)

@@ -19,13 +19,13 @@ from rumornet.meanfield import (
     DegreeClassState,
     IntegrationError,
     ModelParams,
+    critical_rate,
     final_rumor_size,
     integrate,
     psi_fixed_point,
     uniform_seed_state,
 )
 from rumornet.netgen import DegreeDistribution, sample_powerlaw_distribution
-from rumornet.thresholds import threshold_modified, threshold_targeted_inoc
 
 POINT_MASS_1 = DegreeDistribution([1], [1.0])
 TWO_FOUR = DegreeDistribution([2, 4], [2 / 3, 1 / 3])
@@ -148,7 +148,7 @@ def per_point_final_size(dist, params, plan=None, tol=1e-10, max_iter=100_000):
         sum_w, sum_wb = sums(lam * x, 0, 2)
         return x + sum_w / sigma, 1.0 - lam * (slope + sum_wb) / sigma
 
-    psi = 0.0 if lam * slope / sigma <= 1.0 else None
+    psi = 0.0 if lam <= (sigma * (1.0 / slope) if slope > 0.0 else math.inf) else None
     x = upper
     for _ in range(max_iter if psi is None else 0):
         hx, h_slope = h(x)
@@ -687,7 +687,7 @@ class TestOracleAgreement:
         self.check_the_rest_curve(caplog, lam=2.0)
 
     def test_sub_threshold_curve_reaches_rest(self, caplog):
-        assert 0.06 < threshold_modified(sample_powerlaw_distribution(2.4, 2, 100), 1.0, -1.0)
+        assert 0.06 < critical_rate(sample_powerlaw_distribution(2.4, 2, 100), 1.0, -1.0)
         self.check_the_rest_curve(caplog, lam=0.06)
 
     @staticmethod
@@ -718,7 +718,7 @@ class TestPsiFixedPoint:
         assert psi_fixed_point(POINT_MASS_1, params) == pytest.approx(expected, abs=1e-9)
 
     def test_zero_below_threshold(self):
-        lam_c = threshold_modified(TWO_FOUR, 0.5, -0.5)
+        lam_c = critical_rate(TWO_FOUR, 0.5, -0.5)
         params = ModelParams(lam=0.999 * lam_c, alpha=0.5, beta=-0.5)
         assert psi_fixed_point(TWO_FOUR, params) == 0.0
 
@@ -729,7 +729,7 @@ class TestPsiFixedPoint:
         assert scaled == pytest.approx(base / 2.0, rel=1e-8)
 
     def test_inoculated_threshold_boundary(self):
-        lam_c = threshold_modified(TWO_FOUR, 1.0, 0.0)
+        lam_c = critical_rate(TWO_FOUR, 1.0, 0.0)
         plan = make_random_plan(0.5)
         below = ModelParams(lam=1.9 * lam_c, alpha=1.0)
         above = ModelParams(lam=2.1 * lam_c, alpha=1.0)
@@ -894,7 +894,7 @@ class TestFinalRumorSize:
 
     def test_sub_threshold_extinction(self):
         dist = sample_powerlaw_distribution(2.4, 2, 1000)
-        lam_c = threshold_modified(dist, 0.5, -0.5)
+        lam_c = critical_rate(dist, 0.5, -0.5)
         params = ModelParams(lam=0.5 * lam_c, alpha=0.5, beta=-0.5)
         finals = []
         for s0 in (1e-4, 1e-5):
@@ -946,8 +946,7 @@ def _plan(dist, kind, g):
 
 def _lambdas(dist, alpha, beta, sigma, plan, overs):
     """0 and lam at each multiple ``over`` of the threshold on dist."""
-    lambda_c = sigma * (threshold_modified(dist, alpha, beta) if plan is None
-                        else threshold_targeted_inoc(dist, alpha, beta, plan))
+    lambda_c = critical_rate(dist, alpha, beta, plan, sigma)
     return [0.0] + ([over * lambda_c for over in overs] if math.isfinite(lambda_c) else [1.0])
 
 
@@ -1012,8 +1011,7 @@ class TestTermLifetimes:
         probs = np.array(raw_probs[:support.size])
         dist = DegreeDistribution(support, probs / probs.sum())
         plan = _plan(dist, kind, g)
-        lambda_c = sigma * (threshold_modified(dist, alpha, beta) if plan is None
-                            else threshold_targeted_inoc(dist, alpha, beta, plan))
+        lambda_c = critical_rate(dist, alpha, beta, plan, sigma)
         assume(math.isfinite(lambda_c))
         one_minus_g = 1.0 - (plan.profile(dist) if plan is not None else np.zeros(support.size))
         b = (one_minus_g * dist.power(1.0 + beta) / dist.moment(1.0 + beta)).tolist()
@@ -1063,7 +1061,7 @@ class TestTermLifetimes:
         params = ModelParams(lam=1.0, alpha=0.8, beta=-0.5)
         final_rumor_size(dist, params, plan)
         integrate(uniform_seed_state(dist, 1e-3), dist, params, plan, t_end=1.0, dt=0.1)
-        threshold_targeted_inoc(dist, 0.8, -0.5, plan)
+        critical_rate(dist, 0.8, -0.5, plan)
         ref = weakref.ref(dist)
         del dist
         gc.collect()
@@ -1087,7 +1085,7 @@ class TestTermLifetimes:
             for alpha in (0.5, 1.0):
                 params = ModelParams(lam=1.0, alpha=alpha, beta=0.5)
                 final_rumor_size(dist, params, plan)
-                threshold_targeted_inoc(dist, alpha, 0.5, plan or make_random_plan(0.0))
+                critical_rate(dist, alpha, 0.5, plan)
                 # the slot holds the one table, of the last family
                 key, table = dist.family_table
                 assert key == (alpha, 0.5, plan) and isinstance(table, meanfield._Family)

@@ -285,6 +285,15 @@ class TestNetworkBasics:
         with pytest.raises(ValueError, match=r"^duplicate edge \(2,1\)$"):
             Network(3, [(1, 2), (0, 1), (2, 1), (0, 0)])
 
+    def test_rejects_non_integer_ids(self):
+        # a float id is refused, not truncated to the edge (0, 1)
+        with pytest.raises(ValueError, match=r"^node ids must be integers, got float64$"):
+            Network(3, [(0.5, 1.9)])
+        with pytest.raises(ValueError, match=r"^node ids must be integers, got float32$"):
+            Network(3, np.array([[0.0, 1.0]], dtype=np.float32))
+        assert Network(3, []).edge_count == 0
+        assert list(Network(3, np.array([[2, 0], [1, 2]], dtype=np.int32)).edges()) == [(0, 2), (1, 2)]
+
     def test_csr_layout(self):
         net = Network(4, [(2, 0), (1, 0), (3, 1)])
         assert net.indptr.tolist() == [0, 2, 4, 5, 6]

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 from rumornet.inoculation import make_random_plan, make_targeted_plan
+from rumornet.meanfield import critical_rate
 from rumornet.netgen import DegreeDistribution, sample_powerlaw_distribution
 from rumornet.thresholds import (
     NO_OUTBREAK,
@@ -203,3 +204,25 @@ class TestInoculatedThresholds:
         plan = make_targeted_plan(dist, 1.0)
         assert threshold_targeted_inoc(dist, 1.0, 0.0, plan) == NO_OUTBREAK
 
+
+
+class TestCriticalRateAccuracy:
+    def test_targeted_threshold_matches_an_fsum_ratio(self):
+        # each class of the denominator weighted by 1 - g_k, with no
+        # cancelling difference of moments: within 1e-14 of the ratio of two
+        # math.fsum sums on the n=10**5 law, where subtracting the inoculated
+        # moment from the bare one was off by up to 9.2e-13
+        dist = sample_powerlaw_distribution(2.4, 2, 10**5)
+        worst = 0.0
+        for g in (0.01, 0.05, 0.3):
+            plan = make_targeted_plan(dist, g)
+            free = (1.0 - plan.profile(dist)).tolist()
+            for alpha in (0.5, 0.65, 0.8, 1.0):
+                for beta in (-0.5, 0.0, 0.5):
+                    numerator = math.fsum((dist.power(beta + 1.0) * dist.probs).tolist())
+                    terms = (dist.power(alpha + beta + 1.0) * dist.probs).tolist()
+                    exact = numerator / math.fsum(f * t for f, t in zip(free, terms))
+                    lambda_c = critical_rate(dist, alpha, beta, plan)
+                    assert threshold_targeted_inoc(dist, alpha, beta, plan) == lambda_c
+                    worst = max(worst, abs(lambda_c - exact) / exact)
+        assert worst <= 1e-14
