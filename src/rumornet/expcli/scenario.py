@@ -609,15 +609,15 @@ def threshold_table(scenario: Scenario) -> list[dict]:
     row's (alpha, beta, sigma, plan), for every plan and for none, so
     ``simulate`` reports R_mf = 0 at every lambda <= lambda_c of its row and
     an outbreak above it.  lambda_c_classic is that of the classic model
-    (alpha=1, beta=0, no plan) at the row's sigma.  regime is the size regime
-    of threshold_modified_bounded at the row's alpha and beta, on the bounded
-    network, for a BA network with gamma=3 and k_min=m.
+    (alpha=1, beta=0, no plan) at the row's sigma.  regime is the
+    ``size_regime`` of the row's alpha and beta, the sign of
+    alpha + beta + 2 - gamma, with gamma=3 for a BA network.
     """
     # imported here, the one caller, so a simulate run never loads it
-    from ..thresholds import threshold_modified_bounded
+    from ..thresholds import size_regime
 
     dist = build_network(scenario, graph=False)[0]
-    gamma, k_min = (3.0, scenario.m) if scenario.net_kind == "ba" else (scenario.gamma, scenario.k_min)
+    gamma = 3.0 if scenario.net_kind == "ba" else scenario.gamma
     classic = critical_rate(dist, 1.0, 0.0)
     plans = scenario.plans(dist)
     rows = []
@@ -629,7 +629,7 @@ def threshold_table(scenario: Scenario) -> list[dict]:
             "lambda_c": critical_rate(dist, alpha, beta, plans[g], sigma),
             # the double critical_rate(dist, 1.0, 0.0, None, sigma) returns
             "lambda_c_classic": sigma * classic,
-            "regime": threshold_modified_bounded(gamma, k_min, scenario.n_nodes, alpha, beta).regime,
+            "regime": size_regime(gamma, alpha, beta),
         })
     return rows
 

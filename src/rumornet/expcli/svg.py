@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import math
+import sys
 
 PALETTE = ["#1f6fb4", "#d95f02", "#2a9d53", "#c23b80", "#7a5195", "#8a6d1d", "#4b4b4b", "#0fa3a3"]
 
@@ -21,35 +22,51 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _clamped(value: float) -> float:
+    """value, or the largest finite double of its sign where it overflowed."""
+    return min(max(value, -sys.float_info.max), sys.float_info.max)
+
+
+def _half_scale(lo: float, hi: float) -> float:
+    """The factor a range's width is taken at: 1, or 0.5 where hi - lo
+    overflows, so that hi * scale - lo * scale is finite for finite ends.
+    Either factor is exact, so at 1 every result is the unscaled one."""
+    return 1.0 if math.isfinite(hi - lo) else 0.5
+
+
 def _widened(lo: float, hi: float) -> tuple[float, float]:
     """[lo, hi], or, when it is narrower than 1e-12, a range about it: 0.5
     wider each way, or 2**-40 |lo| wider where the doubles within 1 of lo
-    are 0.5 or more apart (|lo| + 1 >= 2**51).  There 0.5 is lost to
-    rounding, or the ticks' step of 0.2 is below half the spacing and the
-    tick loop never advances."""
+    are 0.5 or more apart (|lo| + 1 >= 2**51), where 0.5 is lost to
+    rounding.  Neither end goes past the largest finite double."""
     if hi - lo >= 1e-12:
         return lo, hi
     pad = 0.5 if math.ulp(abs(lo) + 1.0) < 0.5 else abs(lo) * 2.0**-40
-    return lo - pad, hi + pad
+    return _clamped(lo - pad), _clamped(hi + pad)
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """Round tick positions covering [lo, hi] with a 1/2/5 step."""
+    """Round tick positions covering [lo, hi] with a 1/2/5 step, for any
+    finite lo and hi.  A step below half the spacing of the doubles at a
+    tick would not move it, so the next tick is then the next double."""
     if hi <= lo:
         hi = lo + 1.0
-    span = hi - lo
-    raw = span / _TICKS
+    scale = _half_scale(lo, hi)
+    span = hi * scale - lo * scale
+    raw = span / _TICKS / scale
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
-        if span / step <= _TICKS + 1:
+        if span / (step * scale) <= _TICKS + 1:
             break
     first = math.ceil(lo / step) * step
+    # a tick past the largest double ends the loop, as it would past hi
+    end = _clamped(hi * scale + 1e-9 * span)
     ticks = []
     value = first
-    while value <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(value) < 1e-12 * span else value)
-        value += step
+    while value * scale <= end:
+        ticks.append(0.0 if abs(value) * scale < 1e-12 * span else value)
+        value = max(value + step, math.nextafter(value, math.inf))
     return ticks
 
 
@@ -79,18 +96,19 @@ def line_plot(
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
     x_lo, x_hi = _widened(x_lo, x_hi)
     y_lo, y_hi = _widened(y_lo, y_hi)
-    y_pad = 0.05 * (y_hi - y_lo)
-    y_lo -= y_pad
-    y_hi += y_pad
+    scale = _half_scale(y_lo, y_hi)
+    y_pad = 0.05 * (y_hi * scale - y_lo * scale) / scale
+    y_lo, y_hi = _clamped(y_lo - y_pad), _clamped(y_hi + y_pad)
+    x_scale, y_scale = _half_scale(x_lo, x_hi), _half_scale(y_lo, y_hi)
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + (x * x_scale - x_lo * x_scale) / (x_hi * x_scale - x_lo * x_scale) * plot_w
 
     def py(y: float) -> float:
-        return _MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + plot_h - (y * y_scale - y_lo * y_scale) / (y_hi * y_scale - y_lo * y_scale) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '

@@ -147,7 +147,8 @@ _DOP_D = (
 # error down to states of about 3e-6 (_PSI_ATOL / _RTOL); q relaxes to its
 # target at rate sigma, so its errors decay and an absolute floor suffices.
 # A step shrinks by at least _SHRINK and grows by at most _GROW, with the
-# _SAFETY margin, and may not fall below _STEP_FLOOR of the time span
+# _SAFETY margin, and may not fall below _STEP_FLOOR of the time span or of
+# the curve's time scale at the start, whichever is shorter
 _RTOL = 3e-11
 _PSI_ATOL = 1e-16
 _Q_ATOL = 1e-12
@@ -431,9 +432,11 @@ def integrate(
     [-1e-6, 1 + 1e-6] or are not finite at a step end or a sample, when an
     error estimate is not finite at a step whose start is not finite (one
     from a finite start is rejected and shrunk), or when the step falls
-    below _STEP_FLOOR of the time span.  Each successful call logs its
-    accepted and rejected steps, the dense outputs built, the step end that
-    proved rest (``rest``, or ``none``), final Psi, final R and the number
+    below _STEP_FLOOR of the shorter of the time span and the curve's time
+    scale 1 / (lam |S| + sigma), with S = sum_k w_k rho_i(k, 0) b_k, so
+    that dPhi/dPsi = lam S - sigma at the start.  Each successful call logs
+    its accepted and rejected steps, the dense outputs built, the step end
+    that proved rest (``rest``, or ``none``), final Psi, final R and the number
     of per-class exponentials evaluated (``evals``; rejected stages and
     samples included) at DEBUG level: 2 at the start, 12 per step tried, 3
     per dense output, 1 per interior sample before rest and 1 for the rest
@@ -547,7 +550,9 @@ def _reduced_dop853(
     if t_final == 0.0:
         return samples, 0, 0, 0, None, evals
     h_max = min(1.0 / sigma, t_final)
-    h_floor = _STEP_FLOOR * t_final
+    # the floor is a fraction of the curve's time scale (see integrate), so
+    # it shrinks as lam grows
+    h_floor = _STEP_FLOOR * min(t_final, 1.0 / (lam * abs(slope_phi) + sigma))
     waiting = iter(sample_steps[1:])
     next_sample = next(waiting)
     # the derivatives of the 13 stages of a step and of the dense output's
@@ -571,7 +576,9 @@ def _reduced_dop853(
         grow = _GROW
 
         while True:
-            if not h >= h_floor:
+            # a step of 0 would loop forever; the floor is 0 once lam |S|
+            # overflows
+            if not (h >= h_floor and h > 0.0):
                 raise IntegrationError(f"step fell to {h:.3e} at t={t:.6g}, below the floor {h_floor:.3e}")
             # a step that would leave under 1% of itself to go ends the span
             last = t + 1.01 * h >= t_final

@@ -1,4 +1,4 @@
-"""Analytic rumor thresholds.
+"""Analytic rumor thresholds and their size regimes.
 
 The threshold lambda_c has one definition, ``meanfield.critical_rate``: sigma
 over the slope S_0 of the mean field's fixed-point map at zero, read from the
@@ -9,11 +9,11 @@ moment ratio <k**(beta+1)> / <k**(alpha+beta+1)> on the finite support.
 and ``threshold_random_inoc`` scales a bare threshold by 1 / (1 - g); the
 package calls none of the three, which stay for ``perfbench/checks.py``.
 
-The bounded variant evaluates the same ratio in the continuum with
-the hard cutoff k_max = k_min * n**(1/(gamma-1)) and reports its leading
-large-n behavior, which is what exposes the size-(in)dependence regimes:
-the threshold stays finite and size-independent when alpha + beta + 2 < gamma,
-vanishes as a power of n when alpha + beta + 2 > gamma, and decays
+``size_regime`` names how that ratio behaves as the network grows on a power
+law P(k) ~ k**-gamma whose support reaches k_max ~ n**(1/(gamma-1)): the
+denominator's moment diverges with k_max exactly when alpha + beta + 2 >
+gamma.  So lambda_c stays finite and size-independent when alpha + beta + 2 <
+gamma, vanishes as a power of n when alpha + beta + 2 > gamma, and decays
 logarithmically on the boundary.
 
 ``NO_OUTBREAK`` (infinity) is the sentinel for "no epidemic possible at any
@@ -23,7 +23,6 @@ finite rate"; report writers render it as the string ``no-outbreak``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .inoculation import InoculationPlan
 from .meanfield import critical_rate
@@ -34,9 +33,8 @@ __all__ = [
     "REGIME_FINITE",
     "REGIME_LOG",
     "REGIME_VANISHING",
-    "ThresholdReport",
+    "size_regime",
     "threshold_modified",
-    "threshold_modified_bounded",
     "threshold_random_inoc",
     "threshold_targeted_inoc",
 ]
@@ -50,18 +48,6 @@ REGIME_LOG = "logarithmic"
 _BOUNDARY_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """A critical rate together with its size-dependence regime."""
-
-    value: float
-    regime: str
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("threshold must be nonnegative")
-
-
 def threshold_modified(dist: DegreeDistribution, alpha: float, beta: float) -> float:
     """The bare threshold at sigma = 1, ``critical_rate`` without a plan.
 
@@ -70,55 +56,22 @@ def threshold_modified(dist: DegreeDistribution, alpha: float, beta: float) -> f
     return critical_rate(dist, alpha, beta)
 
 
-def threshold_modified_bounded(
-    gamma: float, k_min: int, n_nodes: int, alpha: float, beta: float
-) -> ThresholdReport:
-    """Leading large-n value of the continuum threshold with the hard cutoff.
-
-    Both moments behind the ratio are integrals of k**(a-1) over
-    [k_min, k_max]; each is dominated by k_min when its exponent
-    a is negative, by k_max when positive, and is logarithmic at zero.
-    Writing a1 = beta + 2 - gamma and a2 = alpha + beta + 2 - gamma:
-
-      a2 < 0:          k_min**-alpha * (-a2) / (-a1)          (size-independent)
-      a2 = 0:          k_min**-alpha / (alpha * ln(k_max/k_min))
-      a2 > 0, a1 < 0:  k_min**-alpha * (a2 / -a1) * (k_max/k_min)**-a2
-      a2 > 0, a1 = 0:  k_min**-alpha * a2 * ln(k_max/k_min) * (k_max/k_min)**-a2
-      a2 > 0, a1 > 0:  (a2 / a1) * k_max**-alpha
-
-    The regime label follows the sign of a2 = alpha + beta + 2 - gamma alone.
-    At alpha=1, beta=0 this is the classic model's threshold,
-    ((3-gamma) / ((gamma-2) k_min)) * n**((gamma-3)/(gamma-1)) for gamma < 3
-    and 2 / (k_min ln n) at gamma = 3.
+def size_regime(gamma: float, alpha: float, beta: float) -> str:
+    """The size regime of lambda_c on a power law of exponent gamma: the sign
+    of alpha + beta + 2 - gamma, with |.| <= _BOUNDARY_EPS the logarithmic
+    boundary.  At alpha=1, beta=0 the classic threshold vanishes for every
+    gamma < 3 and decays as 1 / ln n at gamma = 3.
     """
     if not 2.0 < gamma <= 3.0:
         raise ValueError(f"gamma must lie in (2, 3], got {gamma}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if k_min < 1:
-        raise ValueError("k_min must be >= 1")
-    if n_nodes < 2:
-        raise ValueError("n_nodes must be >= 2")
-    ratio = n_nodes ** (1.0 / (gamma - 1.0))  # k_max / k_min
-    log_ratio = math.log(ratio)
-    a1 = beta + 2.0 - gamma
     a2 = alpha + beta + 2.0 - gamma
-    scale = k_min ** (-alpha)
     if a2 < -_BOUNDARY_EPS:
-        value = scale * (-a2) / (-a1)
-        regime = REGIME_FINITE
-    elif abs(a2) <= _BOUNDARY_EPS:
-        value = scale / (alpha * log_ratio)
-        regime = REGIME_LOG
-    else:
-        regime = REGIME_VANISHING
-        if a1 < -_BOUNDARY_EPS:
-            value = scale * (a2 / (-a1)) * ratio ** (-a2)
-        elif abs(a1) <= _BOUNDARY_EPS:
-            value = scale * a2 * log_ratio * ratio ** (-a2)
-        else:
-            value = (a2 / a1) * (k_min * ratio) ** (-alpha)
-    return ThresholdReport(value=value, regime=regime)
+        return REGIME_FINITE
+    if abs(a2) <= _BOUNDARY_EPS:
+        return REGIME_LOG
+    return REGIME_VANISHING
 
 
 def threshold_random_inoc(lambda_c: float, g: float) -> float:

@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -516,6 +517,32 @@ g = 0.0,1.0
                 assert float(row[4]) > classic
         assert [row["lambda_c_classic"] for row in threshold_table(parse_scenario(path))] == [classic] * 4
 
+    @pytest.mark.parametrize("network, alpha, beta, regimes", [
+        # a2 = alpha + beta + 2 - gamma at gamma=2.4 is -0.7, -0.2, -0.5, 0,
+        # -0.1 and 0.4; alpha=0.4, beta=0 sits on the boundary
+        ("kind = configuration\ngamma = 2.4\nk_min = 2\nn = 1000", "0.2,0.4,0.8", "-0.5,0",
+         ["finite-independent", "finite-independent", "finite-independent", "logarithmic",
+          "finite-independent", "vanishing"]),
+        # a BA network's regime is that of gamma=3, whatever its gamma key
+        ("kind = ba\ngamma = 2.4\nm = 2\nm0 = 3\nn = 300", "0.5,1.0", "0,0.5",
+         ["finite-independent", "logarithmic", "logarithmic", "vanishing"]),
+    ], ids=["configuration", "ba"])
+    def test_regime_column(self, tmp_path, network, alpha, beta, regimes):
+        config = f"""\
+[network]
+{network}
+
+[model]
+lambda = 0.5
+alpha = {alpha}
+beta = {beta}
+"""
+        path = write_config(tmp_path, config)
+        assert main(["threshold", "--config", str(path), "--out", str(tmp_path / "t")]) == 0
+        lines = (tmp_path / "t" / "thresholds.csv").read_text().splitlines()
+        header, *data = [line.split(",") for line in lines if not line.startswith("#")]
+        assert [row[header.index("regime")] for row in data] == regimes
+
 
 class TestCsvWriter:
     def test_cell_rule_and_audit_header(self, tmp_path):
@@ -616,6 +643,22 @@ class TestSvg:
         for value in (0.0, 1.0, -3.25, 1e15, 2.0**51 - 2.0, -(2.0**51 - 2.0)):
             assert svg_module._widened(value, value) == (value - 0.5, value + 0.5)
         assert svg_module._widened(0.0, 1.0) == (0.0, 1.0)
+
+    def test_ticks_end_on_a_range_a_few_doubles_wide(self):
+        # the step of 0.5 is half the spacing of the doubles at 2**52, so it
+        # does not move a tick; each next tick is then the next double
+        assert svg_module._nice_ticks(2.0**52, 2.0**52 + 2) == [2.0**52, 2.0**52 + 1, 2.0**52 + 2]
+        doc = line_plot([("a", [2.0**52, 2.0**52 + 2], [0, 1])])
+        assert "nan" not in doc and "inf" not in doc
+        assert doc.count(">4.5036e+15</text>") == 3
+
+    def test_range_wider_than_the_largest_double(self):
+        assert svg_module._nice_ticks(-1e308, 1e308) == [-1e308, -5e307, 0.0, 5e307, 1e308]
+        top = sys.float_info.max
+        for xs, ys in (([-1e308, 1e308], [0, 1]), ([0, 1], [-top, top]), ([top], [top]), ([-top, top], [top, -top])):
+            doc = line_plot([("a", xs, ys)])
+            assert "nan" not in doc and "inf" not in doc
+            assert doc.count("<polyline") == 1 and doc.count("<line") >= 4
 
     def test_writes_file(self, tmp_path):
         path = tmp_path / "plot.svg"
@@ -913,6 +956,14 @@ g = 0.0,0.05
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
         assert manifest["completed"] == 1 and sorted(manifest["files"]) == ["final_size.csv", "final_size.svg"]
+
+    def test_simulate_over_a_lambda_range_a_few_doubles_wide(self, tmp_path):
+        # the final-size plot's lambda axis spans two doubles of spacing 1
+        config = MINIMAL.replace("lambda = 0.2,0.5,0.9", "lambda = 4503599627370496, 4503599627370498").replace(
+            "engine = meanfield", "engine = meanfield\ntimeseries = false")
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        assert json.loads((tmp_path / "s" / "manifest.json").read_text())["completed"] == 2
 
     def test_simulate_writes_manifest(self, tmp_path):
         path = write_config(tmp_path, MINIMAL)

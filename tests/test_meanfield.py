@@ -491,16 +491,22 @@ class TestIntegrate:
         plan = _plan(dist, kind, g)
         traj = integrate(uniform_seed_state(dist, 1e-3), dist, params, plan, t_end=100.0, dt=0.01)
         assert logged_work(caplog)[1] > 0
-        assert traj.times[-1] == 100.0
-        for values in (traj.i, traj.s, traj.r, traj.psi):
-            assert np.all(np.isfinite(values))
-        assert np.all(traj.psi >= 0.0)
-        for values in (traj.i, traj.s, traj.r):
-            assert np.all((-1e-12 <= values) & (values <= 1.0 + 1e-12))
-        assert np.allclose(traj.i + traj.s + traj.r, 1.0, rtol=0.0, atol=1e-12)
+        assert_saturated_curve(traj, dist, params, plan)
         if plan is None:
-            # every ignorant is informed; the curve and the fixed point agree
-            assert traj.r[-1] == final_rumor_size(dist, params) == 1.0
+            assert traj.r[-1] == 1.0
+
+    @pytest.mark.parametrize("n", [10**3, 10**5])
+    @pytest.mark.parametrize("lam", [1e12, 1e16, 1e20])
+    @pytest.mark.parametrize("kind, g", [("none", 0.0), ("random", 0.3), ("targeted", 0.05)])
+    def test_step_floor_follows_the_curves_time_scale(self, lam, n, kind, g):
+        # the curve's time scale shrinks as 1 / (lam S + sigma); a floor of
+        # 1e-12 of the time span alone stopped these from lam = 1e12 (from
+        # 1e10 at n=10**5) at the first steps
+        dist = sample_powerlaw_distribution(2.4, 2, n)
+        params = ModelParams(lam=lam, alpha=0.5, beta=-0.5)
+        plan = _plan(dist, kind, g)
+        traj = integrate(uniform_seed_state(dist, 1e-3), dist, params, plan, t_end=100.0, dt=0.01)
+        assert_saturated_curve(traj, dist, params, plan)
 
     def test_blowup_reported(self, monkeypatch):
         # a negative weight and rate on the degree-4 class add
@@ -936,6 +942,22 @@ class TestFinalRumorSize:
                 assert abs(r - exact) <= 1e-14 * exact
                 checked += 1
         assert checked == 12
+
+
+def assert_saturated_curve(traj, dist, params, plan):
+    """A curve at a very large lam runs to t_end = 100 with every state finite
+    and in range, and without a plan informs every ignorant, as the fixed
+    point does."""
+    assert traj.times[-1] == 100.0
+    for values in (traj.i, traj.s, traj.r, traj.psi):
+        assert np.all(np.isfinite(values))
+    assert np.all(traj.psi >= 0.0)
+    for values in (traj.i, traj.s, traj.r):
+        assert np.all((-1e-12 <= values) & (values <= 1.0 + 1e-12))
+    assert np.allclose(traj.i + traj.s + traj.r, 1.0, rtol=0.0, atol=1e-12)
+    if plan is None:
+        assert traj.r[-1] == final_rumor_size(dist, params)
+        assert traj.r[-1] == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
 
 def _plan(dist, kind, g):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate as scipy_integrate
 
 from rumornet.inoculation import make_random_plan, make_targeted_plan
 from rumornet.meanfield import critical_rate
@@ -12,21 +11,13 @@ from rumornet.thresholds import (
     REGIME_FINITE,
     REGIME_LOG,
     REGIME_VANISHING,
+    size_regime,
     threshold_modified,
-    threshold_modified_bounded,
     threshold_random_inoc,
     threshold_targeted_inoc,
 )
 
 TWO_FOUR = DegreeDistribution([2, 4], [2 / 3, 1 / 3])
-
-
-def continuum_ratio(gamma, k_min, n_nodes, alpha, beta):
-    """Independent quadrature of the two truncated moments behind the threshold."""
-    k_max = k_min * n_nodes ** (1.0 / (gamma - 1.0))
-    num, _ = scipy_integrate.quad(lambda k: k ** (beta + 1.0 - gamma), k_min, k_max)
-    den, _ = scipy_integrate.quad(lambda k: k ** (alpha + beta + 1.0 - gamma), k_min, k_max)
-    return num / den
 
 
 class TestThresholdModified:
@@ -62,63 +53,71 @@ class TestThresholdModified:
             assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def classic_bounded(gamma, k_min, n_nodes):
-    """The classic model's bounded threshold: the modified one at alpha=1, beta=0."""
-    return threshold_modified_bounded(gamma, k_min, n_nodes, 1.0, 0.0).value
+# the sizes, a decade apart, over which the size claim follows lambda_c
+DECADES = (10**3, 10**4, 10**5, 10**6)
+
+
+def decade_slope_ratio(gamma, alpha, beta):
+    """The last decade's log-slope of lambda_c over the first's, on the
+    power law with the hard cutoff at each n of DECADES: near 0 where lambda_c
+    levels off with n, near 1 where it keeps falling as a power of n."""
+    rates = [critical_rate(sample_powerlaw_distribution(gamma, 2, n), alpha, beta) for n in DECADES]
+    slopes = [math.log(a / b) for a, b in zip(rates, rates[1:])]
+    assert all(slope > 0 for slope in slopes)
+    return slopes[-1] / slopes[0]
+
+
+# (gamma, alpha, beta, a2) with a2 = alpha + beta + 2 - gamma of -0.8, -0.4,
+# 0.4 and 0.8; nearer the boundary the decades up to 10**6 do not separate the
+# regimes (the ratio reads 0.54 at a2 = -0.2, gamma = 3, alpha = 0.8)
+SIZE_ROWS = [
+    (gamma, alpha, round(a2 + gamma - 2.0 - alpha, 10), a2)
+    for gamma in (2.4, 2.8, 3.0)
+    for alpha in (0.5, 1.0)
+    for a2 in (-0.8, -0.4, 0.4, 0.8)
+]
 
 
 class TestClassicBounded:
-    def test_gamma3_log_form(self):
-        n = int(round(math.e**10))
-        assert classic_bounded(3.0, 2, n) == pytest.approx(0.1, rel=1e-4)
+    """The classic threshold (alpha=1, beta=0) on the power law with the hard
+    cutoff, and the range of gamma and alpha that size_regime accepts."""
 
     def test_strictly_decreasing_in_n(self):
-        values = [classic_bounded(2.5, 1, n) for n in (10**3, 10**4, 10**5)]
+        values = [critical_rate(sample_powerlaw_distribution(2.5, 1, n), 1.0, 0.0) for n in (10**3, 10**4, 10**5)]
         assert values[0] > values[1] > values[2]
-
-    def test_frozen_value(self):
-        expected = 0.75 * (10**5) ** (-0.6 / 1.4)  # recomputed from the power law directly
-        assert expected == pytest.approx(5.3976425e-3, rel=1e-6)
-        assert classic_bounded(2.4, 2, 10**5) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_gamma_out_of_range(self):
         with pytest.raises(ValueError):
-            classic_bounded(2.0, 2, 100)
+            size_regime(2.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            classic_bounded(3.5, 2, 100)
+            size_regime(3.5, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            size_regime(2.4, 0.0, 0.0)
 
 
 class TestModifiedBounded:
+    """The paper's claims on lambda_c = critical_rate on the power law with
+    the hard cutoff, and the regime label size_regime gives them."""
+
     def test_size_independent_case(self):
-        low = threshold_modified_bounded(2.4, 2, 10**2, 0.5, -0.5)
-        high = threshold_modified_bounded(2.4, 2, 10**5, 0.5, -0.5)
-        assert low.regime == high.regime == REGIME_FINITE
-        assert low.value == pytest.approx(high.value, rel=0.02)
-        assert low.value == pytest.approx(2.0**-0.5 * 0.4 / 0.9, rel=1e-12)
+        # lambda_c levels off with n where alpha + beta + 2 < gamma, and keeps
+        # falling as a power of n where alpha + beta + 2 > gamma; the bound
+        # each row meets is chosen by its label
+        bound = {REGIME_FINITE: lambda ratio: ratio <= 0.5, REGIME_VANISHING: lambda ratio: ratio >= 0.8}
+        for gamma, alpha, beta, a2 in SIZE_ROWS:
+            regime = size_regime(gamma, alpha, beta)
+            assert regime == (REGIME_FINITE if a2 < 0 else REGIME_VANISHING)
+            ratio = decade_slope_ratio(gamma, alpha, beta)
+            assert bound[regime](ratio), (gamma, alpha, beta, ratio)
 
     def test_log_boundary_case(self):
-        gamma, k_min, n = 2.4, 2, 10**4
-        report = threshold_modified_bounded(gamma, k_min, n, 0.4, 0.0)
-        k_max = k_min * n ** (1.0 / (gamma - 1.0))
-        expected = k_min**-0.4 / (0.4 * math.log(k_max / k_min))
-        assert report.regime == REGIME_LOG
-        assert report.value == pytest.approx(expected, rel=1e-12)
-
-    def test_close_to_exact_integrals_deep_in_each_regime(self):
-        # the reported value is the leading large-n behavior of the integral ratio
-        for alpha, beta in ((0.5, -0.5), (1.0, 0.0)):
-            exact = continuum_ratio(2.4, 2, 10**7, alpha, beta)
-            report = threshold_modified_bounded(2.4, 2, 10**7, alpha, beta)
-            assert report.value == pytest.approx(exact, rel=0.1)
-
-    def test_positive_above_gamma_minus_two(self):
-        # numerator moment also diverges once beta > gamma - 2; value stays positive
-        report = threshold_modified_bounded(2.4, 2, 10**5, 0.5, 1.0)
-        assert report.value > 0
-        assert report.regime == REGIME_VANISHING
-        exact = continuum_ratio(2.4, 2, 10**9, 0.5, 1.0)
-        asym = threshold_modified_bounded(2.4, 2, 10**9, 0.5, 1.0)
-        assert asym.value == pytest.approx(exact, rel=0.05)
+        assert size_regime(2.4, 0.4, 0.0) == REGIME_LOG
+        assert size_regime(3.0, 1.0, 0.0) == REGIME_LOG
+        assert size_regime(2.4, 0.4, 1e-13) == REGIME_LOG
+        assert size_regime(2.4, 0.4, -1e-11) == REGIME_FINITE
+        assert size_regime(2.4, 0.4, 1e-11) == REGIME_VANISHING
+        # on the boundary lambda_c still falls with n
+        decade_slope_ratio(2.4, 0.4, 0.0)
 
     def test_regime_trichotomy_random(self):
         rng = np.random.default_rng(3)
@@ -129,18 +128,19 @@ class TestModifiedBounded:
             sign = alpha + beta + 2.0 - gamma
             if abs(sign) < 1e-6:
                 continue
-            report = threshold_modified_bounded(gamma, 2, 10**4, alpha, beta)
-            assert report.regime == (REGIME_VANISHING if sign > 0 else REGIME_FINITE)
-            assert report.value >= 0.0
+            assert size_regime(gamma, alpha, beta) == (REGIME_VANISHING if sign > 0 else REGIME_FINITE)
 
     def test_classic_below_modified_on_finite_networks(self):
+        cases = 0
         for gamma in (2.4, 2.8):
-            for alpha in (0.3, 0.6, 0.9):
-                for beta in (-0.3, -0.1):
-                    for n in (10**3, 10**5):
-                        classic = classic_bounded(gamma, 2, n)
-                        modified = threshold_modified_bounded(gamma, 2, n, alpha, beta).value
-                        assert classic < modified
+            for n in (10**3, 10**5):
+                dist = sample_powerlaw_distribution(gamma, 2, n)
+                classic = critical_rate(dist, 1.0, 0.0)
+                for alpha in (0.3, 0.6, 0.9):
+                    for beta in (-0.3, -0.1):
+                        assert classic < critical_rate(dist, alpha, beta)
+                        cases += 1
+        assert cases == 24
 
 
 class TestInoculatedThresholds:
