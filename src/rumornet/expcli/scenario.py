@@ -76,6 +76,12 @@ class ScenarioError(ValueError):
 _AXES = {"lambda": "lam_grid", "alpha": "alpha_grid", "beta": "beta_grid", "sigma": "sigma_grid", "g": "g_grid"}
 
 
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"must be 'true' or 'false', got {text!r}")
+    return text == "true"
+
+
 def _float_list(text: str) -> list[float]:
     items = [part.strip() for part in text.split(",")]
     if items == [""]:
@@ -92,8 +98,8 @@ def _key(section: str, key: str, parse, default, check=None):
     """A Scenario field read from ``key`` in ``[section]`` by ``parse``.
 
     A text default goes through ``parse`` as if the file held it.  None means
-    unset; for ``name``, ``s0`` and ``seeds`` it means worked out from other
-    fields.  ``check = (test, message)`` is the rule on the field's own value
+    unset; for ``name`` it means the file's name.  ``check = (test, message)``
+    is the rule on the field's own value
     (on each item of a list): a set value for which ``test`` is false is a
     config error, ``message`` formatted with the ``key`` and the ``value``.
     """
@@ -116,8 +122,7 @@ class Scenario:
     seed: int = _key("scenario", "seed", int, "0", (lambda v: v >= 0, "{key} must be >= 0, got {value}"))
     out_dir: str = _key("scenario", "out", str, "out", _NONEMPTY)
     workers: int = _key("scenario", "workers", int, "1", (lambda v: v >= 1, "{key} must be >= 1, got {value}"))
-    timeseries: bool = _key("scenario", "timeseries", str, "true",
-                            (lambda v: v in ("true", "false"), "{key} must be 'true' or 'false'"))
+    timeseries: bool = _key("scenario", "timeseries", _bool, "true")
     runs: int | None = _key("scenario", "runs", int, None, (lambda v: v >= 1, "{key} must be >= 1"))
     net_kind: str = _key("network", "kind", str, "configuration", (
         lambda v: v in NETWORK_KINDS, f"network {{key}} must be one of {NETWORK_KINDS}, got '{{value}}'"))
@@ -134,8 +139,8 @@ class Scenario:
                                   (math.isfinite, "{key} values must be finite (got {value})"))
     sigma_grid: list[float] = _key("model", "sigma", _float_list, "1.0",
                                    (lambda v: 0 < v < math.inf, "{key} values must be finite and > 0 (got {value})"))
-    s0: float = _key("model", "s0", float, None, (lambda v: 0.0 < v < 1.0, "{key} must lie in (0, 1), got {value}"))
-    mc_seeds: int = _key("model", "seeds", int, None)
+    # the initial spreaders of the Monte Carlo; the mean field starts at seeds / n
+    seeds: int = _key("model", "seeds", int, "1")
     # the time between samples of the mean-field curve; the integrator
     # chooses its own steps
     dt_meanfield: float = _key("model", "dt_meanfield", float, "0.01", _POSITIVE)
@@ -272,9 +277,8 @@ def parse_scenario(path, overrides=None) -> Scenario:
         fail("m", f"need n > m0 >= m >= 1, got n={n_nodes}, m0={m0}, m={m}")
     if fields["inoc_kind"] == "none" and any(v != 0.0 for v in fields["g_grid"]):
         fail("g_grid", "nonzero g requires inoculation kind random or targeted")
-    seeds = fields["mc_seeds"]
-    if seeds is not None and not 1 <= seeds <= n_nodes:
-        fail("mc_seeds", f"seeds must lie in [1, n] = [1, {n_nodes}], got {seeds}")
+    if not 1 <= fields["seeds"] <= n_nodes:
+        fail("seeds", f"seeds must lie in [1, n] = [1, {n_nodes}], got {fields['seeds']}")
     # a nonzero span of round(t / dt) == 0 steps would give a curve of the
     # initial state alone, or Monte Carlo runs that take no step
     for span, step in (("t_end", "dt_meanfield"), ("t_max", "dt_montecarlo")):
@@ -295,13 +299,8 @@ def parse_scenario(path, overrides=None) -> Scenario:
             raise ScenarioError(complaint)
         fields[name] = value
 
-    if fields["s0"] is None:
-        fields["s0"] = 1.0 / n_nodes
-    if fields["mc_seeds"] is None:
-        fields["mc_seeds"] = max(1, int(round(fields["s0"] * n_nodes)))
     if fields["name"] is None:
         fields["name"] = os.path.splitext(os.path.basename(str(path)))[0]
-    fields["timeseries"] = fields["timeseries"] == "true"
     return Scenario(**fields)
 
 
@@ -343,13 +342,13 @@ def _point_result(scenario: Scenario, dist, network, plans, index: int, point: d
             steps = int(round(scenario.t_end / scenario.dt_meanfield))
             stride = max(1, steps // 400)
             traj = integrate(
-                uniform_seed_state(dist, scenario.s0), dist, params, plan,
+                uniform_seed_state(dist, scenario.seeds / scenario.n_nodes), dist, params, plan,
                 t_end=scenario.t_end, dt=scenario.dt_meanfield, sample_every=stride,
             )
             result["mf_curve"] = (traj.times, traj.i, traj.s, traj.r)
     if scenario.engine in ("montecarlo", "both"):
         summary = montecarlo.ensemble(
-            network, params, plan=plan, runs=scenario.runs, seeds=scenario.mc_seeds,
+            network, params, plan=plan, runs=scenario.runs, seeds=scenario.seeds,
             dt=scenario.dt_montecarlo, t_max=scenario.t_max,
             master_seed=montecarlo._run_seed(scenario.seed, 1 + index),
         )
@@ -429,7 +428,7 @@ def _audit_header(scenario: Scenario) -> list[str]:
         f"# lambda={','.join(map(str, scenario.lam_grid))} alpha={','.join(map(str, scenario.alpha_grid))} "
         f"beta={','.join(map(str, scenario.beta_grid))} sigma={','.join(map(str, scenario.sigma_grid))}",
         f"# inoculation kind={scenario.inoc_kind} g={','.join(map(str, scenario.g_grid))}",
-        f"# runs={scenario.runs} seeds={scenario.mc_seeds} dt_mf={scenario.dt_meanfield} "
+        f"# runs={scenario.runs} seeds={scenario.seeds} dt_mf={scenario.dt_meanfield} "
         f"dt_mc={scenario.dt_montecarlo} t_end={scenario.t_end} t_max={scenario.t_max}",
     ]
 
@@ -569,10 +568,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> dict:
 
 
 def compare_engines(scenario: Scenario) -> dict:
-    """Per grid point |R_mc_mean - R_mf| with a pass flag against the tolerance."""
+    """Per grid point |R_mc_mean - R_mf|, run without curves, with a pass flag against the tolerance."""
     if scenario.engine != "both":
         raise ScenarioError("engine comparison requires engine=both")
-    results, failures = _collect_results(scenario)
+    results, failures = _collect_results(dataclasses.replace(scenario, timeseries=False))
     rows = []
     for res in results:
         deviation = abs(res["r_mc_mean"] - res["r_mf"])

@@ -1,9 +1,9 @@
 """Minimal self-contained SVG line plots.
 
 No external plotting dependency: a plot is a background rect, two axes with
-tick marks, one polyline per series, and a legend box.  All coordinates and
-labels are formatted with a fixed precision so identical data produces
-byte-identical files.
+tick marks, one polyline per series, and a legend box.  Coordinates are
+formatted with a fixed precision and each axis's tick labels with the fewest
+digits that tell them apart, so identical data produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,8 +18,11 @@ _WIDTH, _HEIGHT = 720, 460
 _TICKS = 5  # about this many ticks per axis
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+def _labelled(ticks: list[float]) -> list[tuple[float, str]]:
+    """Each tick with its label, at the fewest significant digits, 6 to 17,
+    at which the labels differ; 17 tell any two doubles apart."""
+    digits = next((d for d in range(6, 17) if len({f"{t:.{d}g}" for t in ticks}) == len(ticks)), 17)
+    return [(t, f"{t:.{digits}g}") for t in ticks]
 
 
 def _clamped(value: float) -> float:
@@ -86,16 +89,9 @@ def line_plot(
     for label, xs, ys in series:
         pts = [(float(x), float(y)) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
         cleaned.append((label, pts))
-    all_pts = [p for _, pts in cleaned for p in pts]
-    if all_pts:
-        x_lo = min(p[0] for p in all_pts)
-        x_hi = max(p[0] for p in all_pts)
-        y_lo = min(p[1] for p in all_pts)
-        y_hi = max(p[1] for p in all_pts)
-    else:
-        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
-    x_lo, x_hi = _widened(x_lo, x_hi)
-    y_lo, y_hi = _widened(y_lo, y_hi)
+    all_x, all_y = zip(*([p for _, pts in cleaned for p in pts] or [(0.0, 0.0), (1.0, 1.0)]))
+    x_lo, x_hi = _widened(min(all_x), max(all_x))
+    y_lo, y_hi = _widened(min(all_y), max(all_y))
     scale = _half_scale(y_lo, y_hi)
     y_pad = 0.05 * (y_hi * scale - y_lo * scale) / scale
     y_lo, y_hi = _clamped(y_lo - y_pad), _clamped(y_hi + y_pad)
@@ -122,18 +118,18 @@ def line_plot(
             f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
         )
-    for tx in _nice_ticks(x_lo, x_hi):
+    for tx, label in _labelled(_nice_ticks(x_lo, x_hi)):
         x = px(tx)
         out.append(f'<line x1="{x:.2f}" y1="{_MARGIN_T + plot_h}" x2="{x:.2f}" '
                    f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333333" stroke-width="1"/>')
         out.append(f'<text x="{x:.2f}" y="{_MARGIN_T + plot_h + 18}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>')
-    for ty in _nice_ticks(y_lo, y_hi):
+                   f'font-family="sans-serif" font-size="11">{label}</text>')
+    for ty, label in _labelled(_nice_ticks(y_lo, y_hi)):
         y = py(ty)
         out.append(f'<line x1="{_MARGIN_L - 5}" y1="{y:.2f}" x2="{_MARGIN_L}" y2="{y:.2f}" '
                    f'stroke="#333333" stroke-width="1"/>')
         out.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>')
+                   f'font-family="sans-serif" font-size="11">{label}</text>')
     if xlabel:
         out.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>')

@@ -224,8 +224,8 @@ class DegreeClassState:
 
 def uniform_seed_state(dist: DegreeDistribution, s0: float) -> DegreeClassState:
     """Degree-uniform seeding: every class starts with spreader fraction s0."""
-    if not 0.0 <= s0 < 1.0:
-        raise ValueError(f"initial spreader fraction must lie in [0, 1), got {s0}")
+    if not 0.0 <= s0 <= 1.0:
+        raise ValueError(f"initial spreader fraction must lie in [0, 1], got {s0}")
     n = dist.support.size
     return DegreeClassState(
         rho_i=np.full(n, 1.0 - s0),

@@ -1,7 +1,10 @@
+import ast
 import concurrent.futures
 import dataclasses
+import glob
 import itertools
 import json
+import math
 import os
 import pickle
 import re
@@ -67,11 +70,11 @@ class TestParsing:
         assert {
             name: getattr(scenario, name)
             for name in ("name", "seed", "out_dir", "workers", "timeseries", "runs", "m", "m0",
-                         "sigma_grid", "s0", "mc_seeds", "dt_meanfield", "dt_montecarlo",
+                         "sigma_grid", "seeds", "dt_meanfield", "dt_montecarlo",
                          "t_end", "t_max", "inoc_kind", "g_grid", "tolerance")
         } == {
             "name": "scenario", "seed": 0, "out_dir": "out", "workers": 1, "timeseries": True,
-            "runs": None, "m": 3, "m0": 5, "sigma_grid": [1.0], "s0": 0.001, "mc_seeds": 1,
+            "runs": None, "m": 3, "m0": 5, "sigma_grid": [1.0], "seeds": 1,
             "dt_meanfield": 0.01, "dt_montecarlo": 0.1, "t_end": 100.0, "t_max": 200.0,
             "inoc_kind": "none", "g_grid": [0.0], "tolerance": 0.1,
         }
@@ -108,6 +111,22 @@ class TestParsing:
         path = write_config(tmp_path, bad)
         with pytest.raises(ScenarioError, match=rf"scenario\.cfg:{lineno}: unknown key 'momentum'"):
             parse_scenario(path)
+
+    def test_s0_is_an_unknown_key(self, tmp_path, capsys):
+        # seeds is the one starting value; s0 = x reads seeds = round(x n)
+        bad = MINIMAL + "s0 = 0.01\n"
+        path = write_config(tmp_path, bad)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {path}:{line_of(bad, 's0 = 0.01')}: unknown key 's0' in [model]\n")
+        assert not (tmp_path / "s").exists()
+
+    def test_timeseries_other_than_true_or_false_cites_line_and_key(self, tmp_path):
+        bad = MINIMAL.replace("engine = meanfield", "engine = meanfield\ntimeseries = yes")
+        with pytest.raises(ScenarioError, match=(
+                rf"scenario\.cfg:{line_of(bad, 'timeseries = yes')}: bad value for 'timeseries': "
+                r"must be 'true' or 'false', got 'yes'$")):
+            parse_scenario(write_config(tmp_path, bad))
 
     def test_engine_both_requires_runs(self, tmp_path):
         both = MINIMAL.replace("engine = meanfield", "engine = both")
@@ -169,11 +188,45 @@ class TestParsing:
             parse_scenario(write_config(tmp_path, bad))
 
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+
+def benchmark_scenarios() -> dict[str, str]:
+    """Each scenario text the benchmark parses, by name: its workload files
+    and the SMALL and FAILING fixtures of its self-test."""
+    texts = {}
+    for path in sorted(glob.glob(os.path.join(PERFBENCH, "scenarios", "*.ini"))):
+        with open(path, encoding="utf-8") as fh:
+            texts[os.path.basename(path)] = fh.read()
+    with open(os.path.join(PERFBENCH, "selftest.py"), encoding="utf-8") as fh:
+        module = ast.parse(fh.read())
+    for node in module.body:
+        name = getattr(node.targets[0], "id", None) if isinstance(node, ast.Assign) else None
+        if name in ("SMALL", "FAILING"):
+            texts[name] = ast.literal_eval(node.value)
+    return texts
+
+
+BENCHMARK_SCENARIOS = benchmark_scenarios()
+
+
+class TestBenchmarkScenarios:
+    """The benchmark runs these texts; a key they set must stay a key."""
+
+    def test_all_found(self):
+        assert {"mc_outbreak.ini", "mf_timeseries.ini", "phase_diagram.ini", "SMALL", "FAILING"} <= set(
+            BENCHMARK_SCENARIOS)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_SCENARIOS))
+    def test_parses(self, tmp_path, name):
+        parse_scenario(write_config(tmp_path, BENCHMARK_SCENARIOS[name]))
+
+
 # a value each field's own check rejects, as a file writes it
 BAD_VALUES = {
-    "name": "", "engine": "warp", "seed": "-1", "out_dir": "", "workers": "0", "timeseries": "yes", "runs": "0",
+    "name": "", "engine": "warp", "seed": "-1", "out_dir": "", "workers": "0", "runs": "0",
     "net_kind": "er", "n_nodes": "1", "lam_grid": "0.5, -1", "alpha_grid": "0.5, 1.5", "beta_grid": "nan",
-    "sigma_grid": "inf", "s0": "1", "dt_meanfield": "0", "dt_montecarlo": "-0.1", "t_end": "-1", "t_max": "inf",
+    "sigma_grid": "inf", "dt_meanfield": "0", "dt_montecarlo": "-0.1", "t_end": "-1", "t_max": "inf",
     "inoc_kind": "bogus", "g_grid": "1.5", "tolerance": "0",
 }
 # the Scenario fields that declare a check on their own value, in field order
@@ -607,6 +660,21 @@ seeds = 1
         assert report["all_passed"]
         assert report["rows"][0]["deviation"] <= 1 / 500 + 1e-12
 
+    def test_compare_integrates_no_curve(self, tmp_path, monkeypatch):
+        # comparison.csv holds final sizes only, so timeseries = true adds no work
+        config = MINIMAL.replace("engine = meanfield", "engine = both\nruns = 1\ntimeseries = true").replace(
+            "n = 1000", "n = 300")
+        scenario = parse_scenario(write_config(tmp_path, config))
+        assert scenario.timeseries
+
+        def integrate(*args, **kwargs):
+            raise AssertionError("compare integrated a curve")
+
+        monkeypatch.setattr(scenario_module, "integrate", integrate)
+        report = compare_engines(scenario)
+        assert report["failures"] == []
+        assert [row["point"] for row in report["rows"]] == [0, 1, 2]
+
     def test_requires_engine_both(self, tmp_path):
         scenario = parse_scenario(write_config(tmp_path, MINIMAL))
         with pytest.raises(ScenarioError):
@@ -650,7 +718,17 @@ class TestSvg:
         assert svg_module._nice_ticks(2.0**52, 2.0**52 + 2) == [2.0**52, 2.0**52 + 1, 2.0**52 + 2]
         doc = line_plot([("a", [2.0**52, 2.0**52 + 2], [0, 1])])
         assert "nan" not in doc and "inf" not in doc
-        assert doc.count(">4.5036e+15</text>") == 3
+
+    def test_tick_labels_take_the_fewest_digits_that_tell_them_apart(self):
+        # at 6 significant digits each x label read 4.5036e+15
+        doc = line_plot([("a", [2.0**52, 2.0**52 + 2], [0, 1])])
+        x_labels = re.findall(r'text-anchor="middle" font-family="sans-serif" font-size="11">([^<]*)<', doc)
+        y_labels = re.findall(r'text-anchor="end" font-family="sans-serif" font-size="11">([^<]*)<', doc)
+        assert x_labels == ["4503599627370496", "4503599627370497", "4503599627370498"]
+        # the y ticks differ at 6 digits, so they keep them (0.6000000000000001 reads 0.6)
+        assert y_labels == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+        assert svg_module._labelled([1.0, 1.0000001]) == [(1.0, "1"), (1.0000001, "1.0000001")]
+        assert svg_module._labelled([1.0, math.nextafter(1.0, 2.0)])[1][1] == "1.0000000000000002"
 
     def test_range_wider_than_the_largest_double(self):
         assert svg_module._nice_ticks(-1e308, 1e308) == [-1e308, -5e307, 0.0, 5e307, 1e308]
@@ -964,6 +1042,34 @@ g = 0.0,0.05
         path = write_config(tmp_path, config)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
         assert json.loads((tmp_path / "s" / "manifest.json").read_text())["completed"] == 2
+
+    @pytest.mark.parametrize("n, seeds", [(2000, 10), (50, 50)])
+    def test_both_engines_start_from_seeds_over_n(self, tmp_path, n, seeds):
+        # seeds = n starts every node spreading, which the mean field's
+        # initial state must also allow
+        config = f"""\
+[scenario]
+engine = both
+runs = 1
+timeseries = true
+
+[network]
+n = {n}
+
+[model]
+lambda = 0.5
+seeds = {seeds}
+t_end = 1
+t_max = 1
+"""
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        lines = (tmp_path / "s" / "timeseries.csv").read_text().splitlines()
+        header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+        start = {row[1]: float(row[header.index("S")]) for row in rows if float(row[header.index("t")]) == 0.0}
+        assert sorted(start) == ["meanfield", "montecarlo"]
+        for value in start.values():
+            assert abs(value - seeds / n) <= 1e-12
 
     def test_simulate_writes_manifest(self, tmp_path):
         path = write_config(tmp_path, MINIMAL)

@@ -121,13 +121,13 @@ class TestRunBasics:
             run(net, params, seeds=6)
 
     def test_fraction_seeding(self, tmp_path):
-        # a seed fraction s0 becomes a spreader count when the scenario is parsed
+        # a scenario's seeds start the run with the fraction seeds / n spreading
         path = tmp_path / "fraction.cfg"
-        path.write_text("[network]\nn = 50\n\n[model]\nlambda = 0.0\ns0 = 0.1\n")
-        seeds = parse_scenario(path).mc_seeds
-        assert seeds == 5
-        trace = run(complete_graph(50), ModelParams(lam=0.0, alpha=1.0), seeds=seeds, rng=7)
-        assert trace.final_r == pytest.approx(5 / 50)
+        path.write_text("[network]\nn = 50\n\n[model]\nlambda = 0.0\nseeds = 5\n")
+        scenario = parse_scenario(path)
+        assert scenario.seeds == 5
+        trace = run(complete_graph(50), ModelParams(lam=0.0, alpha=1.0), seeds=scenario.seeds, rng=7)
+        assert trace.final_r == pytest.approx(scenario.seeds / scenario.n_nodes)
 
     def test_fractions_sum_to_one(self):
         net = complete_graph(30)
