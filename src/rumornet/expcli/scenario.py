@@ -280,11 +280,15 @@ def parse_scenario(path, overrides=None) -> Scenario:
     if not 1 <= fields["seeds"] <= n_nodes:
         fail("seeds", f"seeds must lie in [1, n] = [1, {n_nodes}], got {fields['seeds']}")
     # a nonzero span of round(t / dt) == 0 steps would give a curve of the
-    # initial state alone, or Monte Carlo runs that take no step
+    # initial state alone, or Monte Carlo runs that take no step; one whose
+    # t / dt overflows has no step count at all
     for span, step in (("t_end", "dt_meanfield"), ("t_max", "dt_montecarlo")):
         t, dt = fields[span], fields[step]
+        where = step if step in lines else span
+        if not math.isfinite(t / dt):
+            fail(where, f"{span} = {t} is too many steps of {step} = {dt} to count")
         if t > 0 and round(t / dt) == 0:
-            fail(step if step in lines else span, f"{span} = {t} rounds to zero steps of {step} = {dt}")
+            fail(where, f"{span} = {t} rounds to zero steps of {step} = {dt}")
 
     for key, value in (overrides or {}).items():
         if value is None:

@@ -3,24 +3,25 @@
 Discrete-time loop with step length dt.  Within a step, every current
 spreader i of degree k_i draws a contact count by randomized rounding of
 k_i**alpha, samples that many distinct neighbors uniformly, and converts each
-contacted ignorant with probability min(1, lam * k_i * (w_ij / S_i) * dt),
-where w_ij is the degree-derived tie strength and S_i the node's actual
-summed tie strength on the graph.  After its contacts the spreader turns
-stifler with probability 1 - exp(-sigma * dt).  Updates are synchronous: a
-node informed in this step starts spreading in the next one.  Inoculated
-nodes are frozen; they are skipped both as sources and as targets.
+contacted ignorant j with probability
+p_ij = min(1, lam * k_i * (w_ij / S_i) * dt), where w_ij is the
+degree-derived tie strength and S_i the node's actual summed tie strength on
+the graph.  After its contacts the spreader turns stifler with probability
+1 - exp(-sigma * dt).  Updates are synchronous: a node informed in this step
+starts spreading in the next one.  Inoculated nodes are frozen; they are
+skipped both as sources and as targets.
 
 A step is whole-array work on the network's CSR adjacency, with no loop over
 spreaders, and it draws only the contacts that can transmit (thinning; Lewis
 & Shedler, Naval Res. Logistics Q. 26, 1979), so it reads the adjacency
-slots it draws, not every slot of every spreader's row.  With
-p_ij = min(1, lam * k_i * (w_ij / S_i) * dt), let pi_i = max_{j in N(i)} p_ij
-be the largest chance in row i (0 for an isolated node).  The coin
-Bern(p_ij) of a contacted ignorant is the product of two independent coins,
-Bern(pi_i) and Bern(p_ij / pi_i), and the first is the same for every slot
-of the row.  Among a uniform c-subset of the row, the slots whose first coin
-comes up heads are therefore a uniform b-subset with b ~ Binomial(c, pi_i).
-So a spreader draws c as before, then b, then a uniform b-subset of its row,
+slots it draws, not every slot of every spreader's row.  p_ij is
+computed once per adjacency slot i -> j, and pi_i is the largest slot chance
+of row i (0 for an isolated node).  The coin Bern(p_ij) of a contacted
+ignorant is the product of two independent coins, Bern(pi_i) and
+Bern(p_ij / pi_i), and the first is the same for every slot of the row.
+Among a uniform c-subset of the row, the slots whose first coin comes up
+heads are therefore a uniform b-subset with b ~ Binomial(c, pi_i).  So a
+spreader draws c as before, then b, then a uniform b-subset of its row,
 and keeps each drawn slot whose target is ignorant and whose second coin
 comes up heads.  b = 0 takes one uniform: the first success J of
 Bernoulli(pi_i) trials is geometric, J = 1 + floor(log(1 - u) / log(1 - pi_i)),
@@ -32,7 +33,7 @@ row + key and keeps its first b slots.  Which of the two a row takes depends
 on b and on whether its positions repeat, never on which subset they form,
 so either way the subset is uniform and the step samples exactly the law
 above.  S_i is one ``np.bincount`` over the adjacency slots and the row
-maxima one ``np.maximum.reduceat``; ``ensemble`` builds these per-node
+maxima one ``np.maximum.reduceat``; ``ensemble`` builds these slot and node
 constants once for all its runs.  The spreader and stifler counts are
 updated per step rather than recounted.
 
@@ -88,35 +89,33 @@ class SimTrace:
 
 
 class _Kernel:
-    """Per-node constants of one network, parameter set and dt, and the
-    whole-array step; ``ensemble`` builds one for all its runs."""
+    """Per-slot chances and per-node constants of one network, parameter set
+    and dt, and the whole-array step; ``ensemble`` builds one for all its runs."""
 
     def __init__(self, network: Network, params: ModelParams, dt: float):
         deg = network.degrees.astype(np.float64)
         linked = network.degrees > 0
         # w_ij / S_i = k_j**beta / sum_{l in N(i)} k_l**beta  (the k_i**beta factors cancel)
-        kbeta = np.power(deg, params.beta, out=np.zeros(network.n), where=linked)
-        slot_kbeta = kbeta[network.indices]
-        strength = np.bincount(network.slot_rows(), weights=slot_kbeta, minlength=network.n)
-        # pfac * k_j**beta = lam * k_i * dt * w_ij / S_i, the per-contact probability
-        pfac = np.where(strength > 0, params.lam * deg * dt / np.where(strength > 0, strength, 1.0), 0.0)
-        # the largest k_j**beta of each row: reduceat reduces from one start
-        # to the next and reads the wrong row at an empty one, so only the
-        # starts of nonempty rows go in
-        row_max = np.zeros(network.n)
-        row_max[linked] = np.maximum.reduceat(slot_kbeta, network.indptr[:-1][linked])
-        pi = np.minimum(1.0, pfac * row_max)
+        chance = np.power(deg, params.beta, out=np.zeros(network.n), where=linked)[network.indices]
+        strength = np.bincount(network.slot_rows(), weights=chance, minlength=network.n)
+        factor = np.divide(params.lam * deg * dt, strength, out=np.zeros(network.n), where=strength > 0)
+        # p_ij of every slot, built in place; a slot into a node whose k**beta
+        # underflows to 0 keeps chance 0 where its row factor overflows to inf
+        np.multiply(chance, np.repeat(factor, network.degrees), out=chance, where=chance > 0)
+        np.minimum(chance, 1.0, out=chance)
+        # reduceat reduces from one start to the next and reads the wrong row
+        # at an empty one, so only the starts of nonempty rows go in
+        pi = np.zeros(network.n)
+        pi[linked] = np.maximum.reduceat(chance, network.indptr[:-1][linked])
         c_mean = np.where(linked, deg**params.alpha, 0.0)
         c_floor = np.floor(c_mean)
         self.network = network
-        self.kbeta = kbeta
+        self.chance = chance
         self.pi = pi
         with np.errstate(divide="ignore"):
             self.log_miss = np.log1p(-pi)  # -inf where pi = 1
         self.c_floor = c_floor.astype(np.int64)
         self.c_frac = c_mean - c_floor
-        # pfac / pi * k_j**beta = p_ij / pi, the second coin of a thinned contact
-        self.accept = np.divide(pfac, pi, out=np.zeros(network.n), where=pi > 0)
         self.stifle_p = 1.0 - np.exp(-params.sigma * dt)
 
     def step(self, status: np.ndarray, spreaders: np.ndarray, gen: np.random.Generator):
@@ -185,11 +184,11 @@ class _Kernel:
                 every, member = every[cut], member[cut]
             slots = np.concatenate((slots, every))
             owner = np.concatenate((owner, again[member]))
-        targets = net.indices[slots]
-        ignorant = status[targets] == IGNORANT
-        targets, sources = targets[ignorant], rows[owner[ignorant]]
-        hit = gen.random(targets.size) < self.accept[sources] * self.kbeta[targets]
-        informed = targets[hit]
+        ignorant = status[net.indices[slots]] == IGNORANT
+        slots, sources = slots[ignorant], rows[owner[ignorant]]
+        # the second coin, Bern(p_ij / pi_i)
+        hit = gen.random(slots.size) * self.pi[sources] < self.chance[slots]
+        informed = net.indices[slots[hit]]
         if informed.size > 1:
             # sorted, each id once (np.unique is ten times slower at 1000 ids)
             informed.sort()
@@ -274,7 +273,6 @@ class EnsembleSummary:
     std_final_r: float
     mean_peak_s: float
     finals: np.ndarray
-    seeds: np.ndarray
     mean_curve: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -298,16 +296,14 @@ def ensemble(
         raise ValueError("runs must be >= 1")
     finals = np.empty(runs)
     peaks = np.empty(runs)
-    run_seeds = np.empty(runs, dtype=np.int64)
     curves = []
     kernel = _Kernel(network, params, dt)
     for idx in range(runs):
-        seed = _run_seed(master_seed, idx)
         # through the module global, where a caller may wrap ``run``
-        trace = run(network, params, plan=plan, seeds=seeds, dt=dt, t_max=t_max, rng=seed, kernel=kernel)
+        trace = run(network, params, plan=plan, seeds=seeds, dt=dt, t_max=t_max,
+                    rng=_run_seed(master_seed, idx), kernel=kernel)
         finals[idx] = trace.final_r
         peaks[idx] = trace.peak_s
-        run_seeds[idx] = seed
         curves.append((trace.ignorant, trace.spreader, trace.stifler))
     longest = max(ignorant.size for ignorant, _, _ in curves)
     # (run, curve, sample); a run that ends early keeps its absorbing final state
@@ -317,6 +313,5 @@ def ensemble(
         std_final_r=float(finals.std()),
         mean_peak_s=float(peaks.mean()),
         finals=finals,
-        seeds=run_seeds,
         mean_curve=(np.arange(longest) * dt, *padded.mean(axis=0)),
     )

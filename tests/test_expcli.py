@@ -828,14 +828,16 @@ t_max = 5
         "seeds = 0", "seeds = 500", "dt_meanfield = 0", "dt_montecarlo = -0.1", "t_end = -1", "t_max = -1",
         "lambda = 0.5, inf", "beta = nan", "sigma = 1, inf", "t_end = inf", "t_max = inf", "dt_meanfield = inf",
         "dt_meanfield = 300", "t_end = 0.004", "dt_montecarlo = 500", "t_max = 0.04", "seed = -3",
+        "t_end = 1e308", "t_max = 1e308",
     ])
     def test_value_every_point_would_fail_on_is_a_config_error(self, tmp_path, capsys, line):
         # each of these once parsed; then every grid point failed at run time,
         # or (seed = -3) the graph build did, or (t_max, dt_montecarlo = 500)
         # the Monte Carlo took no step and reported the seed fraction, or
-        # (dt_meanfield = inf or 300, t_end = 0.004) the curve had one sample;
-        # a span that rounds to zero steps cites its dt line when the file has
-        # one, else its t line
+        # (dt_meanfield = inf or 300, t_end = 0.004) the curve had one sample,
+        # or (t_end, t_max = 1e308) round(t / dt) escaped main as an
+        # OverflowError; a span that rounds to zero steps, or to too many to
+        # count, cites its dt line when the file has one, else its t line
         lambdas = "" if line.startswith("lambda") else "lambda = 0.5, 1.0\n"
         # seed is the one key here of [scenario]
         scenario_line, model_line = (f"{line}\n", "") if line.startswith("seed") else ("", f"{line}\n")
