@@ -77,6 +77,9 @@ _log = logging.getLogger(__name__)
 # sits above that with a margin for the rounding of b_k * (lam * Psi)
 _EXPM1_CUT = 38.0
 
+# the largest double, which _Family reads an overflowed scale lam Psi as
+_MAX_SCALE = math.nextafter(math.inf, 0.0)
+
 # psi_fixed_point stops once a step, or the bisection bracket, is below this
 # fraction of the iterate, and falls back to bisection after this many
 # Newton steps
@@ -245,8 +248,7 @@ class _Family:
     tails  per row, the sums over the classes c.. at index c, the last
            being 0; memoryviews, so an entry is a Python float
     slope  S_0 = sum_k w_k b_k, so sum_k w_k a_k = lam S_0
-    kalpha_mean  <k**alpha> = sum_k w_k, summed in support order as
-           DegreeDistribution.moment sums it
+    kalpha_mean  <k**alpha> = sum_k w_k, summed in support order
     """
 
     order: np.ndarray
@@ -259,9 +261,13 @@ class _Family:
     def cut(self, scale: float) -> int:
         """The number of classes with b_k scale <= _EXPM1_CUT, the ones whose
         expm1(-b_k scale) is not exactly -1.0; for a scale that is not > 0
-        (zero, negative or NaN), every class.  bisect_right on the doubles
-        finds the cut searchsorted(side="right") would, at a fraction of a
-        numpy call's fixed cost."""
+        (zero, negative or NaN), every class.  A scale above the largest
+        double (lam Psi overflowed) is read as it here and in expm1_sums, so
+        a zero b_k gives expm1(-0), not expm1(-0 * inf) = NaN.  bisect_right
+        on the doubles finds the cut searchsorted(side="right") would, at a
+        fraction of a numpy call's fixed cost."""
+        if scale > _MAX_SCALE:
+            scale = _MAX_SCALE
         return bisect_right(memoryview(self.rates), _EXPM1_CUT / scale) if scale > 0.0 else self.rates.size
 
     def expm1_sums(self, scale: float, mix: np.ndarray, tails, buf: np.ndarray) -> tuple[int, list[float]]:
@@ -270,6 +276,8 @@ class _Family:
         ``tails[r]``; returns the cut and the sums.  The classes below the
         cut are evaluated, their exponentials left in ``buf[:cut]``; each
         class past it adds -mix[r, k], which its suffix sum holds."""
+        if scale > _MAX_SCALE:
+            scale = _MAX_SCALE
         cut = self.cut(scale)
         head = buf[:cut]
         np.multiply(self.rates[:cut], -scale, out=head)
@@ -317,7 +325,7 @@ def _family_table(dist: DegreeDistribution, alpha: float, beta: float, plan: Ino
     key = (alpha, beta, plan)
     if dist.family_table is None or dist.family_table[0] != key:
         one_minus_g = 1.0 - plan.profile(dist) if plan is not None else 1.0
-        # <k**(1+beta)> from the one power, summed as the moment sums it
+        # <k**(1+beta)> from the one power
         k_power = dist.power(1.0 + beta)
         rates = one_minus_g * k_power / float((k_power * dist.probs).sum())
         weights, free_probs = dist.power(alpha) * dist.probs, dist.probs * one_minus_g

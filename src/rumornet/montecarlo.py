@@ -8,8 +8,10 @@ p_ij = min(1, lam * k_i * (w_ij / S_i) * dt), where w_ij is the
 degree-derived tie strength and S_i the node's actual summed tie strength on
 the graph.  After its contacts the spreader turns stifler with probability
 1 - exp(-sigma * dt).  Updates are synchronous: a node informed in this step
-starts spreading in the next one.  Inoculated nodes are frozen; they are
-skipped both as sources and as targets.
+starts spreading in the next one.  A run's state is a mask of the nodes
+still ignorant and the list of current spreaders; inoculated nodes and the
+seeds start not ignorant, so an inoculated node is never a target, and it
+never spreads.  Stiflers are only counted.
 
 A step is whole-array work on the network's CSR adjacency, with no loop over
 spreaders, and it draws only the contacts that can transmit (thinning; Lewis
@@ -62,17 +64,11 @@ from .meanfield import ModelParams
 from .netgen import Network
 
 __all__ = [
-    "IGNORANT",
-    "INOCULATED",
-    "SPREADER",
-    "STIFLER",
     "EnsembleSummary",
     "SimTrace",
     "ensemble",
     "run",
 ]
-
-IGNORANT, SPREADER, STIFLER, INOCULATED = 0, 1, 2, 3
 
 
 @dataclass
@@ -118,8 +114,8 @@ class _Kernel:
         self.c_frac = c_mean - c_floor
         self.stifle_p = 1.0 - np.exp(-params.sigma * dt)
 
-    def step(self, status: np.ndarray, spreaders: np.ndarray, gen: np.random.Generator):
-        """One synchronous step from ``status``, which it leaves unchanged.
+    def step(self, ignorant: np.ndarray, spreaders: np.ndarray, gen: np.random.Generator):
+        """One synchronous step from the mask ``ignorant``, left unchanged.
 
         Returns a mask over ``spreaders`` of those that stifle and the sorted
         ids of the ignorants they inform.  Random draws, in order:
@@ -184,8 +180,8 @@ class _Kernel:
                 every, member = every[cut], member[cut]
             slots = np.concatenate((slots, every))
             owner = np.concatenate((owner, again[member]))
-        ignorant = status[net.indices[slots]] == IGNORANT
-        slots, sources = slots[ignorant], rows[owner[ignorant]]
+        reached = ignorant[net.indices[slots]]
+        slots, sources = slots[reached], rows[owner[reached]]
         # the second coin, Bern(p_ij / pi_i)
         hit = gen.random(slots.size) * self.pi[sources] < self.chance[slots]
         informed = net.indices[slots[hit]]
@@ -224,10 +220,10 @@ def run(
         raise ValueError(f"need between 1 and {n} seed spreaders, got {seeds}")
 
     seed_ids = gen.choice(n, size=seeds, replace=False)
-    status = np.zeros(n, dtype=np.int8)
-    status[apply_plan(network, plan, gen)] = INOCULATED
-    status[seed_ids] = SPREADER  # a seed picked by the plan stays a seed
-    inoc_frac = np.count_nonzero(status == INOCULATED) / n
+    ignorant = np.ones(n, dtype=bool)
+    ignorant[apply_plan(network, plan, gen)] = False
+    ignorant[seed_ids] = False  # a seed picked by the plan stays a seed
+    inoc_frac = (n - seeds - np.count_nonzero(ignorant)) / n  # neither ignorant nor seeds
     if kernel is None:
         kernel = _Kernel(network, params, dt)
 
@@ -238,12 +234,10 @@ def run(
     for _ in range(round(t_max / dt)):
         if not spreaders.size:
             break
-        stifle, new_ids = kernel.step(status, spreaders, gen)
-        stifled = spreaders[stifle]
-        status[stifled] = STIFLER
-        status[new_ids] = SPREADER
+        stifle, new_ids = kernel.step(ignorant, spreaders, gen)
+        ignorant[new_ids] = False
         spreaders = np.concatenate((spreaders[~stifle], new_ids))
-        n_stiflers += stifled.size
+        n_stiflers += np.count_nonzero(stifle)
         spr_counts.append(spreaders.size)
         sti_counts.append(n_stiflers)
 

@@ -42,8 +42,8 @@ class DegreeSequenceError(RuntimeError):
 class DegreeDistribution:
     """Normalized degree distribution on a finite, strictly increasing support.
 
-    The powers k**q and the moments <k**q> are computed on each call.  The
-    one term kept is ``family_table``, the mean field's table of its last
+    The powers k**q are computed on each call.  The one term kept is
+    ``family_table``, the mean field's table of its last
     (alpha, beta, plan) family as a (key, table) pair, or None; only
     ``meanfield._family_table`` reads or sets it, and it lives as long as
     the distribution.
@@ -83,10 +83,6 @@ class DegreeDistribution:
     def power(self, q: float) -> np.ndarray:
         """Return k**q over the support as a float array."""
         return self.support.astype(np.float64) ** float(q)
-
-    def moment(self, q: float) -> float:
-        """Return <k**q> = sum_k k**q P(k)."""
-        return float((self.power(q) * self.probs).sum())
 
 
 def sample_powerlaw_distribution(gamma: float, k_min: int, n_nodes: int) -> DegreeDistribution:

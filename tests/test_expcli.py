@@ -558,7 +558,7 @@ g = 0.0,1.0
         dist = build_network(parse_scenario(path), graph=False)[0]
         assert dist.k_min == k_min
         classic = critical_rate(dist, 1.0, 0.0)
-        assert classic == pytest.approx(dist.moment(1.0) / dist.moment(2.0), rel=1e-14)
+        assert classic == pytest.approx((dist.probs @ dist.power(1.0)) / (dist.probs @ dist.power(2.0)), rel=1e-14)
         assert len(data) == 1 + 4
         for row, alpha, g in zip(data[1:], (0.5, 0.5, 0.8, 0.8), (0.0, 1.0, 0.0, 1.0)):
             assert [float(cell) for cell in row[:4]] == [alpha, -0.5, 1.0, g]

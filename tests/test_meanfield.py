@@ -31,6 +31,11 @@ POINT_MASS_1 = DegreeDistribution([1], [1.0])
 TWO_FOUR = DegreeDistribution([2, 4], [2 / 3, 1 / 3])
 
 
+def moment(dist, q):
+    """<k**q> = sum_k k**q P(k), summed as the mean field's family table sums it."""
+    return float((dist.power(q) * dist.probs).sum())
+
+
 def bisect_root(f, lo, hi, tol=1e-13):
     """Plain bisection, kept independent of the fixed-point solver it checks."""
     assert f(lo) * f(hi) < 0
@@ -405,7 +410,7 @@ class TestIntegrate:
         assert np.all(np.diff(traj.r) >= -1e-15)
         assert np.all(np.diff(traj.psi) >= -1e-15)
         assert np.all(np.diff(traj.i) <= 1e-15)
-        assert traj.psi[-1] <= dist.moment(alpha) / sigma
+        assert traj.psi[-1] <= moment(dist, alpha) / sigma
 
     def test_closed_form_ignorant_tracks_integration(self):
         # rho_i(k, t) = rho_i(k, 0) exp(-a_k Psi(t)), the identity the (Psi, R)
@@ -496,17 +501,21 @@ class TestIntegrate:
             assert traj.r[-1] == 1.0
 
     @pytest.mark.parametrize("n", [10**3, 10**5])
-    @pytest.mark.parametrize("lam", [1e12, 1e16, 1e20])
+    @pytest.mark.parametrize("lam", [1e12, 1e16, 1e20, 1.7e308])
     @pytest.mark.parametrize("kind, g", [("none", 0.0), ("random", 0.3), ("targeted", 0.05)])
     def test_step_floor_follows_the_curves_time_scale(self, lam, n, kind, g):
         # the curve's time scale shrinks as 1 / (lam S + sigma); a floor of
         # 1e-12 of the time span alone stopped these from lam = 1e12 (from
-        # 1e10 at n=10**5) at the first steps
+        # 1e10 at n=10**5) at the first steps.  At lam = 1.7e308, lam Psi
+        # overflows to inf, where a targeted plan's zero rates once made the
+        # class sums NaN and the curve stall
         dist = sample_powerlaw_distribution(2.4, 2, n)
         params = ModelParams(lam=lam, alpha=0.5, beta=-0.5)
         plan = _plan(dist, kind, g)
         traj = integrate(uniform_seed_state(dist, 1e-3), dist, params, plan, t_end=100.0, dt=0.01)
         assert_saturated_curve(traj, dist, params, plan)
+        # every class that can be informed is
+        assert final_rumor_size(dist, params, plan) == pytest.approx(1.0 - g, rel=0.0, abs=1e-9)
 
     def test_blowup_reported(self, monkeypatch):
         # a negative weight and rate on the degree-4 class add
@@ -541,7 +550,7 @@ class TestIntegrate:
         found = re.search(r"Psi=(\S+), I=(\S+),", str(info.value))
         psi, i = float(found[1]), float(found[2])
         assert psi < 0.0
-        rates = TWO_FOUR.support / TWO_FOUR.moment(1.0)
+        rates = TWO_FOUR.support / moment(TWO_FOUR, 1.0)
         assert i == pytest.approx(float(TWO_FOUR.probs @ (state.rho_i * np.exp(-rates * psi))), rel=1e-3)
 
     def test_overflowing_probe_fails_the_step_floor(self, monkeypatch):
@@ -763,7 +772,7 @@ class TestPsiSolver:
         plan = make_targeted_plan(dist, 0.01)
         k = dist.support.astype(np.float64)
         weights = k**0.5 * dist.probs
-        rates = 0.5 * (1.0 - plan.profile(dist)) * k / dist.moment(1.0)
+        rates = 0.5 * (1.0 - plan.profile(dist)) * k / moment(dist, 1.0)
         expected = bisect_root(lambda x: x + float(weights @ np.expm1(-rates * x)), 1e-6, weights.sum())
         assert 0.0 < expected < 0.1
         assert psi_fixed_point(dist, params, plan) == pytest.approx(expected, rel=1e-9, abs=0.0)
@@ -787,7 +796,7 @@ class TestPsiSolver:
         # solver must neither underflow nor lose the root
         dist = DegreeDistribution([2, 5000], [0.9, 0.1])
         params = ModelParams(lam=1.0, alpha=1.0)
-        mean_k = dist.moment(1.0)
+        mean_k = moment(dist, 1.0)
 
         def ignorant(x):
             return 0.9 * math.exp(-2.0 * x / mean_k) + 0.1 * math.exp(-5000.0 * x / mean_k)
@@ -816,7 +825,7 @@ class TestPsiSolver:
         probs = np.array(raw_probs[:support.size])
         dist = DegreeDistribution(support.astype(int), probs / probs.sum())
         weights = support**alpha * dist.probs
-        unit_rates = support ** (1.0 + beta) / dist.moment(1.0 + beta)
+        unit_rates = support ** (1.0 + beta) / moment(dist, 1.0 + beta)
         # slope at zero = over > 1; over <= 8 keeps the root at least about
         # 1e-6 below the upper bound, so h is resolvable on the points checked
         lam = over * sigma / float(weights @ unit_rates)
@@ -935,7 +944,7 @@ class TestFinalRumorSize:
             for lam in lams[1:]:
                 params = ModelParams(lam=lam, alpha=alpha, beta=beta)
                 psi_star = psi_fixed_point(dist, params, plan)
-                rates = lam * one_minus_g * dist.power(1.0 + beta) / dist.moment(1.0 + beta)
+                rates = lam * one_minus_g * dist.power(1.0 + beta) / moment(dist, 1.0 + beta)
                 exact = math.fsum((free * -np.expm1(-rates * psi_star)).tolist())
                 r = final_rumor_size(dist, params, plan)
                 assert psi_star > 0.0
@@ -1036,7 +1045,7 @@ class TestTermLifetimes:
         lambda_c = critical_rate(dist, alpha, beta, plan, sigma)
         assume(math.isfinite(lambda_c))
         one_minus_g = 1.0 - (plan.profile(dist) if plan is not None else np.zeros(support.size))
-        b = (one_minus_g * dist.power(1.0 + beta) / dist.moment(1.0 + beta)).tolist()
+        b = (one_minus_g * dist.power(1.0 + beta) / moment(dist, 1.0 + beta)).tolist()
         weights = (dist.power(alpha) * dist.probs).tolist()
         free = (dist.probs * one_minus_g).tolist()
 

@@ -11,15 +11,7 @@ from rumornet import montecarlo
 from rumornet.expcli.scenario import parse_scenario
 from rumornet.inoculation import make_random_plan, make_targeted_plan
 from rumornet.meanfield import ModelParams, final_rumor_size
-from rumornet.montecarlo import (
-    IGNORANT,
-    INOCULATED,
-    SPREADER,
-    STIFLER,
-    _Kernel,
-    ensemble,
-    run,
-)
+from rumornet.montecarlo import _Kernel, ensemble, run
 from rumornet.netgen import Network, build_ba_network, build_configuration_network, sample_powerlaw_distribution
 
 
@@ -27,32 +19,45 @@ def complete_graph(n):
     return Network(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+# a node's status as the tests read it from the ignorant mask and the
+# spreader list handed to a step; REMOVED is neither, a stifler or an
+# inoculated node
+IGNORANT, SPREADER, STIFLER, REMOVED = "ignorant", "spreader", "stifler", "removed"
+
+
 @contextmanager
 def recorded_steps():
     """While active, ``_Kernel.step`` also appends to the yielded list, per
-    step, a copy of the status it was handed, the ids that stifle and the
-    ids it informs."""
+    step, copies of the ignorant mask and the spreaders it was handed, the
+    ids that stifle and the ids it informs."""
     steps = []
     real = montecarlo._Kernel.step
 
-    def step(kernel, status, spreaders, gen):
-        stifle, informed = real(kernel, status, spreaders, gen)
-        steps.append((status.copy(), spreaders[stifle], informed))
+    def step(kernel, ignorant, spreaders, gen):
+        stifle, informed = real(kernel, ignorant, spreaders, gen)
+        steps.append((ignorant.copy(), spreaders.copy(), spreaders[stifle], informed))
         return stifle, informed
 
     with mock.patch.object(montecarlo._Kernel, "step", step):
         yield steps
 
 
+def status_of(node, ignorant, spreaders):
+    """The status of ``node`` in a step handed ``ignorant`` and ``spreaders``."""
+    if node in spreaders:
+        return SPREADER
+    return IGNORANT if ignorant[node] else REMOVED
+
+
 def moves(steps):
     """The status moves (step, node, old, new) of a recorded run: the seeds,
-    spreaders in the first status handed to a step, at step 0, then each
-    step's stiflers and informed nodes, ``old`` read from its status."""
-    seeds = np.flatnonzero(steps[0][0] == SPREADER)
-    events = [(0, int(node), IGNORANT, SPREADER) for node in seeds]
-    for index, (status, stifled, informed) in enumerate(steps, 1):
-        events += [(index, int(node), int(status[node]), STIFLER) for node in stifled]
-        events += [(index, int(node), int(status[node]), SPREADER) for node in informed]
+    the spreaders handed to the first step, at step 0, then each step's
+    stiflers and informed nodes, ``old`` read from what that step was
+    handed."""
+    events = [(0, int(node), IGNORANT, SPREADER) for node in steps[0][1]]
+    for index, (ignorant, spreaders, stifled, informed) in enumerate(steps, 1):
+        events += [(index, int(node), status_of(node, ignorant, spreaders), STIFLER) for node in stifled]
+        events += [(index, int(node), status_of(node, ignorant, spreaders), SPREADER) for node in informed]
     return events
 
 
@@ -72,11 +77,11 @@ def contact_counts(degree, alpha, stars, steps, seed):
     hubs = np.arange(stars) * size
     net = Network(stars * size, [(hub, hub + 1 + i) for hub in hubs for i in range(degree)])
     kernel = _Kernel(net, ModelParams(lam=100.0, alpha=alpha), 0.1)
-    status = np.zeros(net.n, dtype=np.int8)
-    status[hubs] = SPREADER
+    ignorant = np.ones(net.n, dtype=bool)
+    ignorant[hubs] = False
     gen = np.random.default_rng(seed)
     return np.concatenate(
-        [np.bincount(kernel.step(status, hubs, gen)[1] // size, minlength=stars) for _ in range(steps)]
+        [np.bincount(kernel.step(ignorant, hubs, gen)[1] // size, minlength=stars) for _ in range(steps)]
     )
 
 
@@ -192,13 +197,13 @@ class TestStepKernel:
         leaves = [np.arange(hub + 1, hub + 1 + d) for hub, d in zip(hubs, sizes)]
         stars = Network(sum(sizes) + len(sizes), [(hub, leaf) for hub, own in zip(hubs, leaves) for leaf in own])
         kernel = _Kernel(stars, ModelParams(lam=100.0, alpha=alpha), dt)
-        status = np.zeros(stars.n, dtype=np.int8)
-        status[hubs] = SPREADER
+        ignorant = np.ones(stars.n, dtype=bool)
+        ignorant[hubs] = False
         gen = np.random.default_rng(4)
         hits = np.zeros(stars.n)
         counts = np.empty((trials, len(sizes)))
         for j in range(trials):
-            _, informed = kernel.step(status, hubs, gen)
+            _, informed = kernel.step(ignorant, hubs, gen)
             counts[j] = [np.isin(informed, own).sum() for own in leaves]
             hits[informed] += 1
         assert hits[hubs].sum() == 0
@@ -209,7 +214,7 @@ class TestStepKernel:
             p = mean / d
             se = math.sqrt(p * (1 - p) / trials)
             assert np.all(np.abs(hits[own] / trials - p) <= 5 * se)
-        assert np.all(status[hubs] == SPREADER) and status.sum() == len(sizes)  # left unchanged
+        assert not ignorant[hubs].any() and np.count_nonzero(~ignorant) == len(sizes)  # left unchanged
 
 
 def hubs_with_leaves(leaf_degrees, copies):
@@ -248,14 +253,14 @@ def informed_leaves(leaf_degrees, params, copies, steps, seed, stifled=None, dt=
     ignorant."""
     net, hubs, leaves = hubs_with_leaves(leaf_degrees, copies)
     kernel = _Kernel(net, params, dt)
-    status = np.zeros(net.n, dtype=np.int8)
-    status[hubs] = SPREADER
+    ignorant = np.ones(net.n, dtype=bool)
+    ignorant[hubs] = False
     if stifled is not None:
-        status[leaves[:, stifled]] = STIFLER
+        ignorant[leaves[:, stifled]] = False
     gen = np.random.default_rng(seed)
     out = np.empty((steps, *leaves.shape), dtype=bool)
     for j in range(steps):
-        informed = kernel.step(status, hubs, gen)[1]
+        informed = kernel.step(ignorant, hubs, gen)[1]
         out[j] = np.isin(leaves, informed)
         assert np.isin(informed, leaves).all()
     return out
@@ -361,9 +366,9 @@ class TestKernelEdges:
             node += k + 1
         net = Network(node, edges)
         kernel = _Kernel(net, ModelParams(lam=20.0, alpha=0.01), 0.1)
-        status = np.zeros(net.n, dtype=np.int8)
-        status[hubs] = SPREADER
-        _, informed = kernel.step(status, np.array(hubs), _TopUniforms(24))
+        ignorant = np.ones(net.n, dtype=bool)
+        ignorant[hubs] = False
+        _, informed = kernel.step(ignorant, np.array(hubs), _TopUniforms(24))
         assert informed.tolist() == last
 
 
@@ -453,6 +458,15 @@ def run_recording_plan(network, params, plan, seeds, rng):
     return trace, moves(steps), picked[0]
 
 
+@st.composite
+def counted_runs(draw):
+    """``small_runs``, on some draws with a targeted plan of the same g."""
+    network, params, plan, seeds, rng = draw(small_runs())
+    if plan is not None and network.indptr[-1] and draw(st.booleans()):
+        plan = make_targeted_plan(network.empirical_distribution(), plan.g)
+    return network, params, plan, seeds, rng
+
+
 class TestRunProperties:
     @settings(max_examples=60, deadline=None)
     @given(small_runs())
@@ -482,6 +496,30 @@ class TestRunProperties:
         for field in ("times", "ignorant", "spreader", "stifler"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert a_events == b_events
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(counted_runs())
+    def test_counts_follow_the_recorded_steps(self, case):
+        # each sample's counts are those the steps made, exactly, and each
+        # step is handed the first mask less every node informed before it
+        network, params, plan, seeds, rng = case
+        with recorded_steps() as steps:
+            trace = run(network, params, plan=plan, seeds=seeds, t_max=20.0, rng=rng)
+        n = network.n
+        assert len(steps) == trace.times.size - 1
+        assert round(trace.spreader[0] * n) == steps[0][1].size == seeds
+        assert trace.stifler[0] == 0.0
+        first = steps[0][0]
+        informed_before = np.zeros(n, dtype=bool)
+        stiflers = 0
+        for index, (ignorant, spreaders, stifled, informed) in enumerate(steps, 1):
+            assert np.array_equal(ignorant, first & ~informed_before)
+            stiflers += stifled.size
+            assert round(trace.spreader[index] * n) == spreaders.size - stifled.size + informed.size
+            assert round(trace.stifler[index] * n) == stiflers
+            informed_before[informed] = True
+        assert round(trace.final_r * n) == seeds + np.count_nonzero(informed_before)
 
 
 class TestMarkovOracle:
@@ -584,12 +622,14 @@ class TestEnsemble:
         params = ModelParams(lam=1.0, alpha=0.5, beta=-0.5)
         with recorded_steps() as steps:
             trace = run(powerlaw_net, params, plan=plan, seeds=5, rng=55)
-        # no move touches an inoculated node, every step is handed them still
-        # inoculated, and the fractions stay consistent
-        inoculated = np.flatnonzero(steps[0][0] == INOCULATED)
+        # no move touches an inoculated node (one neither ignorant nor a
+        # seed at the first step), every step is handed them still neither
+        # ignorant nor spreading, and the fractions stay consistent
+        inoculated = np.setdiff1d(np.flatnonzero(~steps[0][0]), steps[0][1])
         assert inoculated.size == round(trace.inoculated_fraction * powerlaw_net.n)
         assert not set(inoculated.tolist()) & {node for _, node, _, _ in moves(steps)}
-        assert all(np.all(status[inoculated] == INOCULATED) for status, _, _ in steps)
+        assert all(not ignorant[inoculated].any() and not np.isin(inoculated, spreaders).any()
+                   for ignorant, spreaders, _, _ in steps)
         total = trace.ignorant + trace.spreader + trace.stifler + trace.inoculated_fraction
         assert np.allclose(total, 1.0, atol=1e-12)
         assert trace.inoculated_fraction > 0.15

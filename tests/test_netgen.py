@@ -19,6 +19,11 @@ def two_four_dist():
     return DegreeDistribution([2, 4], [2 / 3, 1 / 3])
 
 
+def moment(dist, q):
+    """<k**q> = sum_k k**q P(k) over the support."""
+    return float((dist.power(q) * dist.probs).sum())
+
+
 class TestDegreeDistribution:
     def test_powerlaw_cutoff_gamma3(self):
         dist = sample_powerlaw_distribution(3.0, 2, 10**5)
@@ -57,14 +62,14 @@ class TestDegreeDistribution:
 
 class TestMoments:
     def test_first_moment(self):
-        assert two_four_dist().moment(1) == pytest.approx(8 / 3, rel=1e-14)
+        assert moment(two_four_dist(), 1) == pytest.approx(8 / 3, rel=1e-14)
 
     def test_second_moment(self):
-        assert two_four_dist().moment(2) == pytest.approx(8.0, rel=1e-14)
+        assert moment(two_four_dist(), 2) == pytest.approx(8.0, rel=1e-14)
 
     def test_zeroth_moment_is_one(self):
         for dist in (two_four_dist(), sample_powerlaw_distribution(2.7, 3, 500)):
-            assert dist.moment(0) == pytest.approx(1.0, rel=1e-14)
+            assert moment(dist, 0) == pytest.approx(1.0, rel=1e-14)
 
     def test_nondecreasing_in_q(self):
         rng = np.random.default_rng(5)
@@ -73,7 +78,7 @@ class TestMoments:
             weights = rng.random(6)
             dist = DegreeDistribution(support, weights / weights.sum())
             qs = np.linspace(-1.0, 3.0, 17)
-            moments = [dist.moment(q) for q in qs]
+            moments = [moment(dist, q) for q in qs]
             assert all(m2 >= m1 - 1e-12 for m1, m2 in zip(moments, moments[1:]))
 
     def test_power_over_the_support(self):
@@ -154,7 +159,7 @@ class TestConfigurationNetwork:
         dist = sample_powerlaw_distribution(2.4, 2, 10**4)
         net = build_configuration_network(dist, 10**4, np.random.default_rng(11))
         check_csr(net)
-        assert net.degrees.mean() == pytest.approx(dist.moment(1.0), rel=0.05)
+        assert net.degrees.mean() == pytest.approx(moment(dist, 1.0), rel=0.05)
 
     def test_total_variation_distance(self):
         dist = sample_powerlaw_distribution(2.4, 2, 10**4)
@@ -211,7 +216,7 @@ class TestNodeStrength:
         for k in (2, 3, 5):
             mask = net.degrees == k
             assert mask.sum() > 50
-            closure = k ** (1.0 + beta) * dist.moment(1.0 + beta) / dist.moment(1.0)
+            closure = k ** (1.0 + beta) * moment(dist, 1.0 + beta) / moment(dist, 1.0)
             assert strengths[mask].mean() == pytest.approx(closure, rel=0.10)
 
 
