@@ -351,9 +351,10 @@ class TestIntegrate:
         oracle = per_class_rk4(initial, dist, params, plan, t_end=20.0, dt=1e-3, sample_every=500)
         for name in ("i", "s", "r", "phi", "psi"):
             assert np.max(np.abs(getattr(traj, name) - getattr(oracle, name))) < 1e-9
-        # the cut was reached: under 80% of every class at every stage evaluated
-        accepted, rejected, dense, rest, evals = logged_work(caplog)
-        assert evals < 0.8 * evaluated_stages(traj, accepted, rejected, dense, rest) * k.size
+        # the cut was reached: under 80% of every class evaluated at the
+        # stages the series did not sum
+        accepted, rejected, dense, rest, evals, series = logged_work(caplog)
+        assert evals < 0.8 * (evaluated_stages(traj, accepted, rejected, dense, rest) - series) * k.size
 
     def test_expm1_is_minus_one_past_the_cut(self):
         # the cut replaces these exponentials by -1.0; if expm1 ever stops
@@ -361,18 +362,22 @@ class TestIntegrate:
         x = meanfield._EXPM1_CUT * np.array([1.0 - 1e-12, 1.0, 1.01, 2.0, 20.0, 1e3, 1e300, np.inf])
         assert np.all(np.expm1(-x) == -1.0)
 
-    def test_zero_psi_evaluates_every_class(self, caplog):
-        # without spreaders Psi stays 0 and no class may count as saturated:
-        # both classes at the start, the probe of the first step, twelve
-        # stages per step tried, three per dense output and the 9 interior
-        # samples
+    def test_zero_psi_evaluates_every_class(self, monkeypatch, caplog):
+        # without spreaders Psi stays 0: the start, the probe of the first
+        # step, twelve stages per step tried, three per dense output and the
+        # 9 interior samples are all summed by the series.  With the series
+        # off, no class may count as saturated: each of those calls
+        # evaluates both classes
         caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
         params = ModelParams(lam=80.0, alpha=1.0, beta=2.0)
-        traj = integrate(uniform_seed_state(TWO_FOUR, 0.0), TWO_FOUR, params, t_end=1.0, dt=0.1)
-        assert np.all(traj.i == 1.0) and np.all(traj.psi == 0.0)
-        accepted, rejected, dense, rest, evals = logged_work(caplog)
-        assert rest is None
-        assert evals == 2 * (2 + 12 * (accepted + rejected) + 3 * dense + 9)
+        for rho, summed in ((meanfield._SERIES_RHO, True), (-1.0, False)):
+            monkeypatch.setattr(meanfield, "_SERIES_RHO", rho)
+            traj = integrate(uniform_seed_state(TWO_FOUR, 0.0), TWO_FOUR, params, t_end=1.0, dt=0.1)
+            assert np.all(traj.i == 1.0) and np.all(traj.psi == 0.0)
+            accepted, rejected, dense, rest, evals, series = logged_work(caplog)
+            assert rest is None
+            calls = 2 + 12 * (accepted + rejected) + 3 * dense + 9
+            assert (evals, series) == ((0, calls) if summed else (2 * calls, 0))
 
     def test_conservation_and_monotonicity(self):
         dist = sample_powerlaw_distribution(2.4, 2, 1000)
@@ -464,7 +469,7 @@ class TestIntegrate:
         probs = TWO_FOUR.probs
         assert traj.times.tolist() == [0.0] and traj.psi.tolist() == [0.0]
         assert (traj.i[0], traj.s[0], traj.r[0]) == (probs @ state.rho_i, probs @ state.rho_s, probs @ state.rho_r)
-        assert logged_work(caplog) == (0, 0, 0, None, 2)
+        assert logged_work(caplog) == (0, 0, 0, None, 0, 1)
 
     def test_nan_rate_fails_the_range_check_at_the_start(self, monkeypatch):
         # a NaN rate makes the first sample's I NaN: the range check reports
@@ -570,13 +575,15 @@ class TestIntegrate:
         messages = [rec.getMessage() for rec in caplog.records
                     if rec.name == "rumornet.meanfield" and rec.getMessage().startswith("integrate:")]
         assert len(messages) == 1
-        accepted, rejected, dense, rest, evals = logged_work(caplog)
+        accepted, rejected, dense, rest, evals, series = logged_work(caplog)
         assert messages[0] == (f"integrate: accepted={accepted} rejected={rejected} dense={dense} rest=none "
-                               f"psi={float(traj.psi[-1])!r} r={float(traj.r[-1])!r} evals={evals}")
-        # no class of TWO_FOUR saturates at lam=1: both classes at the start,
-        # the probe, twelve stages per step tried, three per dense output and
-        # the 19 interior samples
-        assert evals == 2 * (2 + 12 * (accepted + rejected) + 3 * dense + 19)
+                               f"psi={float(traj.psi[-1])!r} r={float(traj.r[-1])!r} evals={evals} "
+                               f"series={series}")
+        # lam Psi stays below _SERIES_RHO / b_max to t_end, so the series
+        # sums every call: the start, the probe, twelve stages per step
+        # tried, three per dense output and the 19 interior samples
+        assert traj.psi[-1] < meanfield._SERIES_RHO / two_four_terms()[1].max()
+        assert (evals, series) == (0, 2 + 12 * (accepted + rejected) + 3 * dense + 19)
         # fewer steps than the 200 sample steps of dt, and a dense output
         # only on the accepted steps that hold an interior sample
         assert 0 < accepted < 200
@@ -589,10 +596,10 @@ class TestIntegrate:
         caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
         traj = integrate(uniform_seed_state(TWO_FOUR, 1e-2), TWO_FOUR, ModelParams(lam=1.0, alpha=1.0),
                          t_end=60.0, dt=0.01, sample_every=10)
-        accepted, rejected, dense, rest, evals = logged_work(caplog)
+        accepted, rejected, dense, rest, evals, series = logged_work(caplog)
         assert_rests_after(traj, rest)
         assert rest < 40.0
-        assert evals == 2 * evaluated_stages(traj, accepted, rejected, dense, rest)
+        assert evals == 2 * (evaluated_stages(traj, accepted, rejected, dense, rest) - series)
 
     def test_psi_and_r_never_step_back(self):
         # at rest Phi is cancellation noise, which DOP853's weights (their
@@ -608,22 +615,23 @@ class TestIntegrate:
             assert np.all(np.diff(traj.psi) >= 0.0) and np.all(np.diff(traj.r) >= 0.0), (params, s0)
 
 
-def logged_work(caplog) -> tuple[int, int, int, float | None, int]:
-    """(accepted, rejected, dense, rest, evals) of the last integrate record;
-    rest is the step end that proved rest, or None."""
+def logged_work(caplog) -> tuple[int, int, int, float | None, int, int]:
+    """(accepted, rejected, dense, rest, evals, series) of the last integrate
+    record; rest is the step end that proved rest, or None."""
     message = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("integrate:")][-1]
     found = re.fullmatch(r"integrate: accepted=(\d+) rejected=(\d+) dense=(\d+) rest=(\S+) psi=\S+ r=\S+ "
-                         r"evals=(\d+)", message)
+                         r"evals=(\d+) series=(\d+)", message)
     assert found, f"unmatched integrate record: {message}"
     rest = None if found[4] == "none" else float(found[4])
-    return int(found[1]), int(found[2]), int(found[3]), rest, int(found[5])
+    return int(found[1]), int(found[2]), int(found[3]), rest, int(found[5]), int(found[6])
 
 
 def evaluated_stages(traj, accepted, rejected, dense, rest) -> int:
-    """The evaluations integrate makes, each over the classes below the cut:
-    the start and the probe of the first step, twelve per step tried, three
-    per dense output, one per interior sample before rest and, once rest is
-    proven, one for the rest state."""
+    """The class-sum calls integrate makes, each summed by the series or
+    evaluated over the classes below the cut: the start and the probe of the
+    first step, twelve per step tried, three per dense output, one per
+    interior sample before rest and, once rest is proven, one for the rest
+    state."""
     # with rest: the samples before it, less the start, plus the rest state
     interior = traj.times.size - 2 if rest is None else int(np.sum(traj.times < rest))
     return 2 + 12 * (accepted + rejected) + 3 * dense + interior
@@ -648,8 +656,9 @@ class TestOracleAgreement:
 
     POWERLAW = sample_powerlaw_distribution(2.4, 2, 1000)
 
-    @pytest.mark.parametrize("case", ["no_plan", "targeted", "random", "sigma_2", "uneven_sampling"])
-    def test_matches_the_per_class_oracle(self, case):
+    @pytest.mark.parametrize("case", ["no_plan", "targeted", "random", "sigma_2", "uneven_sampling", "s0_1e-6"])
+    def test_matches_the_per_class_oracle(self, caplog, case):
+        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
         dist = self.POWERLAW
         params = ModelParams(lam=0.9, alpha=0.8, beta=-0.5, sigma=2.0 if case == "sigma_2" else 1.0)
         plan = {"targeted": make_targeted_plan(dist, 0.05), "random": make_random_plan(0.3)}.get(case)
@@ -659,8 +668,11 @@ class TestOracleAgreement:
             assert table.rates[table.order.argmax()] == 0.0
         # 7000 sample steps: 70 divides them, 65 does not
         sample_every = 65 if case == "uneven_sampling" else 70
-        initial = uniform_seed_state(dist, 1e-3)
+        initial = uniform_seed_state(dist, 1e-6 if case == "s0_1e-6" else 1e-3)
         traj = integrate(initial, dist, params, plan, t_end=70.0, dt=0.01, sample_every=sample_every)
+        # the curve starts in the class sums' power series and leaves it
+        evals, series = logged_work(caplog)[4:]
+        assert series > 0 and evals > 0
         # per-class RK4 at a quarter of the sample spacing
         oracle = per_class_rk4(initial, dist, params, plan, t_end=70.0, dt=0.0025, sample_every=4 * sample_every)
         assert traj.times[-1] == 70.0
@@ -721,6 +733,64 @@ class TestOracleAgreement:
         for name in ("i", "s", "r", "phi", "psi"):
             assert np.max(np.abs(getattr(traj, name) - getattr(oracle, name))) < bound, name
 
+
+
+class TestClassSeries:
+    """integrate's two class sums and rest_step's two slope sums while every
+    class has b_k |lam Psi| <= _SERIES_RHO, summed as power series in lam Psi
+    (meanfield._class_series), against exact per-class sums."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        degrees=st.lists(st.integers(1, 60), min_size=1, max_size=8, unique=True),
+        raw_probs=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+        alpha=st.floats(0.1, 1.0),
+        beta=st.floats(-1.0, 1.0),
+        kind=st.sampled_from(["none", "random", "targeted"]),
+        g=st.floats(0.0, 0.6),
+        reach=st.one_of(st.floats(1e-200, 1.0), st.floats(-1.0, -1e-200)),
+    )
+    def test_sums_match_an_fsum_oracle(self, degrees, raw_probs, alpha, beta, kind, g, reach):
+        # the rows integrate sums, w_k rho_i(k, 0) and P(k) rho_i(k, 0), at a
+        # graded start, and scales of both signs up to the series' reach;
+        # from 1e-200 of it, so that no sum is subnormal and short of a
+        # relative precision
+        support = np.array(sorted(degrees))
+        probs = np.array(raw_probs[:support.size])
+        dist = DegreeDistribution(support, probs / probs.sum())
+        table = meanfield._family_table(dist, alpha, beta, _plan(dist, kind, g))
+        rho_i = graded_state(support.size).rho_i[table.order]
+        mix = np.stack([table.rows[0] * rho_i, dist.probs[table.order] * rho_i])
+        series = meanfield._class_series(table.rates, mix)
+        b_max = float(table.rates.max())
+        assert series.b_max == b_max
+        scale = reach * meanfield._SERIES_RHO / b_max if b_max > 0.0 else reach
+        assume(series.covers(scale))
+        rates = table.rates.tolist()
+        for got, term in ((series.expm1_sums(scale), lambda b: math.expm1(-b * scale)),
+                          (series.slope_sums(scale), lambda b: b * math.exp(-b * scale))):
+            for value, row in zip(got, mix.tolist()):
+                exact = math.fsum(m * term(b) for m, b in zip(row, rates))
+                assert abs(value - exact) <= 1e-14 * abs(exact)
+        assert series.expm1_sums(0.0) == (0.0, 0.0)
+
+    def test_overflowing_coefficients_turn_the_series_off(self, monkeypatch, caplog):
+        # b_max is about 9e13, so b_max**27 / 27! overflows: no call may be
+        # summed by the series, not even at Psi = 0, and the curve is the one
+        # integrate draws with the series off (a negative _SERIES_RHO covers
+        # no scale)
+        caplog.set_level(logging.DEBUG, logger="rumornet.meanfield")
+        dist = DegreeDistribution([1, 10**7], [1.0 - 1e-15, 1e-15])
+        params = ModelParams(lam=1.0, alpha=1.0, beta=1.0)
+        assert meanfield._family_table(dist, 1.0, 1.0, None).rates.max() > 9e13
+        curves = []
+        for rho in (meanfield._SERIES_RHO, -1.0):
+            monkeypatch.setattr(meanfield, "_SERIES_RHO", rho)
+            traj = integrate(uniform_seed_state(dist, 1e-3), dist, params, t_end=10.0, dt=0.1)
+            evals, series = logged_work(caplog)[4:]
+            assert series == 0 and evals > 0
+            curves.append(np.stack([traj.times, traj.i, traj.s, traj.r, traj.phi, traj.psi]))
+        assert np.array_equal(curves[0], curves[1])
 
 class TestPsiFixedPoint:
     def test_lambda_zero(self):
