@@ -33,19 +33,16 @@ belong to a family, one (distribution, alpha, beta, plan), and a family's
 points differ only in the scalars lam and sigma.  ``_family_table`` sorts
 the family's classes by b_k once and keeps, read-only, b_k, the weights
 w_k = k**alpha P(k), w_k b_k and P(k) (1 - g_k) in that order with their
-suffix sums.  Since expm1(-b_k lam Psi) is exactly -1.0 once
-b_k lam Psi > _EXPM1_CUT, the classes past the cut are a suffix whose sums
-are read from the table, and only the rest are evaluated.  Early in a curve,
-while every b_k lam Psi is at most _SERIES_RHO in absolute value,
-``integrate`` evaluates no exponential: it sums the classes as one power
-series in lam Psi, whose coefficients, the sums over the classes of their
-weights times b_k**n / n!, it builds once per call (_ClassSeries).  The last
-family's table is kept on the distribution (``DegreeDistribution.family_table``,
-which only ``_family_table`` reads and sets), so a sweep over lam that runs
-one family's points in a row builds each table once, and the table dies
-with its distribution.  It is the only per-class term kept across points:
-the powers k**q, the moments and a plan's g_k are computed afresh for each
-table built.
+suffix sums.  Every solver reads its sums over the classes, of
+expm1(-b_k lam Psi) and of b_k exp(-b_k lam Psi) with per-class weights,
+from one _ClassSums per call, which evaluates only the classes below a cut
+and, for integrate, sums them as a power series while lam Psi is small.
+The last family's table is kept on the distribution
+(``DegreeDistribution.family_table``, which only ``_family_table`` reads
+and sets), so a sweep over lam that runs one family's points in a row
+builds each table once, and the table dies with its distribution.  It is
+the only per-class term kept across points: the powers k**q, the moments
+and a plan's g_k are computed afresh for each table built.
 """
 
 from __future__ import annotations
@@ -54,6 +51,7 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -81,12 +79,12 @@ _log = logging.getLogger(__name__)
 # sits above that with a margin for the rounding of b_k * (lam * Psi)
 _EXPM1_CUT = 38.0
 
-# the largest double, which _Family reads an overflowed scale lam Psi as
+# the largest double, which _ClassSums reads an overflowed scale lam Psi as
 _MAX_SCALE = math.nextafter(math.inf, 0.0)
 
 # while every class has b_k |lam Psi| <= _SERIES_RHO, integrate sums the
 # classes as one power series in lam Psi cut after the _SERIES_TERMS-th power
-# (_ClassSeries), whose truncation is below 1e-19 of the sum there
+# (_ClassSums), whose truncation is below 1e-19 of the sum there
 _SERIES_RHO = 2.0
 _SERIES_TERMS = 26
 
@@ -268,32 +266,6 @@ class _Family:
     slope: float
     kalpha_mean: float
 
-    def cut(self, scale: float) -> int:
-        """The number of classes with b_k scale <= _EXPM1_CUT, the ones whose
-        expm1(-b_k scale) is not exactly -1.0; for a scale that is not > 0
-        (zero, negative or NaN), every class.  A scale above the largest
-        double (lam Psi overflowed) is read as it here and in expm1_sums, so
-        a zero b_k gives expm1(-0), not expm1(-0 * inf) = NaN.  bisect_right
-        on the doubles finds the cut searchsorted(side="right") would, at a
-        fraction of a numpy call's fixed cost."""
-        if scale > _MAX_SCALE:
-            scale = _MAX_SCALE
-        return bisect_right(memoryview(self.rates), _EXPM1_CUT / scale) if scale > 0.0 else self.rates.size
-
-    def expm1_sums(self, scale: float, mix: np.ndarray, tails, buf: np.ndarray) -> tuple[int, list[float]]:
-        """sum_k mix[r, k] expm1(-b_k scale) over every class, for each row r
-        of ``mix`` (columns in the table's order) with its suffix sums
-        ``tails[r]``; returns the cut and the sums.  The classes below the
-        cut are evaluated, their exponentials left in ``buf[:cut]``; each
-        class past it adds -mix[r, k], which its suffix sum holds."""
-        if scale > _MAX_SCALE:
-            scale = _MAX_SCALE
-        cut = self.cut(scale)
-        head = buf[:cut]
-        np.multiply(self.rates[:cut], -scale, out=head)
-        np.expm1(head, out=head)
-        return cut, [total - tail[cut] for total, tail in zip((mix[:, :cut] @ head).tolist(), tails)]
-
     def critical_rate(self, sigma: float) -> float:
         """sigma * (1 / S_0), or infinity when S_0 = 0 (see critical_rate)."""
         return sigma * (1.0 / self.slope) if self.slope > 0.0 else math.inf
@@ -335,9 +307,15 @@ def _family_table(dist: DegreeDistribution, alpha: float, beta: float, plan: Ino
     key = (alpha, beta, plan)
     if dist.family_table is None or dist.family_table[0] != key:
         one_minus_g = 1.0 - plan.profile(dist) if plan is not None else 1.0
-        # <k**(1+beta)> from the one power
-        k_power = dist.power(1.0 + beta)
-        rates = one_minus_g * k_power / float((k_power * dist.probs).sum())
+        # <k**(1+beta)> from the one power; one that overflows, or a mean
+        # that underflows to 0, would make every b_k NaN
+        with np.errstate(over="ignore"):
+            k_power = dist.power(1.0 + beta)
+            mean = float((k_power * dist.probs).sum())
+        if not (np.isfinite(k_power).all() and 0.0 < mean < math.inf):
+            raise ValueError(f"beta = {beta!r} is out of range for degrees up to {dist.k_max}: "
+                             f"k**(1+beta) or its mean {mean!r} is not a positive finite double")
+        rates = one_minus_g * k_power / mean
         weights, free_probs = dist.power(alpha) * dist.probs, dist.probs * one_minus_g
         # the old table goes only once the new inputs are built, and before
         # the new table, so the two never coexist.  Freed first, it was
@@ -349,56 +327,114 @@ def _family_table(dist: DegreeDistribution, alpha: float, beta: float, plan: Ino
     return dist.family_table[1]
 
 
-@dataclass(frozen=True, eq=False)
-class _ClassSeries:
-    """The two class sums of ``mix``'s rows as power series in x = -scale,
-    with c_r[n] = sum_k mix[r, k] b_k**n / n! and N = _SERIES_TERMS:
+class _ClassSums:
+    """The two sums over a family's classes that the mean-field solvers
+    read, for each row m of ``rows`` (columns in the family table's order):
 
-        sum_k mix[r, k] expm1(-b_k scale)    = sum_{n=1..N} c_r[n] x**n
-        sum_k mix[r, k] b_k exp(-b_k scale)  = sum_{n=0..N} (n + 1) c_r[n + 1] x**n
+        expm1(scale)  sum_k m_k expm1(-b_k scale)
+        decay(scale)  sum_k m_k b_k exp(-b_k scale)
 
-    the second being the first's derivative, less its sign.
+    the second being the first's derivative, less its sign.  Each solver
+    builds one per call: psi_fixed_point for the rows w_k and w_k b_k,
+    final_rumor_size for P(k) (1 - g_k), and integrate, with the series, for
+    w_k rho_i(k, 0) and P(k) rho_i(k, 0).
 
-    b_max   max_k |b_k|, or infinity when a coefficient is not finite
-    expm1   the pairs (c_0[n], c_1[n]) for n = N down to 1
-    slope   the pairs of the second series' coefficients, for n = N down to 0
+    The cut.  expm1(-b_k scale) rounds to exactly -1.0 once
+    b_k scale > _EXPM1_CUT, and the table sorts the classes by b_k, so the
+    classes past the cut are a suffix.  To expm1 each adds -m_k, which the
+    row's suffix sums ``tails`` hold; decay leaves them out, and they add
+    less than exp(-_EXPM1_CUT) times ``slopes``, the sums of m_k b_k over
+    every class.  Only the classes below the cut are evaluated, as expm1 of
+    the exponent -b_k scale, which never produces subnormals, into ``buf``.
+    Each term is bit-identical to the uncut sum's; only the order of
+    summation differs.  For a scale that is not > 0 (zero, negative or NaN)
+    every class is evaluated.  A scale above the largest double (lam Psi
+    overflowed) is read as it, so a zero b_k gives expm1(-0), not
+    expm1(-0 * inf) = NaN.  decay reads exp(-b_k scale) as
+    expm1(-b_k scale) + 1, within 2**-51 of it, from the exponentials that
+    the last expm1 call left in ``buf`` when it asks for that call's scale,
+    and evaluates them afresh at any other.
+
+    The series.  With ``series``, and while b_max |scale| <= _SERIES_RHO
+    (b_max = max_k |b_k|), no exponential is evaluated: with x = -scale,
+    c[n] = sum_k m_k b_k**n / n! and N = _SERIES_TERMS,
+
+        expm1  = sum_{n=1..N} c[n] x**n
+        decay  = sum_{n=0..N} (n + 1) c[n + 1] x**n
+
+    summed by Horner's rule over every class, for ``rows`` of two rows; the
+    coefficients take N + 1 products with the classes, once per object.  With
+    m_k and b_k >= 0 the truncation is below 2e-20 of expm1 and 1e-19 of
+    decay, and the terms' absolute values sum to at most e**2 = 7.4 times
+    expm1 and e**4 = 55 times decay; against exact sums the series were
+    within about 1.5e-15 and 7e-15 relative.  The series is off at a scale
+    that is not finite, and for the whole object once a coefficient is not
+    finite (``reach`` is then infinite, and 0 * inf and inf are not <=):
+    b_max**n / n! overflows above b_max of about 2.5e12, and negative or NaN
+    rates can make a coefficient NaN.
+
+    ``evals`` counts the per-class exponentials evaluated and ``series`` the
+    calls the series summed.
     """
 
-    b_max: float
-    expm1: list[list[float]]
-    slope: list[list[float]]
+    def __init__(self, table: _Family, rows: np.ndarray, tails=None, series: bool = False):
+        self.rates = table.rates
+        # bisect_right on the doubles finds the cut searchsorted(side="right")
+        # would, at a fraction of a numpy call's fixed cost
+        self.rate_view = memoryview(table.rates)
+        self.rows = rows
+        self.tails = _suffix_sums(rows) if tails is None else tails
+        self.buf = np.empty(table.rates.size)
+        # the scale whose exponentials buf holds, and its cut
+        self.scale, self.cut = math.nan, 0
+        self.evals = self.series = 0
+        self.reach = math.inf
+        if series:
+            terms = _SERIES_TERMS + 1
+            coeffs = np.empty((terms, rows.shape[0]))
+            power = np.ones(table.rates.size)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for n in range(1, terms + 1):
+                    power *= table.rates
+                    power /= n
+                    coeffs[n - 1] = rows @ power
+                decay_coeffs = coeffs * np.arange(1.0, terms + 1.0)[:, None]
+            if np.isfinite(decay_coeffs).all():
+                self.reach = float(np.abs(table.rates).max())
+            # highest power first: c[n] for n = N..1, (n + 1) c[n + 1] for n = N..0
+            self.expm1_terms, self.decay_terms = coeffs[-2::-1].tolist(), decay_coeffs[::-1].tolist()
 
-    def covers(self, scale: float) -> bool:
-        """Whether b_max |scale| <= _SERIES_RHO: never for a scale that is not
-        finite, nor when b_max is infinite (0 * inf and inf are not <=)."""
-        return self.b_max * abs(scale) <= _SERIES_RHO
+    @cached_property
+    def slopes(self) -> list[float]:
+        return (self.rows @ self.rates).tolist()
 
-    def expm1_sums(self, scale: float) -> tuple[float, float]:
-        x = -scale
-        sum_0, sum_1 = _horner(self.expm1, x)
-        return sum_0 * x, sum_1 * x
+    def expm1(self, scale: float) -> list[float]:
+        if self.reach * abs(scale) <= _SERIES_RHO:
+            self.series += 1
+            x = -scale
+            sum_0, sum_1 = _horner(self.expm1_terms, x)
+            return [sum_0 * x, sum_1 * x]
+        self.scale = scale
+        if scale > _MAX_SCALE:
+            scale = _MAX_SCALE
+        cut = self.cut = bisect_right(self.rate_view, _EXPM1_CUT / scale) if scale > 0.0 else self.rates.size
+        self.evals += cut
+        head = self.buf[:cut]
+        np.multiply(self.rates[:cut], -scale, out=head)
+        np.expm1(head, out=head)
+        return [total - tail[cut] for total, tail in zip((self.rows[:, :cut] @ head).tolist(), self.tails)]
 
-    def slope_sums(self, scale: float) -> tuple[float, float]:
-        return _horner(self.slope, -scale)
-
-
-def _class_series(rates: np.ndarray, mix: np.ndarray) -> _ClassSeries:
-    """The _ClassSeries of the rates b_k and the two rows of ``mix``: the
-    _SERIES_TERMS + 1 products of ``mix`` with the classes' b_k**n / n!.  A
-    coefficient overflows once b_max**n / n! does (b_max above about 2.5e12),
-    and negative or NaN rates can make one NaN; then no scale is covered."""
-    terms = _SERIES_TERMS + 1
-    coeffs = np.empty((terms, mix.shape[0]))
-    power = np.ones(rates.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, terms + 1):
-            power *= rates
-            power /= n
-            coeffs[n - 1] = mix @ power
-        slope = coeffs * np.arange(1.0, terms + 1.0)[:, None]
-    finite = bool(np.isfinite(slope).all())
-    return _ClassSeries(b_max=float(np.abs(rates).max()) if finite else math.inf,
-                        expm1=coeffs[-2::-1].tolist(), slope=slope[::-1].tolist())
+    def decay(self, scale: float) -> list[float]:
+        if self.reach * abs(scale) <= _SERIES_RHO:
+            return list(_horner(self.decay_terms, -scale))
+        if scale != self.scale:
+            self.expm1(scale)
+        # the exponentials in buf are overwritten here
+        self.scale = math.nan
+        head = self.buf[:self.cut]
+        np.add(head, 1.0, out=head)
+        np.multiply(head, self.rates[:self.cut], out=head)
+        return (self.rows[:, :self.cut] @ head).tolist()
 
 
 def _horner(pairs: list[list[float]], x: float) -> tuple[float, float]:
@@ -479,39 +515,20 @@ def integrate(
     still fills its own interior samples from its dense output, and every
     later sample, t_end's included, holds the rest state: Psi after one
     Newton step, Psi + max(Phi, 0) / D, and q = R - R(0) set so that S is
-    exactly 0.  D and J take one more dot product over the step end's
-    exponentials; the classes past the cut add less than exp(-_EXPM1_CUT)
-    times the slope sums over all classes, which the bound includes.  Where
+    exactly 0.  D and J are read from the decay sums at the step end.  Where
     D <= 0 the integration never stops early.  Steps past rest would only
     move Psi by Phi's cancellation noise of about 5e-15, which DOP853's
     weights (12.9 in absolute value, a 5th-order pair's 1.6) turn into steps
     back of a few ulp; the stop saves both the work and the steps back.
 
-    While b_max |lam Psi| <= _SERIES_RHO = 2, with b_max = max_k |b_k|, the
-    class sums evaluate no exponential (_ClassSeries).  With m_k = w_k
-    rho_i(k, 0) and with m_k = P(k) rho_i(k, 0), they are then
-    sum_{n=1..N} c[n] x**n in x = -lam Psi, with c[n] = sum_k m_k b_k**n / n!
-    and N = _SERIES_TERMS = 26, summed by Horner's rule; the rest test reads
-    sum_k m_k b_k exp(-a_k Psi) from the derivative's series
-    sum_{n=0..N} (n + 1) c[n + 1] x**n.  The coefficients take about 27
-    products of the two rows with the classes, once per call.  With m_k and
-    b_k >= 0 the truncation is below 2e-20 of the class sums and 1e-19 of
-    the derivative's, and the terms' absolute values sum to at most
-    e**2 = 7.4 times the class sums and e**4 = 55 times the derivative's.
-    Against exact sums the series were within about 1.5e-15 and 7e-15
-    relative.  The series is off at a lam Psi that is not finite, and for
-    the whole call once a coefficient is not finite: b_max**n / n! overflows
-    above b_max of about 2.5e12, and negative or NaN rates can make a
-    coefficient NaN.
-
-    Otherwise a stage costs one expm1 over the classes, of the exponent
-    -b_k (lam Psi), which never produces subnormals.  Once it is below
-    -_EXPM1_CUT, expm1 rounds to exactly -1.0, so the classes past the cut
-    (a suffix in the family table's order) contribute a constant, summed
-    once before the loop, and only the rest are evaluated
-    (_Family.expm1_sums).  Each class's term is bit-identical to the full
-    sum's; only the order of summation differs.  At lam Psi <= 0 or a NaN
-    Psi every class is evaluated.
+    Each stage costs one call of expm1 of a _ClassSums of the rows
+    w_k rho_i(k, 0) and P(k) rho_i(k, 0), and the rest test one call of its
+    decay, at the same lam Psi.  The class docstring gives the cut and the
+    series: while b_max |lam Psi| <= _SERIES_RHO = 2 the sums are power
+    series in lam Psi, whose coefficients this call builds, and past that
+    only the classes below the cut are evaluated; the classes past it add a
+    constant to expm1, and at most exp(-_EXPM1_CUT) times their slope sums
+    to decay, which the rest bound includes.
 
     ``dt`` is the sample spacing, not a step size: the aggregates of
     Trajectory are recorded at time step * dt for every ``sample_every``-th
@@ -577,57 +594,33 @@ def _reduced_dop853(
     series summed.
 
     R is carried as its gain q = R - R(0), so S = S(0) - (I - I(0)) - q
-    keeps full precision however small the seed fraction is.  The classes
-    are in the family table's order, so the saturated ones form a suffix
-    (see integrate).
+    keeps full precision however small the seed fraction is.  The class
+    sums come from one _ClassSums, with the series.
     """
     table = _family_table(dist, params.alpha, params.beta, plan)
     lam, sigma = params.lam, params.sigma
     probs = dist.probs
-    rates = table.rates
     rho_i = initial.rho_i[table.order]
-    mix = np.stack([table.rows[0] * rho_i, probs[table.order] * rho_i])
-    tails = _suffix_sums(mix)
-    # sum_k mix b_k over every class, which bounds the part of rest_step's
-    # sums past the cut
-    slope_phi, slope_i = (mix @ rates).tolist()
+    sums = _ClassSums(table, np.stack([table.rows[0] * rho_i, probs[table.order] * rho_i]), series=True)
+    expm1, decay = sums.expm1, sums.decay
+    slope_phi, slope_i = sums.slopes
     phi0 = float(table.rows[0] @ initial.rho_s[table.order])
     i0, s0, r0 = (float(probs @ rho) for rho in (initial.rho_i, initial.rho_s, initial.rho_r))
-    buf = np.empty(rates.size)
     # exp(-a_k Psi) of every class past the cut is below this
     saturated = math.exp(-_EXPM1_CUT)
-    series = _class_series(rates, mix)
-    evals = series_calls = 0
 
     def phi_and_gain(psi: float) -> tuple[float, float]:
         """Phi and the gain of the informed, -(I - I(0)), at Psi."""
-        nonlocal evals, series_calls
-        scale = lam * psi
-        if series.covers(scale):
-            series_calls += 1
-            sum_phi, sum_i = series.expm1_sums(scale)
-        else:
-            cut, (sum_phi, sum_i) = table.expm1_sums(scale, mix, tails, buf)
-            evals += cut
+        sum_phi, sum_i = expm1(lam * psi)
         return phi0 - sum_phi - sigma * psi, -sum_i
 
     def rest_step(psi: float, q: float, phi: float, gain: float) -> float | None:
-        """The Newton step max(Phi, 0) / D to rest from a state that
-        phi_and_gain was last called at, if the concavity bound puts both Psi
-        and R within the step tolerance of rest; else None."""
-        scale = lam * psi
-        if series.covers(scale):
-            sum_d, sum_j = series.slope_sums(scale)
-        else:
-            cut = table.cut(scale)
-            # sum_k m_k b_k exp(-a_k Psi) over the classes below the cut, from
-            # the exponentials phi_and_gain left in buf, which is free once
-            # read; the classes past it add less than exp(-_EXPM1_CUT) times
-            # the slope at 0
-            head = buf[:cut]
-            np.add(head, 1.0, out=head)
-            np.multiply(head, rates[:cut], out=head)
-            sum_d, sum_j = (mix[:, :cut] @ head).tolist()
+        """The Newton step max(Phi, 0) / D to rest from the state (psi, q)
+        with its Phi and gain, if the concavity bound puts both Psi and R
+        within the step tolerance of rest; else None."""
+        # the classes past the cut add less than exp(-_EXPM1_CUT) times the
+        # slope at 0 to D and J
+        sum_d, sum_j = decay(lam * psi)
         d = sigma - lam * (sum_d + saturated * slope_phi)
         if not d > 0.0:
             return None
@@ -660,7 +653,7 @@ def _reduced_dop853(
     samples = [sample(0.0, psi, q, phi, gain)]
     t_final = sample_steps[-1] * dt
     if t_final == 0.0:
-        return samples, 0, 0, 0, None, evals, series_calls
+        return samples, 0, 0, 0, None, sums.evals, sums.series
     h_max = min(1.0 / sigma, t_final)
     # the floor is a fraction of the curve's time scale (see integrate), so
     # it shrinks as lam grows
@@ -719,7 +712,6 @@ def _reduced_dop853(
 
             accepted += 1
             t_new = t_final if last else t + h
-            # read before the dense output's stages overwrite buf
             to_rest = None if last else rest_step(psi_new, q_new, phi_k, gain_k)
             if next_sample * dt < t_new:
                 # the dense output's three stages, only on steps that hold a
@@ -736,7 +728,7 @@ def _reduced_dop853(
                     next_sample = next(waiting)
             if last:
                 samples.append(sample(t_final, psi_new, q_new, phi_k, gain_k))
-                return samples, accepted, rejected, dense, None, evals, series_calls
+                return samples, accepted, rejected, dense, None, sums.evals, sums.series
             sample(t_new, psi_new, q_new, phi_k, gain_k)  # the range check at every step end
             if to_rest is not None:
                 # one Newton step onto rest, where S = s0 + gain - q is 0
@@ -744,7 +736,7 @@ def _reduced_dop853(
                 phi_rest, gain_rest = phi_and_gain(psi_rest)
                 rest = sample(next_sample * dt, psi_rest, s0 + gain_rest, phi_rest, gain_rest)[1:]
                 samples += [(step * dt, *rest) for step in (next_sample, *waiting)]
-                return samples, accepted, rejected, dense, t_new, evals, series_calls
+                return samples, accepted, rejected, dense, t_new, sums.evals, sums.series
             t, psi, q = t_new, psi_new, q_new
             k_psi[0], k_q[0] = k_psi[12], k_q[12]
             # an error of 0 (a state at rest) grows the step by _GROW
@@ -808,10 +800,9 @@ def psi_fixed_point(
     method on the convex h(x) = x - f(x), started from the upper bound
     <k**alpha>/sigma, descends monotonically onto the largest root and stops
     once a step is below _PSI_TOL * max(1, x).  h and h' are evaluated
-    through expm1 of -b_k (lam x), which is exact near x = 0 and never
-    produces subnormals, over the classes below _EXPM1_CUT only: the rest
-    have expm1 exactly -1.0 and enter through the suffix sums of the family
-    table (_family_table), as in integrate.  Falls back to bisection if h' is
+    through expm1 of -b_k (lam x), which is exact near x = 0, by the
+    expm1 of a _ClassSums of the rows w_k and w_k b_k, with the family
+    table's suffix sums and no series.  Falls back to bisection if h' is
     not positive or the iterates stop descending (rounding right at the
     critical point) or _NEWTON_MAX_STEPS steps pass; bisection stops once the
     bracket is narrower than _PSI_TOL times its upper end.  Each call logs its
@@ -823,13 +814,12 @@ def psi_fixed_point(
         _log.debug("psi_fixed_point: path=zero steps=0")
         return 0.0
 
-    mix, tails = table.rows[:2], table.tails[:2]
-    buf = np.empty(table.rates.size)
+    expm1 = _ClassSums(table, table.rows[:2], table.tails[:2]).expm1
 
     def h(x: float) -> tuple[float, float]:
         """h(x) = x + sum_k w_k expm1(-b_k lam x) / sigma and its derivative
         1 - lam (S_0 + sum_k w_k b_k expm1(-b_k lam x)) / sigma."""
-        sum_w, sum_wb = table.expm1_sums(lam * x, mix, tails, buf)[1]
+        sum_w, sum_wb = expm1(lam * x)
         return x + sum_w / sigma, 1.0 - lam * (table.slope + sum_wb) / sigma
 
     x = table.kalpha_mean / sigma
@@ -880,10 +870,8 @@ def final_rumor_size(
     so inoculated nodes count neither as informed nor as reachable.  Reduces
     to -sum_k P(k) expm1(-b_k lam Psi*) without inoculation.
 
-    The sum is the one psi_fixed_point and integrate evaluate
-    (_Family.expm1_sums): expm1 is exact near zero, never produces
-    subnormals and rounds to exactly -1.0 once b_k lam Psi* exceeds
-    _EXPM1_CUT, so only the classes below the cut are evaluated and the rest
+    The sum is the expm1 of a _ClassSums of the row P(k) (1 - g_k), as
+    psi_fixed_point and integrate evaluate theirs: the classes past the cut
     add their P(k) (1 - g_k), a suffix sum of the family table.  No exponent
     needs a floor and nothing is subtracted from 1.  Each term is
     P(k) (1 - g_k) >= 0 times expm1 of a nonpositive exponent, so it is <= 0
@@ -896,6 +884,5 @@ def final_rumor_size(
     if psi_star == 0.0:
         return 0.0
     table = _family_table(dist, params.alpha, params.beta, plan)
-    buf = np.empty(table.rates.size)
-    (sum_free,) = table.expm1_sums(params.lam * psi_star, table.rows[2:], table.tails[2:], buf)[1]
+    (sum_free,) = _ClassSums(table, table.rows[2:], table.tails[2:]).expm1(params.lam * psi_star)
     return min(-sum_free, 1.0)

@@ -91,9 +91,14 @@ class _Kernel:
     def __init__(self, network: Network, params: ModelParams, dt: float):
         deg = network.degrees.astype(np.float64)
         linked = network.degrees > 0
-        # w_ij / S_i = k_j**beta / sum_{l in N(i)} k_l**beta  (the k_i**beta factors cancel)
-        chance = np.power(deg, params.beta, out=np.zeros(network.n), where=linked)[network.indices]
-        strength = np.bincount(network.slot_rows(), weights=chance, minlength=network.n)
+        # w_ij / S_i = k_j**beta / sum_{l in N(i)} k_l**beta  (the k_i**beta factors cancel);
+        # an S_i that overflows would make its row's chances NaN
+        with np.errstate(over="ignore"):
+            chance = np.power(deg, params.beta, out=np.zeros(network.n), where=linked)[network.indices]
+            strength = np.bincount(network.slot_rows(), weights=chance, minlength=network.n)
+        if not np.isfinite(strength).all():
+            raise ValueError(f"beta = {params.beta!r} is out of range for degrees up to {network.degrees.max()}: "
+                             "a node's strength, the sum of k**beta over its neighbors, is not finite")
         factor = np.divide(params.lam * deg * dt, strength, out=np.zeros(network.n), where=strength > 0)
         # p_ij of every slot, built in place; a slot into a node whose k**beta
         # underflows to 0 keeps chance 0 where its row factor overflows to inf

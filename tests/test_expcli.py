@@ -751,6 +751,23 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "o" / "thresholds.csv").exists()
 
+    # k**(1+beta) overflows on the n = 2000 law, whose k_max is 455
+    EXTREME_BETA = MINIMAL.replace("n = 1000", "n = 2000").replace("beta = -0.5", "beta = 200")
+
+    def test_threshold_at_an_overflowing_beta_is_a_runtime_failure(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.EXTREME_BETA)
+        assert main(["threshold", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("runtime failure: ValueError: beta = 200.0 ")
+        assert not (tmp_path / "o" / "thresholds.csv").exists()
+
+    def test_simulate_records_an_overflowing_beta_per_point(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.EXTREME_BETA)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        assert "completed 0/3 grid points" in capsys.readouterr().out
+        failures = json.loads((tmp_path / "s" / "manifest.json").read_text())["failures"]
+        assert len(failures) == 3
+        assert all(failure["error"].startswith("ValueError: beta = 200.0 ") for failure in failures)
+
     def test_generate_verb(self, tmp_path):
         config = MINIMAL.replace("n = 1000", "n = 300")
         path = write_config(tmp_path, config)

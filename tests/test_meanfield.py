@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -736,9 +736,10 @@ class TestOracleAgreement:
 
 
 class TestClassSeries:
-    """integrate's two class sums and rest_step's two slope sums while every
-    class has b_k |lam Psi| <= _SERIES_RHO, summed as power series in lam Psi
-    (meanfield._class_series), against exact per-class sums."""
+    """The class sums of meanfield._ClassSums against exact per-class sums:
+    expm1 and decay, summed as power series in the scale lam Psi while
+    every class has b_k |lam Psi| <= _SERIES_RHO, and over the classes below
+    the cut past that."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -748,31 +749,66 @@ class TestClassSeries:
         beta=st.floats(-1.0, 1.0),
         kind=st.sampled_from(["none", "random", "targeted"]),
         g=st.floats(0.0, 0.6),
-        reach=st.one_of(st.floats(1e-200, 1.0), st.floats(-1.0, -1e-200)),
+        reach=st.one_of(st.floats(1e-200, 1.0), st.floats(-1.0, -1e-200), st.floats(1.0, 100.0),
+                        st.floats(-10.0, -1.0)),
     )
+    # the cut path with classes on both sides of the cut
+    @example(degrees=[2, 5, 20, 60], raw_probs=[0.5, 0.3, 0.15, 0.05, 1.0, 1.0, 1.0, 1.0], alpha=0.8, beta=0.5,
+             kind="random", g=0.3, reach=30.0)
     def test_sums_match_an_fsum_oracle(self, degrees, raw_probs, alpha, beta, kind, g, reach):
         # the rows integrate sums, w_k rho_i(k, 0) and P(k) rho_i(k, 0), at a
-        # graded start, and scales of both signs up to the series' reach;
-        # from 1e-200 of it, so that no sum is subnormal and short of a
-        # relative precision
+        # graded start, and scales from -10 to 100 times the series' reach,
+        # where the classes with b_k > _EXPM1_CUT / scale are past the cut;
+        # from 1e-200 of the reach, so that no sum is subnormal and short of
+        # a relative precision
         support = np.array(sorted(degrees))
         probs = np.array(raw_probs[:support.size])
         dist = DegreeDistribution(support, probs / probs.sum())
         table = meanfield._family_table(dist, alpha, beta, _plan(dist, kind, g))
         rho_i = graded_state(support.size).rho_i[table.order]
         mix = np.stack([table.rows[0] * rho_i, dist.probs[table.order] * rho_i])
-        series = meanfield._class_series(table.rates, mix)
+        sums = meanfield._ClassSums(table, mix, series=True)
         b_max = float(table.rates.max())
-        assert series.b_max == b_max
+        assert sums.reach == b_max
         scale = reach * meanfield._SERIES_RHO / b_max if b_max > 0.0 else reach
-        assume(series.covers(scale))
+        summed = b_max * abs(scale) <= meanfield._SERIES_RHO
         rates = table.rates.tolist()
-        for got, term in ((series.expm1_sums(scale), lambda b: math.expm1(-b * scale)),
-                          (series.slope_sums(scale), lambda b: b * math.exp(-b * scale))):
-            for value, row in zip(got, mix.tolist()):
+        # decay reads the exponentials that expm1 left at the same scale.  Past
+        # the series it leaves out the classes past the cut, each below
+        # exp(-_EXPM1_CUT) m_k b_k, and reads exp(-b_k scale) as
+        # expm1(-b_k scale) + 1, which rounds to within 2**-51 of it
+        got_expm1 = sums.expm1(scale)
+        assert sums.series == summed
+        got_decay = sums.decay(scale)
+        for got, term, slack in ((got_expm1, lambda b: math.expm1(-b * scale), 0.0),
+                                 (got_decay, lambda b: b * math.exp(-b * scale),
+                                  0.0 if summed else math.exp(-meanfield._EXPM1_CUT) + 2.0**-51)):
+            for value, row, slope in zip(got, mix.tolist(), sums.slopes):
                 exact = math.fsum(m * term(b) for m, b in zip(row, rates))
-                assert abs(value - exact) <= 1e-14 * abs(exact)
-        assert series.expm1_sums(0.0) == (0.0, 0.0)
+                assert abs(value - exact) <= 1e-14 * abs(exact) + slack * slope
+        assert sums.expm1(0.0) == [0.0, 0.0]
+
+    def test_decay_away_from_the_last_scale_is_evaluated_afresh(self):
+        # past the series' reach, where decay can read the exponentials the
+        # last expm1 call left: at another scale, or once they are used, it
+        # must evaluate them again, and equal a fresh object's sums
+        dist = sample_powerlaw_distribution(2.4, 2, 1000)
+        table = meanfield._family_table(dist, 0.8, -0.5, None)
+        rows = table.rows[:2]
+        first, second = (reach * meanfield._SERIES_RHO / table.rates.max() for reach in (25.0, 100.0))
+
+        def fresh(scale):
+            sums = meanfield._ClassSums(table, rows, series=True)
+            sums.expm1(scale)
+            assert 0 < sums.cut < table.rates.size
+            return sums.decay(scale)
+
+        sums = meanfield._ClassSums(table, rows, series=True)
+        sums.expm1(first)
+        assert sums.decay(second) == fresh(second) != fresh(first)
+        sums.expm1(first)
+        assert sums.decay(first) == sums.decay(first) == fresh(first)
+        assert sums.series == 0
 
     def test_overflowing_coefficients_turn_the_series_off(self, monkeypatch, caplog):
         # b_max is about 9e13, so b_max**27 / 27! overflows: no call may be
@@ -829,6 +865,20 @@ class TestPsiFixedPoint:
                          t_end=60.0, dt=5e-3, sample_every=100)
         assert traj.s[-1] < 1e-8
         assert abs(psi_fixed_point(dist, params, plan) - traj.psi[-1]) < 1e-3
+
+    @pytest.mark.parametrize("beta", [150.0, 200.0, -2000.0])
+    def test_beta_whose_powers_leave_the_doubles_is_refused(self, beta):
+        # on the n = 2000 law (k_max = 455) k**(1+beta) overflows at
+        # beta = 150 and 200, which made every b_k NaN and lambda_c inf; at
+        # -2000 it underflows to 0 at every degree, and so does its mean
+        dist = sample_powerlaw_distribution(2.4, 2, 2000)
+        assert abs(critical_rate(dist, 0.8, 100.0) - 0.00753) < 1e-5
+        for call in (lambda: critical_rate(dist, 0.8, beta),
+                     lambda: final_rumor_size(dist, ModelParams(lam=1.0, alpha=0.8, beta=beta)),
+                     lambda: integrate(uniform_seed_state(dist, 1e-3), dist, ModelParams(lam=1.0, alpha=0.8, beta=beta),
+                                       t_end=1.0, dt=0.1)):
+            with pytest.raises(ValueError, match=f"^beta = {beta!r} "):
+                call()
 
 
 class TestPsiSolver:
@@ -1138,8 +1188,14 @@ class TestTermLifetimes:
 
         saturated = sum(bk == 0.0 for bk in b)
         lam_all = 2.0 * lambda_c
-        table = meanfield._family_table(dist, alpha, beta, plan)
-        while table.cut(lam_all * psi_fixed_point(dist, ModelParams(lam_all, alpha, beta, sigma), plan)) > saturated:
+        rates = meanfield._family_table(dist, alpha, beta, plan).rates
+
+        def below_cut(lam):
+            """The classes with b_k <= _EXPM1_CUT / (lam Psi*), which expm1 evaluates."""
+            scale = lam * psi_fixed_point(dist, ModelParams(lam, alpha, beta, sigma), plan)
+            return np.count_nonzero(rates <= meanfield._EXPM1_CUT / scale)
+
+        while below_cut(lam_all) > saturated:
             lam_all *= 2.0
         for lam in np.geomspace(1.01 * lambda_c, lam_all, 6):
             params = ModelParams(lam=float(lam), alpha=alpha, beta=beta, sigma=sigma)

@@ -409,6 +409,18 @@ class TestSlotChance:
             row = kernel.chance[net.indptr[i]:net.indptr[i + 1]]
             assert kernel.pi[i] == (row.max() if row.size else 0.0)
 
+    def test_overflowing_strength_is_refused(self):
+        # k**200 overflows from k = 35 on, so a hub's strength S_i is inf and
+        # its row's chances would be NaN; the ensemble would then inform the
+        # seeds alone
+        dist = sample_powerlaw_distribution(2.4, 2, 2000)
+        net = build_configuration_network(dist, 2000, np.random.default_rng(1))
+        params = ModelParams(lam=0.5, alpha=0.8, beta=200.0)
+        with pytest.raises(ValueError, match=r"^beta = 200\.0 "):
+            _Kernel(net, params, 0.1)
+        with pytest.raises(ValueError, match=r"^beta = 200\.0 "):
+            ensemble(net, params, runs=2, seeds=3, master_seed=4)
+
     def test_underflowed_target_keeps_chance_zero_in_an_overflowed_row(self):
         # k**beta underflows to 0 at every degree above 1 and the rows' factor
         # lam * k_i * dt / S_i overflows to inf; inf * 0 must not make a NaN
