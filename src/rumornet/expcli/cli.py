@@ -75,7 +75,7 @@ def _cmd_generate(scenario) -> int:
 
 def _cmd_threshold(scenario) -> int:
     rows = threshold_table(scenario)
-    files = write_threshold_table(scenario, rows, scenario.out_dir)
+    files = write_threshold_table(scenario, rows)
     for name in files:
         print(f"wrote {os.path.join(scenario.out_dir, name)}")
     return EXIT_OK
@@ -94,7 +94,7 @@ def _cmd_simulate(scenario) -> int:
 
 def _cmd_compare(scenario) -> int:
     report = compare_engines(scenario)
-    files = write_comparison(scenario, report, scenario.out_dir)
+    files = write_comparison(scenario, report)
     for name in files:
         print(f"wrote {os.path.join(scenario.out_dir, name)}")
     worst = max((row["deviation"] for row in report["rows"]), default=0.0)

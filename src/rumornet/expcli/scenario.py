@@ -546,9 +546,10 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def run_scenario(scenario: Scenario, out_dir: str | None = None) -> dict:
-    """Run every grid point, write the plot-family files, return the manifest."""
-    out_dir = out_dir or scenario.out_dir
+def run_scenario(scenario: Scenario) -> dict:
+    """Run every grid point, write the plot-family files and the manifest
+    into ``scenario.out_dir``, return the manifest."""
+    out_dir = scenario.out_dir
     os.makedirs(out_dir, exist_ok=True)
     results, failures = _collect_results(scenario)
 
@@ -588,12 +589,14 @@ def compare_engines(scenario: Scenario) -> dict:
     }
 
 
-def write_comparison(scenario: Scenario, report: dict, out_dir: str) -> list[str]:
+def write_comparison(scenario: Scenario, report: dict) -> list[str]:
+    """Write ``comparison.csv`` and ``comparison.svg`` into ``scenario.out_dir``."""
     columns = ["point", *_AXES, "R_mf", "R_mc_mean", "deviation", "passed"]
     rows = report["rows"]
     xs = [row["point"] for row in rows]
     series = [(tag, xs, [row[engine_columns[0].lower()] for row in rows]) for _, tag, engine_columns in _ENGINE_OUTPUTS]
-    return _write_family(out_dir, "comparison", columns, ([row[column.lower()] for column in columns] for row in rows),
+    return _write_family(scenario.out_dir, "comparison", columns,
+                         ([row[column.lower()] for column in columns] for row in rows),
                          _audit_header(scenario) + [f"# tolerance={report['tolerance']}"], series,
                          title="engine comparison", xlabel="grid point", ylabel="R")
 
@@ -637,8 +640,8 @@ def threshold_table(scenario: Scenario) -> list[dict]:
     return rows
 
 
-def write_threshold_table(scenario: Scenario, rows: list[dict], out_dir: str) -> list[str]:
-    """Write ``thresholds.csv`` and ``thresholds.svg``.
+def write_threshold_table(scenario: Scenario, rows: list[dict]) -> list[str]:
+    """Write ``thresholds.csv`` and ``thresholds.svg`` into ``scenario.out_dir``.
 
     The SVG plots lambda_c against the first swept axis of the grid other
     than lambda, with one series per combination of the other axes; a series
@@ -653,5 +656,5 @@ def write_threshold_table(scenario: Scenario, rows: list[dict], out_dir: str) ->
     varying = [other for other in _THRESHOLD_AXES if other != axis and len({row[other] for row in rows}) > 1]
     series = _series((_series_label(row, varying) or "lambda_c", row[axis], row["lambda_c"])
                      for row in rows if math.isfinite(row["lambda_c"]))
-    return _write_family(out_dir, "thresholds", columns, csv_rows, _audit_header(scenario), series,
+    return _write_family(scenario.out_dir, "thresholds", columns, csv_rows, _audit_header(scenario), series,
                          title=f"{scenario.name}: thresholds", xlabel=axis, ylabel="lambda_c")

@@ -153,10 +153,12 @@ _DOP_D = (
 )
 
 # integrate's step control.  A step is accepted when its error estimate is
-# within atol + _RTOL |y| for each of Psi and q, in the RMS norm over the two.
-# An early error in Psi grows with the outbreak, so Psi is held to a relative
-# error down to states of about 3e-6 (_PSI_ATOL / _RTOL); q relaxes to its
-# target at rate sigma, so its errors decay and an absolute floor suffices.
+# within atol + _RTOL |y| for each of Psi and q, in the RMS norm over the two,
+# and its end passes the range check of a sample; any other trial step is
+# rejected and shrunk.  An early error in Psi grows with the outbreak, so Psi
+# is held to a relative error down to states of about 3e-6
+# (_PSI_ATOL / _RTOL); q relaxes to its target at rate sigma, so its errors
+# decay and an absolute floor suffices.
 # A step shrinks by at least _SHRINK and grows by at most _GROW, with the
 # _SAFETY margin, and may not fall below _STEP_FLOOR of the time span or of
 # the curve's time scale at the start, whichever is shorter
@@ -542,17 +544,23 @@ def integrate(
     hold samples over 100 times _RTOL off while its end stays within about
     10 times.
 
-    Raises IntegrationError when Psi drops below -1e-6 or I, S, R leave
-    [-1e-6, 1 + 1e-6] or are not finite at a step end or a sample, when an
-    error estimate is not finite at a step whose start is not finite (one
-    from a finite start is rejected and shrunk), or when the step falls
-    below _STEP_FLOOR of the shorter of the time span and the curve's time
-    scale 1 / (lam |S| + sigma), with S = sum_k w_k rho_i(k, 0) b_k, so
-    that dPhi/dPsi = lam S - sigma at the start.  Each successful call logs
-    its accepted and rejected steps, the dense outputs built, the step end
-    that proved rest (``rest``, or ``none``), final Psi, final R, the number
-    of per-class exponentials evaluated (``evals``) and the number of
-    class-sum calls summed by the series (``series``) at DEBUG level.  The
+    A trial step is accepted by one rule: its error estimate is at most 1
+    and its end is in range, with Psi >= -1e-6 and I, S, R finite and in
+    [-1e-6, 1 + 1e-6].  Any other trial, an estimate that is not finite or
+    an end out of range included, is rejected and shrunk: by the estimate's
+    factor when the estimate is above 1, else by _SHRINK, since the factor
+    of an estimate far below 1 would grow the step.  So the step control
+    fails only when the step falls below _STEP_FLOOR of the shorter of the
+    time span and the curve's time scale 1 / (lam |S| + sigma), with
+    S = sum_k w_k rho_i(k, 0) b_k, so that dPhi/dPsi = lam S - sigma at the
+    start; that IntegrationError gives the error estimate and the end state
+    of the last rejected trial.  Samples keep their range check: the state
+    at t = 0, a dense output sample or the rest state out of range raises
+    IntegrationError.  Each successful call logs its accepted and rejected
+    steps, the dense outputs built, the step end that proved rest
+    (``rest``, or ``none``), final Psi, final R, the number of per-class
+    exponentials evaluated (``evals``) and the number of class-sum calls
+    summed by the series (``series``) at DEBUG level.  The
     class-sum calls, rejected stages and samples included, are 2 at the
     start, 12 per step tried, 3 per dense output, 1 per interior sample
     before rest and 1 for the rest state; each adds 1 to ``series`` or the
@@ -631,12 +639,18 @@ def _reduced_dop853(
             return step
         return None
 
+    def state(psi: float, q: float, gain: float) -> tuple[float, float, float, float]:
+        """Psi, I, S and R of the state (psi, q) with its gain."""
+        return psi, i0 - gain, s0 + gain - q, r0 + q
+
+    def in_range(psi: float, i: float, s: float, r: float) -> bool:
+        """Psi >= -1e-6 and I, S and R in [-1e-6, 1 + 1e-6]; false for NaN."""
+        return psi >= -1e-6 and -1e-6 <= i <= 1.0 + 1e-6 and -1e-6 <= s <= 1.0 + 1e-6 and -1e-6 <= r <= 1.0 + 1e-6
+
     def sample(t: float, psi: float, q: float, phi: float, gain: float) -> tuple:
-        i, s, r = i0 - gain, s0 + gain - q, r0 + q
-        if not (psi >= -1e-6 and -1e-6 <= min(i, s, r) and max(i, s, r) <= 1.0 + 1e-6):
-            raise IntegrationError(
-                f"state left range at t={t:.6g} (Psi={psi:.3e}, I={i:.3e}, S={s:.3e}, R={r:.3e})"
-            )
+        _, i, s, r = end = state(psi, q, gain)
+        if not in_range(*end):
+            raise IntegrationError(f"state left range at t={t:.6g} ({_state_text(*end)})")
         return t, r, s, i, phi, psi
 
     def stage(index: int, row, psi: float, q: float, h: float) -> tuple[float, float, float, float]:
@@ -666,8 +680,8 @@ def _reduced_dop853(
     accepted = rejected = dense = 0
     t = 0.0
 
-    # a diverging stage overflows its exponentials; the error estimate or
-    # the range check reports it
+    # a diverging stage overflows its exponentials, and the trial is
+    # rejected for its error estimate or for its end
     with np.errstate(over="ignore", invalid="ignore"):
         # Hairer's starting step from Psi = q = 0, where the rule's Euler
         # probe is 1e-6: an 8th-order guess from the scaled derivative and
@@ -679,12 +693,17 @@ def _reduced_dop853(
         d2 = _rms((phi_e - k_psi[0]) / _PSI_ATOL, (dq_e - k_q[0]) / _Q_ATOL) / probe
         h = min(100.0 * probe, (0.01 / max(d1, d2, 1e-15)) ** 0.125, h_max)
         grow = _GROW
+        # the error estimate and end state of the last rejected trial step
+        trial = None
 
         while True:
             # a step of 0 would loop forever; the floor is 0 once lam |S|
             # overflows
             if not (h >= h_floor and h > 0.0):
-                raise IntegrationError(f"step fell to {h:.3e} at t={t:.6g}, below the floor {h_floor:.3e}")
+                report = ("no trial step was rejected" if trial is None else
+                          f"the last rejected trial step had error estimate {trial[0]:.3e} "
+                          f"and ended at {_state_text(*trial[1])}")
+                raise IntegrationError(f"step fell to {h:.3e} at t={t:.6g}, below the floor {h_floor:.3e}; {report}")
             # a step that would leave under 1% of itself to go ends the span
             last = t + 1.01 * h >= t_final
             if last:
@@ -699,14 +718,15 @@ def _reduced_dop853(
             e5, e3 = (_rms(sum(map(mul, e, k_psi)) / scale[0], sum(map(mul, e, k_q)) / scale[1])
                       for e in (_DOP_E5, _DOP_E3))
             err = h * e5 * (e5 / math.hypot(e5, 0.1 * e3)) if e5 else 0.0
-            # stages that overflow on a long trial step (at a very large lam)
-            # leave the estimate not finite; a shorter step may pass, unless
-            # the step's start is itself not finite
-            if not math.isfinite(err) and not (math.isfinite(k_psi[0]) and math.isfinite(k_q[0])):
-                raise IntegrationError(f"error estimate {err} at t={t:.6g} with step {h:.3e}")
-            if not err <= 1.0:
+            end = state(psi_new, q_new, gain_k)
+            if not (err <= 1.0 and in_range(*end)):
+                # a trial rejected for its end, or for an estimate that is
+                # not finite (stages that overflow on a long trial step at a
+                # very large lam), shrinks by _SHRINK: the estimate's factor
+                # would grow a step whose estimate is far below 1
                 rejected += 1
-                h *= max(_SHRINK, _SAFETY * err ** -0.125) if math.isfinite(err) else _SHRINK
+                trial = err, end
+                h *= max(_SHRINK, _SAFETY * err ** -0.125) if err > 1.0 else _SHRINK
                 grow = 1.0
                 continue
 
@@ -729,7 +749,6 @@ def _reduced_dop853(
             if last:
                 samples.append(sample(t_final, psi_new, q_new, phi_k, gain_k))
                 return samples, accepted, rejected, dense, None, sums.evals, sums.series
-            sample(t_new, psi_new, q_new, phi_k, gain_k)  # the range check at every step end
             if to_rest is not None:
                 # one Newton step onto rest, where S = s0 + gain - q is 0
                 psi_rest = psi_new + to_rest
@@ -742,6 +761,10 @@ def _reduced_dop853(
             # an error of 0 (a state at rest) grows the step by _GROW
             h = min(h * min(grow, _SAFETY * max(err, 1e-10) ** -0.125), h_max)
             grow = _GROW
+
+
+def _state_text(psi: float, i: float, s: float, r: float) -> str:
+    return f"Psi={psi:.3e}, I={i:.3e}, S={s:.3e}, R={r:.3e}"
 
 
 def _rms(a: float, b: float) -> float:

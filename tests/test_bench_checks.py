@@ -9,6 +9,7 @@ positive above it, so a clean pass on a grid that straddles every threshold
 ties the two together.
 """
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -57,7 +58,7 @@ def test_check_run_passes_a_sweep_across_the_thresholds(tmp_path):
     config.write_text(SCENARIO)
     scenario = parse_scenario(config)
     out_dir = str(tmp_path / "out")
-    run_scenario(scenario, out_dir)
+    run_scenario(dataclasses.replace(scenario, out_dir=out_dir))
 
     reasons = checks.check_run(scenario, out_dir, {"r_mf": {}, "r_mc": {}})
     assert len(reasons) == POINTS

@@ -299,7 +299,7 @@ class TestRunScenario:
     def test_row_count_and_manifest(self, tmp_path):
         scenario = parse_scenario(write_config(tmp_path, MINIMAL))
         out = tmp_path / "out"
-        manifest = run_scenario(scenario, out_dir=str(out))
+        manifest = run_scenario(dataclasses.replace(scenario, out_dir=str(out)))
         assert manifest["completed"] == 3
         csv_lines = (out / "final_size.csv").read_text().splitlines()
         data = [line for line in csv_lines if not line.startswith("#")]
@@ -314,8 +314,8 @@ class TestRunScenario:
     def test_deterministic_hashes(self, tmp_path):
         config = MINIMAL.replace("engine = meanfield", "engine = montecarlo\nruns = 4\nseed = 9")
         scenario = parse_scenario(write_config(tmp_path, config))
-        m1 = run_scenario(scenario, out_dir=str(tmp_path / "a"))
-        m2 = run_scenario(scenario, out_dir=str(tmp_path / "b"))
+        m1 = run_scenario(dataclasses.replace(scenario, out_dir=str(tmp_path / "a")))
+        m2 = run_scenario(dataclasses.replace(scenario, out_dir=str(tmp_path / "b")))
         assert m1["files"] == m2["files"]
 
     def test_plans_built_once_per_g(self, tmp_path):
@@ -325,7 +325,7 @@ class TestRunScenario:
         scenario = parse_scenario(write_config(tmp_path, config))
         real = scenario_module.make_targeted_plan
         with mock.patch.object(scenario_module, "make_targeted_plan", wraps=real) as spy:
-            assert run_scenario(scenario, out_dir=str(tmp_path / "out"))["completed"] == 9
+            assert run_scenario(dataclasses.replace(scenario, out_dir=str(tmp_path / "out")))["completed"] == 9
             assert [call.args[1] for call in spy.call_args_list] == [0.05, 0.1]
             spy.reset_mock()
             assert len(threshold_table(scenario)) == 3
@@ -343,7 +343,7 @@ g = 0,0.05
 """
         scenario = parse_scenario(write_config(tmp_path, config))
         out = tmp_path / "out"
-        assert run_scenario(scenario, out_dir=str(out))["completed"] == 4
+        assert run_scenario(dataclasses.replace(scenario, out_dir=str(out)))["completed"] == 4
 
         def table(name):
             lines = [line for line in (out / name).read_text().splitlines() if not line.startswith("#")]
@@ -368,7 +368,7 @@ g = 0,0.05
     def test_meanfield_r_increases_with_lambda(self, tmp_path):
         scenario = parse_scenario(write_config(tmp_path, MINIMAL))
         out = tmp_path / "out"
-        run_scenario(scenario, out_dir=str(out))
+        run_scenario(dataclasses.replace(scenario, out_dir=str(out)))
         rows = [line.split(",") for line in (out / "final_size.csv").read_text().splitlines()
                 if line and not line.startswith("#")][1:]
         rs = [float(row[-1]) for row in rows]
@@ -396,7 +396,7 @@ g = 0,0.05,0.1
 """
         scenario = parse_scenario(write_config(tmp_path, config))
         assert len(scenario.grid()) == 24 * 2 * 2 * 3
-        run_scenario(scenario, out_dir=str(tmp_path / "out"))
+        run_scenario(dataclasses.replace(scenario, out_dir=str(tmp_path / "out")))
         # the final sizes and the curves of a family's 48 points (lambda and
         # sigma) read one table, built once, on the run's one distribution
         (dist,) = {id(dist): dist for _, _, dist in builds}.values()

@@ -482,10 +482,11 @@ class TestIntegrate:
 
     def test_nan_phi_fails_the_error_estimate(self, monkeypatch):
         # a NaN weight leaves I, S and R finite at the start but makes Phi,
-        # and so every stage, NaN: the first error estimate is not finite
+        # and so every stage, NaN: every error estimate is not finite, each
+        # trial is rejected and shrunk, and the floor reports the last one
         weights, rates, free = two_four_terms()
         doctor_family(monkeypatch, [weights[0], np.nan], rates, free)
-        with pytest.raises(IntegrationError, match=r"error estimate nan at t=0 "):
+        with pytest.raises(IntegrationError, match=r"at t=0, below the floor .*error estimate nan and ended at Psi="):
             integrate(uniform_seed_state(TWO_FOUR, 0.1), TWO_FOUR, ModelParams(lam=1.0, alpha=1.0),
                       t_end=10.0, dt=0.01)
 
@@ -506,14 +507,15 @@ class TestIntegrate:
             assert traj.r[-1] == 1.0
 
     @pytest.mark.parametrize("n", [10**3, 10**5])
-    @pytest.mark.parametrize("lam", [1e12, 1e16, 1e20, 1.7e308])
+    @pytest.mark.parametrize("lam", [1e12, 1e16, 1e20, 1e100, 1e200, 1e300, 1.7e308])
     @pytest.mark.parametrize("kind, g", [("none", 0.0), ("random", 0.3), ("targeted", 0.05)])
     def test_step_floor_follows_the_curves_time_scale(self, lam, n, kind, g):
         # the curve's time scale shrinks as 1 / (lam S + sigma); a floor of
         # 1e-12 of the time span alone stopped these from lam = 1e12 (from
-        # 1e10 at n=10**5) at the first steps.  At lam = 1.7e308, lam Psi
-        # overflows to inf, where a targeted plan's zero rates once made the
-        # class sums NaN and the curve stall
+        # 1e10 at n=10**5) at the first steps.  From lam = 1e100 some first
+        # trial steps end out of range and must be retried shorter.  At
+        # lam = 1.7e308, lam Psi overflows to inf, where a targeted plan's
+        # zero rates once made the class sums NaN and the curve stall
         dist = sample_powerlaw_distribution(2.4, 2, n)
         params = ModelParams(lam=lam, alpha=0.5, beta=-0.5)
         plan = _plan(dist, kind, g)
@@ -525,14 +527,16 @@ class TestIntegrate:
     def test_blowup_reported(self, monkeypatch):
         # a negative weight and rate on the degree-4 class add
         # w rho_i (exp(75 Psi) - 1) to dPsi/dt and rho_i exp(75 Psi) to I:
-        # Psi runs away once the spreaders of class 2 start it, and the
-        # divergence is an IntegrationError with no overflow warning escaping
+        # Psi runs away once the spreaders of class 2 start it: every trial
+        # that ends out of range is rejected and shrunk, so the divergence
+        # ends at the step floor, which reports the last such trial, with no
+        # overflow warning escaping
         state = DegreeClassState(rho_i=[0.5, 0.5], rho_s=[0.5, 0.0], rho_r=[0.0, 0.5])
         weights, rates, free = two_four_terms()
         doctor_family(monkeypatch, weights * [1.0, -1.0], rates * [1.0, -50.0], free)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntegrationError):
+            with pytest.raises(IntegrationError, match=r"^step fell to .* below the floor .*ended at Psi=\S+, I="):
                 integrate(state, TWO_FOUR, ModelParams(lam=1.0, alpha=1.0), t_end=10.0, dt=0.9)
 
     def test_negative_psi_reported(self, monkeypatch):
